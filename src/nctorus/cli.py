@@ -737,9 +737,21 @@ _DISPATCH = {
 }
 
 
+def _glue_point_flags(argv: list[str]) -> list[str]:
+    """Rewrite '--u X' as '--u=X' (and --v) so that a fiber point with a
+    negative real part, such as '-0.6,0.8', is not taken for a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--u", "--v"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         report = _DISPATCH[args.command](args)
     except ToleranceFailure as exc:

@@ -10,7 +10,7 @@ so N is the minimal period of q) or irrational (any real theta).
 All values are immutable after construction and every function here is
 pure, so concurrent use on shared inputs is safe.  Reductions run in
 lexicographic index order (k ascending, then l ascending) so results are
-bit-reproducible regardless of thread count.
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -134,6 +134,11 @@ def phaseq_to_obj(q: PhaseQ) -> dict:
     return {"theta": q.theta_value}
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    # JSON true/false arrive as bool, an int subclass; they are not numbers here
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def phaseq_from_obj(obj) -> PhaseQ:
     if not isinstance(obj, dict):
         raise LatticeFormatError(f"phase must be an object, got {type(obj).__name__}")
@@ -142,12 +147,12 @@ def phaseq_from_obj(obj) -> PhaseQ:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise LatticeFormatError('field "rational" must be a pair [p, N]')
         p, n = pair
-        if not (isinstance(p, int) and isinstance(n, int)):
+        if not (_is_number(p, int) and _is_number(n, int)):
             raise LatticeFormatError('field "rational" entries must be integers')
         return PhaseQ.rational(p, n)
     if "theta" in obj:
         t = obj["theta"]
-        if not isinstance(t, (int, float)) or not math.isfinite(float(t)):
+        if not _is_number(t) or not math.isfinite(float(t)):
             raise LatticeFormatError('field "theta" must be a finite number')
         return PhaseQ.irrational(float(t))
     raise LatticeFormatError('phase object needs a "rational" or "theta" field')
@@ -315,7 +320,7 @@ def lattice_from_obj(obj) -> CoeffLattice2:
         if key not in obj:
             raise LatticeFormatError(f'missing field "{key}"')
     rk, rl = obj["radius_k"], obj["radius_l"]
-    if not (isinstance(rk, int) and isinstance(rl, int)) or rk < 0 or rl < 0:
+    if not (_is_number(rk, int) and _is_number(rl, int)) or rk < 0 or rl < 0:
         raise LatticeFormatError('"radius_k" and "radius_l" must be non-negative integers')
     rows, cols = 2 * rk + 1, 2 * rl + 1
     raw = obj["coeffs"]
@@ -327,7 +332,7 @@ def lattice_from_obj(obj) -> CoeffLattice2:
     arr = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, (int, float)) for x in pair)):
+                and _is_number(pair[0]) and _is_number(pair[1])):
             raise LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
         re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):

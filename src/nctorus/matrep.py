@@ -4,7 +4,8 @@ For q = e^{2pi i p/N} the clock and shift matrices U0, V0 generate Mat_N
 and satisfy U0 V0 = q V0 U0, U0^N = V0^N = I.  A torus element becomes a
 matrix-valued function of the fiber point (u, v) on the unit bidisk
 boundary through U -> u U0, V -> v V0; this evaluation is multiplicative
-and *-preserving, which is the whole point.
+and *-preserving, which is the whole point.  Residuals evaluate all fibers
+as one (fibers, N, N) stack and take the exact spectral norm of each.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PhaseQ
-from .parallel import ordered_map
 from .torus import TorusElement
 
 __all__ = [
@@ -51,47 +51,61 @@ def clock_shift(q: PhaseQ) -> tuple[np.ndarray, np.ndarray]:
     return u0, v0
 
 
-def opnorm(m: np.ndarray, iterations: int = 50) -> float:
-    """Largest singular value by power iteration on M^dagger M.
-
-    Fixed all-ones start keeps the estimate deterministic; adequate for
-    the small matrices checked here.
-    """
+def opnorm(m: np.ndarray) -> float:
+    """Largest singular value (the exact spectral norm, by SVD)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    h = m.conj().T @ m
-    x = np.ones(h.shape[0], dtype=np.complex128) / math.sqrt(h.shape[0])
-    lam = 0.0
-    for _ in range(iterations):
-        y = h @ x
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        lam = nrm
-    return math.sqrt(lam)
+    return float(np.linalg.norm(m, 2))
+
+
+def _max_opnorm(stack: np.ndarray) -> float:
+    """Largest spectral norm over a (fibers, N, N) stack; 0.0 when empty."""
+    if stack.size == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
+
+
+def _require_unit(name: str, w: np.ndarray) -> None:
+    off = np.abs(np.abs(w) - 1.0) > 1e-12
+    if off.any():
+        got = float(np.abs(w[off][0]))
+        raise ValueError(f"{name} must be unit modulus, got |{name}|={got!r}")
+
+
+def _sections(f: TorusElement, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """eval_section of f at every fiber (us[p], vs[p]), as a (fibers, N, N) stack.
+
+    Coefficients are binned by word (a, b) = (k mod N, l mod N), giving
+    W[p, a, b] = Sum f_{k,l} u_p^k v_p^l from one (fibers x support) array.
+    U0^a V0^b has q^{b col} at (row, col) with col = (row + a) mod N, so
+    the value at (row, col) is Sum_b W[p, (col - row) mod N, b] q^{b col}.
+    """
+    n = _require_rational(f.q)
+    _require_unit("u", us)
+    _require_unit("v", vs)
+    fc = f.coeffs
+    ki, li = np.nonzero(fc.coeffs)
+    ks, ls = ki - fc.radius_k, li - fc.radius_l
+    phase = (np.power(us[:, None], fc.k_range()[None, :])[:, ki]
+             * np.power(vs[:, None], fc.l_range()[None, :])[:, li])
+    w = np.zeros((us.size, n * n), dtype=np.complex128)
+    np.add.at(w, (slice(None), (ks % n) * n + ls % n), phase * fc.coeffs[ki, li])
+    w = w.reshape(-1, n, n)
+    idx = np.arange(n)
+    x = w @ f.q.pow_array(np.outer(idx, idx))
+    return x[:, (idx[None, :] - idx[:, None]) % n, idx[None, :]]
+
+
+def _grid_arrays(grid) -> tuple[np.ndarray, np.ndarray]:
+    pts = np.asarray(grid, dtype=np.complex128).reshape(-1, 2)
+    return pts[:, 0], pts[:, 1]
 
 
 def eval_section(f: TorusElement, u: complex, v: complex) -> np.ndarray:
-    """Sum f_{k,l} u^k v^l U0^{k mod N} V0^{l mod N}.
-
-    U0^a V0^b is the matrix with q^{b((i+a) mod N)} at (i, (i+a) mod N),
-    so each lattice point is a single scatter; no matrix products.
-    """
-    n = _require_rational(f.q)
-    for name, w in (("u", u), ("v", v)):
-        if abs(abs(w) - 1.0) > 1e-12:
-            raise ValueError(f"{name} must be unit modulus, got |{name}|={abs(w)!r}")
-    q = f.q
-    out = np.zeros((n, n), dtype=np.complex128)
-    rows = np.arange(n)
-    for k, l, c in f.coeffs.support():
-        a = k % n
-        b = l % n
-        cols = (rows + a) % n
-        out[rows, cols] += (c * (u ** k) * (v ** l)) * q.pow_array(b * cols)
-    return out
+    """Sum f_{k,l} u^k v^l U0^{k mod N} V0^{l mod N}: one fiber of _sections."""
+    return _sections(f, np.array([u], dtype=np.complex128),
+                     np.array([v], dtype=np.complex128))[0]
 
 
 def section_family(f: TorusElement) -> dict[tuple[int, int, int, int], complex]:
@@ -127,8 +141,8 @@ def covariance_residual(f: TorusElement, u: complex, v: complex,
     """Z_N x Z_N action: moving the fiber by (q^m, q^n) conjugates the value."""
     q = f.q
     u0, v0 = clock_shift(q)
-    lhs = eval_section(f, q.pow(m) * u, q.pow(n_shift) * v)
-    mid = eval_section(f, u, v)
+    lhs, mid = _sections(f, np.array([q.pow(m) * u, u], dtype=np.complex128),
+                         np.array([q.pow(n_shift) * v, v], dtype=np.complex128))
     un = np.linalg.matrix_power(u0, n_shift % q.modulus)
     vm = np.linalg.matrix_power(v0, m % q.modulus)
     rhs = un @ vm.conj().T @ mid @ vm @ un.conj().T
@@ -147,21 +161,17 @@ def fiber_grid(count: int = 16) -> list[tuple[complex, complex]]:
 
 def homomorphism_residual(f: TorusElement, g: TorusElement, fg: TorusElement,
                           grid: list[tuple[complex, complex]]) -> float:
-    """max over fibers of ||eval(fg) - eval(f) eval(g)||; parallel over fibers,
-    reduced in grid order."""
-    def one(pt: tuple[complex, complex]) -> float:
-        u, v = pt
-        return opnorm(eval_section(fg, u, v)
-                      - eval_section(f, u, v) @ eval_section(g, u, v))
-    return max(ordered_map(one, grid), default=0.0)
+    """max over fibers of ||eval(fg) - eval(f) eval(g)||."""
+    us, vs = _grid_arrays(grid)
+    return _max_opnorm(_sections(fg, us, vs) - _sections(f, us, vs) @ _sections(g, us, vs))
 
 
 def star_residual(f: TorusElement, fstar: TorusElement,
                   grid: list[tuple[complex, complex]]) -> float:
-    def one(pt: tuple[complex, complex]) -> float:
-        u, v = pt
-        return opnorm(eval_section(fstar, u, v) - eval_section(f, u, v).conj().T)
-    return max(ordered_map(one, grid), default=0.0)
+    """max over fibers of ||eval(f*) - eval(f)^dagger||."""
+    us, vs = _grid_arrays(grid)
+    return _max_opnorm(_sections(fstar, us, vs)
+                       - np.swapaxes(_sections(f, us, vs), 1, 2).conj())
 
 
 def center_scalar_residual(f: TorusElement,
@@ -171,13 +181,9 @@ def center_scalar_residual(f: TorusElement,
     Central elements (support on N Z x N Z) must land in C I.
     """
     n = _require_rational(f.q)
-    eye = np.eye(n)
-
-    def one(pt: tuple[complex, complex]) -> float:
-        u, v = pt
-        m = eval_section(f, u, v)
-        return opnorm(m - (np.trace(m) / n) * eye)
-    return max(ordered_map(one, grid), default=0.0)
+    stack = _sections(f, *_grid_arrays(grid))
+    scalar = np.trace(stack, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    return _max_opnorm(stack - scalar)
 
 
 # -- noncommutative circle of slope b/a ---------------------------------
@@ -200,17 +206,6 @@ class CircleSpec:
             raise ValueError("need a*a' + b*b' = 1 exactly")
 
 
-def _fiber_generators(spec: CircleSpec, z: complex):
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError(f"z must be unit modulus, got |z|={abs(z)!r}")
-    u0, v0 = clock_shift(spec.q)
-    n = spec.q.modulus
-    u = (z ** spec.a) * u0
-    v = (z ** spec.b) * v0
-    zc = (z ** n) * np.eye(n, dtype=np.complex128)
-    return u, v, zc
-
-
 def circle_eval(coeffs: dict[tuple[int, int, int], complex], spec: CircleSpec,
                 z: complex) -> np.ndarray:
     """Sum c_{j,s,t} Z^j U^s V^t at the fiber z, with Z = z^N, U = z^a U0, V = z^b V0."""
@@ -231,27 +226,31 @@ def circle_eval(coeffs: dict[tuple[int, int, int], complex], spec: CircleSpec,
 
 
 def _int_matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    # unitary m, so negative powers are conjugate-transpose powers
+    # unitary stack m, so negative powers are conjugate-transpose powers
     if k >= 0:
         return np.linalg.matrix_power(m, k)
-    return np.linalg.matrix_power(m.conj().T, -k)
+    return np.linalg.matrix_power(np.swapaxes(m, -1, -2).conj(), -k)
 
 
 def circle_check_relations(spec: CircleSpec, samples: list[complex]) -> float:
-    """Max operator-norm residual of the five defining relations over the samples."""
-    n = spec.q.modulus
-    q1 = spec.q.q
+    """Max operator-norm residual of the five defining relations over the samples.
 
-    def one(z: complex) -> float:
-        u, v, zc = _fiber_generators(spec, z)
-        rs = [
-            opnorm(u @ v - q1 * (v @ u)),
-            opnorm(zc @ u - u @ zc),
-            opnorm(zc @ v - v @ zc),
-            opnorm(_int_matrix_power(u, n) - _int_matrix_power(zc, spec.a)),
-            opnorm(_int_matrix_power(v, n) - _int_matrix_power(zc, spec.b)),
-            opnorm(zc - _int_matrix_power(u, n * spec.a_prime)
-                   @ _int_matrix_power(v, n * spec.b_prime)),
-        ]
-        return max(rs)
-    return max(ordered_map(one, samples), default=0.0)
+    The fiber generators at z are U = z^a U0, V = z^b V0 and Z = z^N I,
+    stacked over the samples.
+    """
+    n = spec.q.modulus
+    z = np.asarray(samples, dtype=np.complex128).reshape(-1)
+    _require_unit("z", z)
+    u0, v0 = clock_shift(spec.q)
+    u = (z ** spec.a)[:, None, None] * u0
+    v = (z ** spec.b)[:, None, None] * v0
+    zc = (z ** n)[:, None, None] * np.eye(n, dtype=np.complex128)
+    return max(
+        _max_opnorm(u @ v - spec.q.q * (v @ u)),
+        _max_opnorm(zc @ u - u @ zc),
+        _max_opnorm(zc @ v - v @ zc),
+        _max_opnorm(_int_matrix_power(u, n) - _int_matrix_power(zc, spec.a)),
+        _max_opnorm(_int_matrix_power(v, n) - _int_matrix_power(zc, spec.b)),
+        _max_opnorm(zc - _int_matrix_power(u, n * spec.a_prime)
+                    @ _int_matrix_power(v, n * spec.b_prime)),
+    )

@@ -87,7 +87,7 @@ def q_mul(f: TorusElement, g: TorusElement) -> TorusElement:
     """(fg)_{k,l} = Sum_{m,n} f_{m,n} g_{k-m,l-n} q^{-n(k-m)}.
 
     Accumulation order is the lexicographic support order of f, so the
-    result is bit-identical regardless of thread count upstream.
+    result is bit-reproducible.
     """
     _require_same_q(f, g)
     q = f.q
@@ -190,34 +190,23 @@ def check_derivation_relation(d: DerivationSpec, tol: float = 1e-10) -> Derivati
     return DerivationCheck(worst <= tol, worst, first, tol)
 
 
-def _d_upower(value: TorusElement, gen_k: int, gen_l: int, power: int,
-              q: PhaseQ) -> TorusElement:
-    """Leibniz value of D on (U^{gen_k}V^{gen_l})^power, for a single generator.
-
-    Only called with gen = U (1,0) or V (0,1).  Negative powers go through
-    D(g^{-1}) = -g^{-1} D(g) g^{-1}, the form Leibniz forces on g g^{-1} = 1.
-    """
-    zero = TorusElement(CoeffLattice2.zeros(0, 0), q)
-    if power == 0:
-        return zero
-    if power > 0:
-        step, base = value, 1
-    else:
-        g_inv = monomial(-gen_k, -gen_l, q)
-        step = q_mul(q_mul(g_inv, value), g_inv).scaled(-1.0)
-        base = -1
-    total = zero
-    m = abs(power)
-    for j in range(m):
-        left = monomial(base * gen_k * j, base * gen_l * j, q)
-        right = monomial(base * gen_k * (m - 1 - j), base * gen_l * (m - 1 - j), q)
-        total = total + q_mul(q_mul(left, step), right)
-    return total
+def _leibniz_weights(q: PhaseQ, power: int, exps: np.ndarray) -> np.ndarray:
+    """sgn(power) Sum_m q^{-e m} over m in [0, power) or [power, 0), for each e."""
+    ms = np.arange(power) if power > 0 else np.arange(power, 0)
+    return np.sign(power) * q.pow_array(-np.outer(exps, ms)).sum(axis=1)
 
 
 def apply_derivation(d: DerivationSpec, f: TorusElement,
                      tol: float = 1e-10) -> TorusElement:
-    """Extend d to f by the Leibniz rule: D(U^kV^l) = D(U^k)V^l + U^k D(V^l)."""
+    """Extend d to f by the Leibniz rule: D(U^kV^l) = D(U^k)V^l + U^k D(V^l).
+
+    U^j (U^a V^b) U^m = q^{-bm} U^{a+j+m} V^b, so every term of D(U^k)
+    lands at U^{a+k-1} V^b and D(U^k) V^l is D(U) shifted by (k-1, l) with
+    column b weighted by sgn(k) Sum_m q^{-bm}; likewise U^k D(V^l) is D(V)
+    shifted by (k, l-1) with row a weighted by sgn(l) Sum_j q^{-ja}.
+    Negative powers follow from D(g^{-1}) = -g^{-1} D(g) g^{-1}.  The box
+    is the smallest symmetric one holding f's support and every term.
+    """
     chk = check_derivation_relation(d, tol)
     if not chk.ok:
         raise ValueError(
@@ -225,15 +214,36 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
             f"with residual {chk.max_residual:.3e} > {tol:.1e}")
     _require_same_q(TorusElement(d.du_value, d.q), f)
     q = d.q
-    a = TorusElement(d.du_value, q)
-    b = TorusElement(d.dv_value, q)
-    total = TorusElement(CoeffLattice2.zeros(0, 0), q)
-    for k, l, c in f.coeffs.support():
-        du_k = _d_upower(a, 1, 0, k, q)
-        dv_l = _d_upower(b, 0, 1, l, q)
-        term = q_mul(du_k, monomial(0, l, q)) + q_mul(monomial(k, 0, q), dv_l)
-        total = total + term.scaled(c)
-    return total
+    du, dv = d.du_value, d.dv_value
+    fc = f.coeffs
+    ki, li = np.nonzero(fc.coeffs)
+    ks, ls = ki - fc.radius_k, li - fc.radius_l
+    on_u, on_v = ks != 0, ls != 0
+    rk = int(max(np.abs(ks).max(initial=0),
+                 (np.abs(ks[on_u] - 1) + du.radius_k).max(initial=0),
+                 (np.abs(ks[on_v]) + dv.radius_k).max(initial=0)))
+    rl = int(max(np.abs(ls).max(initial=0),
+                 (np.abs(ls[on_u]) + du.radius_l).max(initial=0),
+                 (np.abs(ls[on_v] - 1) + dv.radius_l).max(initial=0)))
+    out = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
+    u_w: dict[int, np.ndarray] = {}
+    v_w: dict[int, np.ndarray] = {}
+    for k, l, c in zip(ks.tolist(), ls.tolist(), fc.coeffs[ki, li].tolist()):
+        if k != 0:
+            w = u_w.get(k)
+            if w is None:
+                w = u_w[k] = _leibniz_weights(q, k, du.l_range())[None, :] * du.coeffs
+            i = rk + k - 1 - du.radius_k
+            j = rl + l - du.radius_l
+            out[i: i + 2 * du.radius_k + 1, j: j + 2 * du.radius_l + 1] += c * w
+        if l != 0:
+            w = v_w.get(l)
+            if w is None:
+                w = v_w[l] = _leibniz_weights(q, l, dv.k_range())[:, None] * dv.coeffs
+            i = rk + k - dv.radius_k
+            j = rl + l - 1 - dv.radius_l
+            out[i: i + 2 * dv.radius_k + 1, j: j + 2 * dv.radius_l + 1] += c * w
+    return TorusElement(CoeffLattice2(rk, rl, out), q)
 
 
 def smooth_seminorm(f: TorusElement, word: Sequence[tuple[int, int]],

@@ -143,6 +143,14 @@ class TestMatrixCommands:
         assert doc["equivariance_ok"] is True
         assert doc["covariance_residual"] < 1e-10
 
+    def test_matrep_point_with_negative_real_part(self, run, u_file):
+        rc, doc, _ = run("matrep-eval", u_file, "--q", Q14,
+                         "--u", "-0.6,0.8", "--v", "-1,0")
+        assert rc == 0
+        assert doc["u"] == [-0.6, 0.8]
+        assert doc["v"] == [-1.0, 0.0]
+        assert doc["matrix"][0][1] == pytest.approx([-0.6, 0.8])
+
     def test_matrep_needs_rational(self, run, u_file):
         rc, _, err = run("matrep-eval", u_file, "--q", '{"theta": 0.5}')
         assert rc == 2
@@ -330,6 +338,20 @@ class TestErrorDiscipline:
         rc, _, err = run("torus-adjoint", p, "--q", Q14)
         assert rc == 2
         assert "coeffs" in err
+
+    def test_boolean_radius_rejected(self, run, write):
+        p = write("b.json", {"radius_k": True, "radius_l": 0,
+                             "coeffs": [[0, 0], [0, 0], [1, 0]]})
+        rc, doc, err = run("torus-adjoint", p, "--q", Q14)
+        assert rc == 2
+        assert doc is None
+        assert "radius_k" in err
+
+    def test_boolean_rational_entry_rejected(self, run, u_file):
+        rc, doc, err = run("torus-adjoint", u_file, "--q", '{"rational": [true, 4]}')
+        assert rc == 2
+        assert doc is None
+        assert "rational" in err
 
     def test_bad_q_flag(self, run, u_file):
         rc, _, err = run("torus-adjoint", u_file, "--q", "rational:1,4")

@@ -65,6 +65,12 @@ class TestOpnorm:
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         assert opnorm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
 
+    def test_shift_minus_identity_at_q_i(self):
+        # the all-ones vector is in the kernel of U0 - I, so a power
+        # iteration started there reads 0; the spectrum of U0 holds -1
+        u0, _ = clock_shift(PhaseQ.rational(1, 4))
+        assert opnorm(u0 - np.eye(4)) == pytest.approx(2.0, rel=1e-12)
+
 
 class TestEvalSection:
     def test_generator_sections(self):
@@ -95,6 +101,31 @@ class TestEvalSection:
         f = elem({(1, 0): 1.0, (0, 2): rng.normal(), (-1, 1): 1j * rng.normal()})
         g = elem({(0, 1): 1.0, (2, 0): rng.normal()})
         assert homomorphism_residual(f, g, q_mul(f, g), fiber_grid(8)) < 1e-12
+
+    def test_random_element_matches_matrix_powers(self):
+        rng = np.random.default_rng(12)
+        q = PhaseQ.rational(2, 5)
+        f = TorusElement(CoeffLattice2(3, 2, rng.normal(size=(7, 5))
+                                       + 1j * rng.normal(size=(7, 5))), q)
+        u0, v0 = clock_shift(q)
+        for u_pt, v_pt in fiber_grid(3):
+            want = sum(c * u_pt**k * v_pt**l * np.linalg.matrix_power(u0, k % 5)
+                       @ np.linalg.matrix_power(v0, l % 5)
+                       for k, l, c in f.coeffs.support())
+            assert np.max(np.abs(eval_section(f, u_pt, v_pt) - want)) < 1e-13
+
+    def test_homomorphism_error_in_kernel_of_ones_is_seen(self):
+        # claiming U * 1 = 1 leaves the error I - U0 at the fiber (1, 1);
+        # it annihilates the all-ones vector and has norm 2 at q = i
+        q = PhaseQ.rational(1, 4)
+        one = monomial(0, 0, q)
+        res = homomorphism_residual(monomial(1, 0, q), one, one, [(1 + 0j, 1 + 0j)])
+        assert res == pytest.approx(2.0, rel=1e-12)
+
+    def test_empty_grid_is_zero(self):
+        f = elem({(1, 0): 1.0})
+        assert homomorphism_residual(f, f, f, []) == 0.0
+        assert star_residual(f, f, []) == 0.0
 
     def test_star_on_grid(self):
         f = elem({(1, 2): 1 + 1j, (-2, 0): 0.5})

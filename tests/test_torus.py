@@ -178,6 +178,17 @@ class TestDerivationClassification:
         want = d_power(f, 1, 0)  # D(U) = U means D acts as k on indices
         assert got.max_abs_diff(want) < 1e-12
 
+    @pytest.mark.parametrize("q", [Q4, QI, PhaseQ.rational(2, 7)])
+    def test_apply_inner_matches_commutator(self, q):
+        # ad(a) f = a f - f a is the oracle for the closed-form Leibniz sum
+        rng = np.random.default_rng(8)
+        a = TorusElement(CoeffLattice2(2, 1, rng.normal(size=(5, 3))
+                                       + 1j * rng.normal(size=(5, 3))), q)
+        f = TorusElement(CoeffLattice2(3, 4, rng.normal(size=(7, 9))
+                                       + 1j * rng.normal(size=(7, 9))), q)
+        got = apply_derivation(DerivationSpec.from_inner(a), f)
+        assert got.max_abs_diff(inner_derivation(a, f)) < 1e-12
+
     def test_apply_rejects_invalid_spec(self):
         spec = DerivationSpec(CoeffLattice2.delta(0, 1),
                               CoeffLattice2.zeros(0, 0), Q4)
