@@ -17,9 +17,9 @@ from .matrep import (CircleSpec, center_scalar_residual,
                      fiber_grid, homomorphism_residual, opnorm,
                      section_family, star_residual)
 from .suite import run_criterion, run_suite
-from .symbols import (CRat, HbarSeries, PolySymbol, associativity_defect,
-                      half_moyal, moyal_coeff, moyal_star, poisson_bracket,
-                      star_commutator)
+from .symbols import (CRat, HbarSeries, PolySymbol, SymbolFormatError,
+                      associativity_defect, half_moyal, moyal_coeff,
+                      moyal_star, poisson_bracket, star_commutator)
 from .torus import (DerivationCheck, DerivationSpec, PhaseMismatchError,
                     TorusElement, adjoint, apply_derivation,
                     check_derivation_relation, d_power, inner_derivation,
@@ -41,7 +41,8 @@ __all__ = [
     "GridFormatError", "GridFunction1D", "GridFunction2D",
     "GridMismatchError", "HbarSeries", "LatticeFormatError",
     "PhaseMismatchError", "PhaseQ", "PolySymbol", "PositiveForm",
-    "PositivityReport", "ProbeResult", "SolveInnerResult", "TorusElement",
+    "PositivityReport", "ProbeResult", "SolveInnerResult",
+    "SymbolFormatError", "TorusElement",
     "adjoint", "apply_P", "apply_Q", "apply_derivation",
     "associativity_defect", "calibrate_q", "center_scalar_residual",
     "check_derivation_relation", "circle_check_relations", "circle_eval",

@@ -17,15 +17,15 @@ import numpy as np
 
 from . import gns as gnsmod
 from . import matrep, suite, twisted, weyl
-from .grids import (GridFormatError, GridMismatchError, gaussian_1d,
-                    grid1d_from_obj, grid1d_to_obj, grid2d_from_obj,
-                    grid2d_to_obj)
+from .grids import (GridFormatError, GridMismatchError, values_from_list,
+                    gaussian_1d, grid1d_from_obj, grid1d_to_obj,
+                    grid2d_from_obj, grid2d_to_obj)
 from .lattice import (CoeffLattice2, LatticeFormatError, PhaseQ,
                       lattice_from_obj, lattice_to_obj, phaseq_from_obj,
                       phaseq_to_obj, retruncate, seminorm, to_primed)
-from .symbols import (associativity_defect, half_moyal, moyal_star,
-                      poisson_bracket, series_to_obj, star_commutator,
-                      symbol_from_obj, symbol_to_obj)
+from .symbols import (SymbolFormatError, associativity_defect, half_moyal,
+                      moyal_star, poisson_bracket, series_to_obj,
+                      star_commutator, symbol_from_obj, symbol_to_obj)
 from .torus import (DerivationSpec, PhaseMismatchError, TorusElement, adjoint,
                     apply_derivation, check_derivation_relation, d_power,
                     inner_derivation, l2_state, q_mul, reorder_phase,
@@ -489,8 +489,7 @@ def _parse_algebra(doc, name: str) -> gnsmod.FiniteAlgebra:
         if kind == "torus_quotient":
             return gnsmod.torus_quotient(phaseq_from_obj(doc["q"]))
         if kind == "truncated_box":
-            return gnsmod.truncated_box(int(doc["radius_k"]),
-                                        int(doc["radius_l"]),
+            return gnsmod.truncated_box(doc["radius_k"], doc["radius_l"],
                                         phaseq_from_obj(doc["q"]))
     except KeyError as exc:
         raise CliError(f"field '{exc.args[0]}': missing in '{name}'") from exc
@@ -502,18 +501,7 @@ def _parse_algebra(doc, name: str) -> gnsmod.FiniteAlgebra:
 def _parse_form(doc, a: gnsmod.FiniteAlgebra, name: str) -> gnsmod.PositiveForm:
     if not isinstance(doc, dict) or "values" not in doc:
         raise CliError(f"input '{name}': expected an object with 'values'")
-    raw = doc["values"]
-    if not isinstance(raw, list) or len(raw) != a.dim:
-        raise CliError(f"field 'values': expected {a.dim} pairs over the "
-                       "declared basis order")
-    vals = np.empty(a.dim, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        try:
-            vals[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise CliError(f"field 'values[{i}]': expected [re, im] "
-                           f"({exc})") from exc
-    return gnsmod.PositiveForm(vals)
+    return gnsmod.PositiveForm(values_from_list(doc["values"], a.dim, "values"))
 
 
 def _cmd_gns_build(args) -> dict:
@@ -547,7 +535,6 @@ def _cmd_gns_check(args) -> dict:
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
     rep = gnsmod.is_positive(phi, a, tol=args.tol)
-    gram = gnsmod.gram_matrix(phi, a)
     schwarz = 0.0
     for i in range(a.dim):
         schwarz = max(schwarz, gnsmod.schwarz_check(phi, a.basis_vector(i), a))
@@ -559,7 +546,7 @@ def _cmd_gns_check(args) -> dict:
         "min_eigenvalue": rep.min_eigenvalue,
         "hermiticity_residual": rep.hermiticity_residual,
         "star_residual": rep.star_residual,
-        "gram_trace": _pair(np.trace(gram)),
+        "gram_trace": _pair(np.trace(rep.gram)),
         "schwarz_max": schwarz,
         "witness": [_pair(z) for z in rep.witness]
         if rep.witness is not None else None,
@@ -757,7 +744,7 @@ def main(argv=None) -> int:
     except ToleranceFailure as exc:
         _emit(exc.report, getattr(args, "out", None))
         return 1
-    except (CliError, LatticeFormatError, GridFormatError,
+    except (CliError, LatticeFormatError, GridFormatError, SymbolFormatError,
             PhaseMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

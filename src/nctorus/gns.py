@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import CoeffLattice2, PhaseQ, retruncate
-from .torus import TorusElement, adjoint, q_mul
+from .lattice import PhaseQ, is_number
 
 __all__ = [
     "FiniteAlgebra",
@@ -37,6 +36,10 @@ __all__ = [
     "intertwiner",
     "separation_rank",
 ]
+
+# Dense dim^3 tables and a dim^5 homomorphism check: at this limit (quotient
+# N = 9, box radii 4, 4) a trace-form gns_build takes 1.5 s on a 2-core host.
+MAX_ALGEBRA_DIM = 81
 
 
 @dataclass(frozen=True)
@@ -71,51 +74,62 @@ class FiniteAlgebra:
         return self.starmat.T @ np.conj(f)
 
 
+def _algebra(kind: str, q: PhaseQ, k: np.ndarray, l: np.ndarray, target: np.ndarray,
+             phase: np.ndarray, star_target: np.ndarray, star_phase: np.ndarray,
+             tail: float) -> FiniteAlgebra:
+    """Dense tables of a monomial algebra: e_i e_j = phase[i, j] e_target[i, j]
+    (0 where target < 0) and e_i* = star_phase[i] e_star_target[i]."""
+    dim = len(k)
+    lmats = np.zeros((dim, dim, dim), dtype=np.complex128)
+    i, j = np.nonzero(target >= 0)
+    lmats[i, target[i, j], j] = phase[i, j]
+    starmat = np.zeros((dim, dim), dtype=np.complex128)
+    starmat[np.arange(dim), star_target] = star_phase
+    labels = tuple(zip(k.tolist(), l.tolist()))
+    return FiniteAlgebra(kind, q, labels, lmats, starmat, labels.index((0, 0)), tail)
+
+
+def _check_dim(dim: int, what: str) -> None:
+    if dim > MAX_ALGEBRA_DIM:
+        raise ValueError(f"{what} gives {dim} basis elements, above the limit "
+                         f"{MAX_ALGEBRA_DIM} of the dense tables")
+
+
 def torus_quotient(q: PhaseQ) -> FiniteAlgebra:
     """Basis U^s V^t, 0 <= s,t < N, with U^N = V^N = 1; exact structure phases."""
     if q.kind != "rational":
         raise ValueError("the finite quotient needs rational q")
     n = q.modulus
-    labels = tuple((s, t) for s in range(n) for t in range(n))
-    dim = n * n
-    idx = {lab: i for i, lab in enumerate(labels)}
-    lmats = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for i, (s, t) in enumerate(labels):
-        for j, (s2, t2) in enumerate(labels):
-            k = idx[((s + s2) % n, (t + t2) % n)]
-            lmats[i, k, j] = q.pow(-t * s2)
-    starmat = np.zeros((dim, dim), dtype=np.complex128)
-    for i, (s, t) in enumerate(labels):
-        starmat[i, idx[((-s) % n, (-t) % n)]] = q.pow(-s * t)
-    return FiniteAlgebra("torus_quotient", q, labels, lmats, starmat,
-                         idx[(0, 0)], 0.0)
+    _check_dim(n * n, f'field "q": modulus {n}')
+    s, t = np.divmod(np.arange(n * n), n)
+    target = (s[:, None] + s[None, :]) % n * n + (t[:, None] + t[None, :]) % n
+    pows = np.array([q.pow(e) for e in range(n)])  # q^e depends on e mod N only
+    return _algebra("torus_quotient", q, s, t, target, pows[-t[:, None] * s[None, :] % n],
+                    (-s) % n * n + (-t) % n, pows[-s * t % n], 0.0)
 
 
 def truncated_box(radius_k: int, radius_l: int, q: PhaseQ) -> FiniteAlgebra:
-    """Monomial box with products cut back to the box; tail records the cut."""
-    labels = tuple((k, l)
-                   for k in range(-radius_k, radius_k + 1)
-                   for l in range(-radius_l, radius_l + 1))
-    dim = len(labels)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    lmats = np.zeros((dim, dim, dim), dtype=np.complex128)
-    tail = 0.0
-    for i, (k1, l1) in enumerate(labels):
-        for j, (k2, l2) in enumerate(labels):
-            prod = q_mul(TorusElement(CoeffLattice2.delta(k1, l1), q),
-                         TorusElement(CoeffLattice2.delta(k2, l2), q))
-            cut, lost = retruncate(prod.coeffs, radius_k, radius_l)
-            tail = max(tail, lost)
-            for k, l, c in cut.support():
-                lmats[i, idx[(k, l)], j] = c
-    starmat = np.zeros((dim, dim), dtype=np.complex128)
-    for i, (k, l) in enumerate(labels):
-        st = adjoint(TorusElement(CoeffLattice2.delta(k, l), q))
-        # the mirrored box equals the box, so the adjoint never truncates
-        for k2, l2, c in st.coeffs.support():
-            starmat[i, idx[(k2, l2)]] = c
-    return FiniteAlgebra("truncated_box", q, labels, lmats, starmat,
-                         idx[(0, 0)], tail)
+    """Monomial box with products cut back to the box; tail records the cut.
+
+    U^k1 V^l1 U^k2 V^l2 = q^{-l1 k2} U^{k1+k2} V^{l1+l2}, kept when the
+    exponents stay in the box; tail is the largest discarded |coefficient|.
+    """
+    for name, radius in (("radius_k", radius_k), ("radius_l", radius_l)):
+        if not is_number(radius, int) or radius < 0:
+            raise ValueError(f'field "{name}" must be a non-negative integer')
+    width = 2 * radius_l + 1
+    dim = (2 * radius_k + 1) * width
+    _check_dim(dim, 'fields "radius_k", "radius_l": the box')
+    k, l = np.divmod(np.arange(dim), width)
+    k, l = k - radius_k, l - radius_l
+    kk, ll = k[:, None] + k[None, :], l[:, None] + l[None, :]
+    kept = (np.abs(kk) <= radius_k) & (np.abs(ll) <= radius_l)
+    phase = q.pow_array(-l[:, None] * k[None, :])
+    tail = float(np.max(np.abs(phase[~kept]), initial=0.0))
+    target = np.where(kept, (kk + radius_k) * width + ll + radius_l, -1)
+    # the mirrored box equals the box, so e_i* = q^{-kl} e_{-k,-l} never truncates
+    return _algebra("truncated_box", q, k, l, target, phase,
+                    dim - 1 - np.arange(dim), q.pow_array(-k * l), tail)
 
 
 @dataclass(frozen=True)
@@ -137,12 +151,8 @@ class PositiveForm:
 def gram_matrix(phi: PositiveForm, a: FiniteAlgebra) -> np.ndarray:
     if len(phi.values) != a.dim:
         raise ValueError(f"form has {len(phi.values)} values, algebra dim {a.dim}")
-    g = np.empty((a.dim, a.dim), dtype=np.complex128)
-    for i in range(a.dim):
-        star_i = a.star(a.basis_vector(i))
-        for j in range(a.dim):
-            g[i, j] = phi(a.mul(star_i, a.basis_vector(j)))
-    return g
+    # phi(e_m e_j) for every (m, j), then G_ij = sum_m star[i, m] phi(e_m e_j)
+    return a.starmat @ np.tensordot(phi.values, a.lmats, (0, 1))
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,7 @@ class PositivityReport:
     witness: np.ndarray | None
     hermiticity_residual: float
     star_residual: float
+    gram: np.ndarray = field(repr=False)  # the Gram matrix the test ran on
 
 
 def is_positive(phi: PositiveForm, a: FiniteAlgebra,
@@ -160,33 +171,27 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
     vector f with phi(f* f) < 0."""
     g = gram_matrix(phi, a)
     herm = float(np.max(np.abs(g - g.conj().T)))
-    star_res = 0.0
-    for i in range(a.dim):
-        star_res = max(star_res, abs(phi(a.star(a.basis_vector(i)))
-                                     - np.conj(phi(a.basis_vector(i)))))
+    # phi(e_i*) - conj(phi(e_i)) for every basis element
+    star_res = float(np.max(np.abs(a.starmat @ phi.values - np.conj(phi.values))))
     w, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
     lo = float(w[0])
     ok = lo >= -tol
     witness = None if ok else vecs[:, 0].copy()
-    return PositivityReport(ok, lo, witness, herm, float(star_res))
+    return PositivityReport(ok, lo, witness, herm, star_res, g)
 
 
 @dataclass(frozen=True)
 class GnsTriplet:
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
-    pi_mats: tuple = field(repr=False)
+    pi_mats: np.ndarray = field(repr=False)  # (dim, r, r); pi_mats[m] = pi(e_m)
     omega: np.ndarray = field(repr=False)
     recon_residual: float
     hom_residual: float
     star_residual: float
 
     def pi(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.quotient_dim, self.quotient_dim), dtype=np.complex128)
-        for m, c in enumerate(np.asarray(f, dtype=np.complex128)):
-            if c != 0:
-                out += c * self.pi_mats[m]
-        return out
+        return np.tensordot(np.asarray(f, dtype=np.complex128), self.pi_mats, (0, 0))
 
 
 def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
@@ -201,8 +206,7 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
         raise ValueError(f"form is not positive: min eigenvalue {rep.min_eigenvalue:.3e}")
     if tol is None:
         tol = max(1e-10, 10.0 * a.tail)
-    g = gram_matrix(phi, a)
-    g = (g + g.conj().T) / 2.0
+    g = (rep.gram + rep.gram.conj().T) / 2.0
     gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
 
     cols: list[np.ndarray] = []
@@ -220,42 +224,50 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
         cols.append(v / math.sqrt(n2))
     if not cols:
         e = np.zeros((a.dim, 0), dtype=np.complex128)
-        return GnsTriplet(0, e, (), np.zeros(0, dtype=np.complex128), 0.0, 0.0, 0.0)
+        return GnsTriplet(0, e, np.zeros((a.dim, 0, 0), dtype=np.complex128),
+                          np.zeros(0, dtype=np.complex128), 0.0, 0.0, 0.0)
     e = np.stack(cols, axis=1)
 
     eg = e.conj().T @ g  # (r, dim), the quotient-side pairing
-    pi_mats = tuple(eg @ a.lmats[m] @ e for m in range(a.dim))
-    omega = eg @ a.unit_vector()
+    pi = eg @ a.lmats @ e
+    omega = eg[:, a.unit_index]
 
-    recon = 0.0
-    hom = 0.0
-    star = 0.0
-    for m in range(a.dim):
-        recon = max(recon, abs(phi(a.basis_vector(m))
-                               - complex(np.conj(omega) @ (pi_mats[m] @ omega))))
-        star_m = a.star(a.basis_vector(m))
-        pi_star = sum(c * pi_mats[r] for r, c in enumerate(star_m) if c != 0)
-        star = max(star, float(np.max(np.abs(pi_star - pi_mats[m].conj().T))))
-        for j in range(a.dim):
-            prod = a.lmats[m][:, j]
-            pi_prod = sum(c * pi_mats[r] for r, c in enumerate(prod) if c != 0)
-            if isinstance(pi_prod, int):  # empty product vector
-                pi_prod = np.zeros_like(pi_mats[0])
-            hom = max(hom, float(np.max(np.abs(pi_prod - pi_mats[m] @ pi_mats[j]))))
+    recon = float(np.max(np.abs(phi.values - (pi @ omega) @ np.conj(omega))))
+    pi_star = (a.starmat @ pi.reshape(a.dim, -1)).reshape(pi.shape)
+    star = float(np.max(np.abs(pi_star - pi.conj().transpose(0, 2, 1))))
+    hom = _hom_residual(a.lmats, pi)
     if max(recon, hom, star) > tol:
         raise ValueError(
             f"GNS invariants violated: reconstruction {recon:.3e}, "
             f"homomorphism {hom:.3e}, star {star:.3e} exceed {tol:.1e}")
-    return GnsTriplet(e.shape[1], e, pi_mats, omega, recon, hom, star)
+    return GnsTriplet(e.shape[1], e, pi, omega, recon, hom, star)
+
+
+def _hom_residual(lmats: np.ndarray, pi: np.ndarray) -> float:
+    """max over (m, j) of |pi(e_m e_j) - pi(e_m) pi(e_j)|, one m at a time so
+    that only a (dim, r, r) slab is live.  The tables are monomial, so each
+    pi(e_m e_j) is a multiple of one pi matrix."""
+    dim, r = pi.shape[0], pi.shape[1]
+    nonzero = lmats != 0
+    if np.any(nonzero.sum(axis=1) > 1):
+        raise ValueError("structure tables are not monomial")
+    target = nonzero.argmax(axis=1)  # (m, j) -> the one index r with e_m e_j ~ e_r
+    phase = np.take_along_axis(lmats, target[:, None, :], axis=1)[:, 0, :]
+    row = pi.transpose(1, 0, 2).reshape(r, dim * r)  # [pi_0 | pi_1 | ...]
+    res = 0.0
+    for m in range(dim):
+        want = pi[target[m]] * phase[m][:, None, None]
+        got = (pi[m] @ row).reshape(r, dim, r).transpose(1, 0, 2)
+        res = max(res, float(np.max(np.abs(want - got))))
+    return res
 
 
 def state_action(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> PositiveForm:
     """phi_f(g) = phi(f* g f), evaluated as ((f* g) f) in the algebra."""
-    fs = a.star(np.asarray(f, dtype=np.complex128))
-    vals = np.empty(a.dim, dtype=np.complex128)
-    for j in range(a.dim):
-        vals[j] = phi(a.mul(a.mul(fs, a.basis_vector(j)), f))
-    return PositiveForm(vals)
+    f = np.asarray(f, dtype=np.complex128)
+    # phi_f(e_j) = sum_m (f* e_j)_m phi(e_m f)
+    phi_mf = (a.lmats @ f) @ phi.values
+    return PositiveForm(phi_mf @ np.tensordot(a.star(f), a.lmats, (0, 0)))
 
 
 def schwarz_check(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> float:
@@ -297,9 +309,7 @@ def separation_rank(forms: list[PositiveForm], a: FiniteAlgebra) -> tuple[int, i
     blocks = []
     for phi in forms:
         t = gns_build(phi, a)
-        if t.quotient_dim == 0:
-            continue
-        blocks.append(np.stack([t.pi_mats[m].reshape(-1) for m in range(a.dim)], axis=1))
+        blocks.append(t.pi_mats.reshape(a.dim, t.quotient_dim ** 2).T)
     pi_map = np.vstack(blocks) if blocks else np.zeros((0, a.dim))
     rank_pi = int(np.linalg.matrix_rank(pi_map, tol=1e-9))
     return rank_gram, rank_pi

@@ -134,7 +134,7 @@ def phaseq_to_obj(q: PhaseQ) -> dict:
     return {"theta": q.theta_value}
 
 
-def _is_number(x, kind=(int, float)) -> bool:
+def is_number(x, kind=(int, float)) -> bool:
     # JSON true/false arrive as bool, an int subclass; they are not numbers here
     return isinstance(x, kind) and not isinstance(x, bool)
 
@@ -147,12 +147,12 @@ def phaseq_from_obj(obj) -> PhaseQ:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise LatticeFormatError('field "rational" must be a pair [p, N]')
         p, n = pair
-        if not (_is_number(p, int) and _is_number(n, int)):
+        if not (is_number(p, int) and is_number(n, int)):
             raise LatticeFormatError('field "rational" entries must be integers')
         return PhaseQ.rational(p, n)
     if "theta" in obj:
         t = obj["theta"]
-        if not _is_number(t) or not math.isfinite(float(t)):
+        if not is_number(t) or not math.isfinite(float(t)):
             raise LatticeFormatError('field "theta" must be a finite number')
         return PhaseQ.irrational(float(t))
     raise LatticeFormatError('phase object needs a "rational" or "theta" field')
@@ -320,7 +320,7 @@ def lattice_from_obj(obj) -> CoeffLattice2:
         if key not in obj:
             raise LatticeFormatError(f'missing field "{key}"')
     rk, rl = obj["radius_k"], obj["radius_l"]
-    if not (_is_number(rk, int) and _is_number(rl, int)) or rk < 0 or rl < 0:
+    if not (is_number(rk, int) and is_number(rl, int)) or rk < 0 or rl < 0:
         raise LatticeFormatError('"radius_k" and "radius_l" must be non-negative integers')
     rows, cols = 2 * rk + 1, 2 * rl + 1
     raw = obj["coeffs"]
@@ -332,7 +332,7 @@ def lattice_from_obj(obj) -> CoeffLattice2:
     arr = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2
-                and _is_number(pair[0]) and _is_number(pair[1])):
+                and is_number(pair[0]) and is_number(pair[1])):
             raise LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
         re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):

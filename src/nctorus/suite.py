@@ -441,6 +441,14 @@ def _c10_inner_generator(seed: int) -> tuple[list[dict], list[dict]]:
 
 # -- criterion 11 --------------------------------------------------------
 
+def _vector_state(alg: gnsmod.FiniteAlgebra, w: np.ndarray) -> np.ndarray:
+    """phi(U^s V^t) = <w, U0^s V0^t w> over the quotient basis order."""
+    u0, v0 = matrep.clock_shift(alg.q)
+    return np.array([np.vdot(w, np.linalg.matrix_power(u0, s)
+                             @ np.linalg.matrix_power(v0, t) @ w)
+                     for (s, t) in alg.labels])
+
+
 def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
     rng = _rng(seed, 11)
     checks = []
@@ -451,22 +459,14 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
     for n in (1, 2, 3, 4, 5):
         q = PhaseQ.rational(1, n)
         alg = gnsmod.torus_quotient(q)
-        tr_values = np.zeros(alg.dim, dtype=np.complex128)
-        tr_values[alg.unit_index] = 1.0
-        tr = gnsmod.PositiveForm(tr_values)
+        tr = gnsmod.PositiveForm(alg.unit_vector())
         trip = gnsmod.gns_build(tr, alg)
         dims_ok = dims_ok and trip.quotient_dim == n * n
         recon_worst = max(recon_worst, trip.recon_residual, trip.hom_residual,
                           trip.star_residual)
 
-        u0, v0 = matrep.clock_shift(q)
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = w / np.linalg.norm(w)
-        vec_values = np.array(
-            [np.vdot(w, np.linalg.matrix_power(u0, s)
-                     @ np.linalg.matrix_power(v0, t) @ w)
-             for (s, t) in alg.labels])
-        vec = gnsmod.PositiveForm(vec_values)
+        vec = gnsmod.PositiveForm(_vector_state(alg, w / np.linalg.norm(w)))
         vt = gnsmod.gns_build(vec, alg)
         dims_ok = dims_ok and vt.quotient_dim == n
         recon_worst = max(recon_worst, vt.recon_residual, vt.hom_residual,
@@ -483,16 +483,9 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
 
     q3 = PhaseQ.rational(1, 3)
     alg3 = gnsmod.torus_quotient(q3)
-    u0, v0 = matrep.clock_shift(q3)
     w1 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
     w2 = np.array([0.0, 1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    two_values = np.array(
-        [np.vdot(w1, np.linalg.matrix_power(u0, s)
-                 @ np.linalg.matrix_power(v0, t) @ w1)
-         + np.vdot(w2, np.linalg.matrix_power(u0, s)
-                   @ np.linalg.matrix_power(v0, t) @ w2)
-         for (s, t) in alg3.labels])
-    two = gnsmod.PositiveForm(two_values)
+    two = gnsmod.PositiveForm(_vector_state(alg3, w1) + _vector_state(alg3, w2))
     t_two = gnsmod.gns_build(two, alg3)
     checks.append(_flag("degenerate_ideal_detection", t_two.quotient_dim == 6))
 
@@ -505,23 +498,14 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
     checks.append(_flag("unit_zero_forces_rejection",
                         (not bad_rep.ok) and bad_rep.witness is not None))
 
-    vec_values3 = np.array(
-        [np.vdot(w2, np.linalg.matrix_power(u0, s)
-                 @ np.linalg.matrix_power(v0, t) @ w2)
-         for (s, t) in alg3.labels])
-    vec3 = gnsmod.PositiveForm(vec_values3)
+    vec3 = gnsmod.PositiveForm(_vector_state(alg3, w2))
     t_a = gnsmod.gns_build(vec3, alg3)
     t_b = gnsmod.gns_build(vec3, alg3, order=list(reversed(range(alg3.dim))))
     _, res = gnsmod.intertwiner(t_a, t_b, alg3)
     checks.append(_check("uniqueness_up_to_unitary", res, 1e-8))
 
-    tr3 = np.zeros(alg3.dim, dtype=np.complex128)
-    tr3[alg3.unit_index] = 1.0
-    families = [
-        [gnsmod.PositiveForm(tr3)],
-        [vec3, gnsmod.PositiveForm(tr3)],
-        [vec3],
-    ]
+    tr3 = gnsmod.PositiveForm(alg3.unit_vector())
+    families = [[tr3], [vec3, tr3], [vec3]]
     sep_ok = True
     for fam in families:
         rg, rp = gnsmod.separation_rank(fam, alg3)
@@ -532,9 +516,7 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
     checks.append(_flag("separating_family_faithful", sep_ok))
 
     box = gnsmod.truncated_box(1, 1, PhaseQ.rational(1, 3))
-    tr_box = np.zeros(box.dim, dtype=np.complex128)
-    tr_box[box.unit_index] = 1.0
-    trip_box = gnsmod.gns_build(gnsmod.PositiveForm(tr_box), box)
+    trip_box = gnsmod.gns_build(gnsmod.PositiveForm(box.unit_vector()), box)
     checks.append(_flag("truncated_box_flagged_build",
                         box.tail > 0.0 and trip_box.quotient_dim == box.dim))
     logs.append({"name": "truncated_box_tail", "value": box.tail})

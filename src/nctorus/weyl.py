@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grids import GridFunction1D, GridFunction2D, gaussian_1d, require_same_grid
 from .lattice import CoeffLattice2, PhaseQ
@@ -132,6 +131,11 @@ def _spectral_partial(vals: np.ndarray, axis: int, freqs: np.ndarray) -> np.ndar
     return np.fft.ifft(1j * freqs.reshape(shape) * spec, axis=axis)
 
 
+def _simpson(y: np.ndarray, h: float) -> complex:
+    """Composite Simpson rule over an odd number of samples spaced h apart."""
+    return complex(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+
+
 def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
                           min_cells: int = 2, quad_nodes: int = 513) -> SolveInnerResult:
     """Recover b with b(t,s) s hbar = a_Q and -b(t,s) t hbar = a_P.
@@ -145,6 +149,8 @@ def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
     support, and b(0) = w(0)/2 exactly.  w is sampled along rays by trig
     interpolation of its FFT.
     """
+    if quad_nodes < 3 or quad_nodes % 2 == 0:
+        raise ValueError(f"quad_nodes must be odd and at least 3, got {quad_nodes}")
     g = d.a_Q
     aq, ap = d.a_Q.values, d.a_P.values
     hbar = d.hbar
@@ -197,10 +203,10 @@ def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
             if s0 != 0.0:
                 bounds.append(g.half_extent_s / abs(s0))
             rho_max = 0.98 * min(bounds)
-            rho = np.linspace(1.0, rho_max, quad_nodes)
+            rho, h = np.linspace(1.0, rho_max, quad_nodes, retstep=True)
             pt = np.exp(1j * np.outer(rho * t0 + g.half_extent_t, xi_t))
             ps = np.exp(1j * np.outer(rho * s0 + g.half_extent_s, xi_s))
             w_ray = ((pt @ what) * ps).sum(axis=1) / norm
-            b[it, isx] = -complex(simpson(rho * w_ray, x=rho))
+            b[it, isx] = -_simpson(rho * w_ray, h)
 
     return SolveInnerResult(g.with_values(b), compat, overlap_res)

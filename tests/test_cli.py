@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -353,6 +355,81 @@ class TestErrorDiscipline:
         assert doc is None
         assert "rational" in err
 
+    @pytest.mark.parametrize("command", ["gns-build", "gns-check"])
+    def test_large_quotient_refused(self, run, tmp_path, command):
+        # a one-line document that would ask for a 2500^3 structure tensor
+        assert nctorus.gns.MAX_ALGEBRA_DIM < 50 * 50  # else this test would allocate
+        alg = tmp_path / "alg.json"
+        alg.write_text('{"kind": "torus_quotient", "q": {"rational": [1, 50]}}')
+        rc, doc, err = run(command, str(alg), "-")
+        assert rc == 2
+        assert doc is None
+        assert "q" in err and "modulus 50" in err
+
+    def test_large_box_refused(self, run, write):
+        assert nctorus.gns.MAX_ALGEBRA_DIM < 41 * 41  # else this test would allocate
+        alg = write("box.json", {"kind": "truncated_box", "radius_k": 20,
+                                 "radius_l": 20, "q": {"rational": [1, 3]}})
+        rc, doc, err = run("gns-build", alg, "-")
+        assert rc == 2
+        assert doc is None
+        assert "radius_k" in err
+
+    @pytest.mark.parametrize("field", ["radius_k", "radius_l"])
+    def test_boolean_box_radius_rejected(self, run, write, field):
+        box = {"kind": "truncated_box", "radius_k": 1, "radius_l": 1,
+               "q": {"rational": [1, 3]}}
+        box[field] = True
+        rc, doc, err = run("gns-build", write("box.json", box), "-")
+        assert rc == 2
+        assert doc is None
+        assert field in err
+
+    def test_boolean_form_value_rejected(self, run, write):
+        alg = write("alg.json", {"kind": "torus_quotient",
+                                 "q": {"rational": [1, 2]}})
+        form = write("f.json", {"values": [[True, 0.0]] + [[0.0, 0.0]] * 3})
+        rc, doc, err = run("gns-check", alg, form)
+        assert rc == 2
+        assert "values[0]" in err
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("n_t", True, "n_t"),
+        ("n_s", True, "n_s"),
+        ("half_extent_t", True, "half_extent_t"),
+        ("values", [[True, False]] * 64, "values[0]"),
+    ])
+    def test_boolean_grid_field_rejected(self, run, write, field, value, named):
+        doc = grid2d_to_obj(gaussian_2d(10.0, 10.0, 8, 8))
+        doc[field] = value
+        ga = write("a.json", doc)
+        rc, out, err = run("twisted-conv", ga, ga, "--hbar", "0.3")
+        assert rc == 2
+        assert out is None
+        assert named in err
+
+    def test_boolean_1d_grid_size_rejected(self, run, u_file, write):
+        doc = grid1d_to_obj(gaussian_1d(16.0, 8, center=0.4))
+        doc["n"] = True
+        rc, out, err = run("rep-lattice", u_file, write("s.json", doc))
+        assert rc == 2
+        assert out is None
+        assert '"n"' in err
+
+    @pytest.mark.parametrize("doc,named", [
+        ({"nvars": True, "terms": []}, "nvars"),
+        ({"nvars": 2, "terms": [{"exps": [True, 0], "re": 1.0, "im": 0.0}]},
+         "terms[0].exps"),
+        ({"nvars": 2, "terms": [{"exps": [1, 0], "re": True, "im": 0.0}]},
+         "terms[0].re"),
+    ])
+    def test_boolean_symbol_field_rejected(self, run, write, doc, named):
+        x = write("x.json", {"nvars": 2, "terms": []})
+        rc, out, err = run("moyal-star", write("bad.json", doc), x, "--order", "1")
+        assert rc == 2
+        assert out is None
+        assert named in err
+
     def test_bad_q_flag(self, run, u_file):
         rc, _, err = run("torus-adjoint", u_file, "--q", "rational:1,4")
         assert rc == 2
@@ -409,3 +486,10 @@ class TestOperationCoverage:
     def test_every_subcommand_is_wired(self):
         parser_actions = cli._build_parser()._subparsers._group_actions[0]
         assert set(parser_actions.choices) == set(cli.OPERATIONS)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, nctorus; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nctorus import gns
 from nctorus.gns import (FiniteAlgebra, PositiveForm, gns_build, gram_matrix,
                          intertwiner, is_positive, schwarz_check,
                          separation_rank, state_action, torus_quotient,
                          truncated_box)
-from nctorus.lattice import PhaseQ
+from nctorus.lattice import CoeffLattice2, PhaseQ, retruncate
 from nctorus.matrep import clock_shift
+from nctorus.torus import TorusElement, adjoint, q_mul
 
 Q3 = PhaseQ.rational(1, 3)
 
@@ -25,6 +28,106 @@ def vector_form(a: FiniteAlgebra, w: np.ndarray) -> PositiveForm:
                              @ np.linalg.matrix_power(v0, t) @ w)
                      for (s, t) in a.labels])
     return PositiveForm(vals)
+
+
+def random_vector(rng, n: int) -> np.ndarray:
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+# -- loop oracles: one algebra operation per entry, as the definitions read --
+
+def loop_gram(phi: PositiveForm, a: FiniteAlgebra) -> np.ndarray:
+    g = np.empty((a.dim, a.dim), dtype=np.complex128)
+    for i in range(a.dim):
+        star_i = a.star(a.basis_vector(i))
+        for j in range(a.dim):
+            g[i, j] = phi(a.mul(star_i, a.basis_vector(j)))
+    return g
+
+
+def loop_residuals(phi: PositiveForm, a: FiniteAlgebra, t) -> tuple:
+    """(recon, hom, star) of a triplet, one (m, j) pair at a time."""
+    pi = [t.pi_mats[m] for m in range(a.dim)]
+
+    def pi_of(f):
+        out = np.zeros_like(pi[0])
+        for r, c in enumerate(f):
+            if c != 0:
+                out = out + c * pi[r]
+        return out
+
+    recon = hom = star = 0.0
+    for m in range(a.dim):
+        recon = max(recon, abs(phi(a.basis_vector(m))
+                               - complex(np.conj(t.omega) @ (pi[m] @ t.omega))))
+        star = max(star, float(np.max(np.abs(pi_of(a.star(a.basis_vector(m)))
+                                             - pi[m].conj().T))))
+        for j in range(a.dim):
+            hom = max(hom, float(np.max(np.abs(pi_of(a.lmats[m][:, j])
+                                               - pi[m] @ pi[j]))))
+    return recon, hom, star
+
+
+def q_mul_box(rk: int, rl: int, q: PhaseQ) -> tuple:
+    """Box tables and tail from q_mul, adjoint and retruncate per basis pair."""
+    labels = [(k, l) for k in range(-rk, rk + 1) for l in range(-rl, rl + 1)]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    dim = len(labels)
+    lmats = np.zeros((dim, dim, dim), dtype=np.complex128)
+    starmat = np.zeros((dim, dim), dtype=np.complex128)
+    tail = 0.0
+    for i, (k1, l1) in enumerate(labels):
+        e_i = TorusElement(CoeffLattice2.delta(k1, l1), q)
+        for k, l, c in adjoint(e_i).coeffs.support():
+            starmat[i, idx[(k, l)]] = c
+        for j, (k2, l2) in enumerate(labels):
+            prod = q_mul(e_i, TorusElement(CoeffLattice2.delta(k2, l2), q))
+            cut, lost = retruncate(prod.coeffs, rk, rl)
+            tail = max(tail, lost)
+            for k, l, c in cut.support():
+                lmats[i, idx[(k, l)], j] = c
+    return tuple(labels), lmats, starmat, tail
+
+
+def gns_cases():
+    """(name, algebra, form): trace and vector states on the quotient, the
+    trace form on boxes with rational and irrational q."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4):
+        a = torus_quotient(PhaseQ.rational(1, n))
+        w = random_vector(rng, n)
+        yield f"quotient N={n} trace", a, trace_form(a)
+        yield f"quotient N={n} vector", a, vector_form(a, w / np.linalg.norm(w))
+    for r in (1, 2):
+        for q in (PhaseQ.rational(1, 3), PhaseQ.irrational(0.7)):
+            box = truncated_box(r, r, q)
+            yield f"box ({r},{r}) {q.kind}", box, trace_form(box)
+
+
+GNS_CASES = list(gns_cases())
+
+
+@pytest.mark.parametrize("name,a,phi", GNS_CASES, ids=[c[0] for c in GNS_CASES])
+class TestVectorisedCore:
+    def test_gram_matches_loop_oracle(self, name, a, phi):
+        assert np.max(np.abs(gram_matrix(phi, a) - loop_gram(phi, a))) < 1e-14
+
+    def test_residuals_match_loop_oracle(self, name, a, phi):
+        t = gns_build(phi, a, tol=10.0)
+        want = loop_residuals(phi, a, t)
+        got = (t.recon_residual, t.hom_residual, t.star_residual)
+        assert got == pytest.approx(want, rel=0, abs=1e-14)
+
+    def test_pi_and_state_action_match_loops(self, name, a, phi):
+        t = gns_build(phi, a, tol=10.0)
+        rng = np.random.default_rng(12)
+        f = random_vector(rng, a.dim)
+        want = sum(c * t.pi_mats[m] for m, c in enumerate(f))
+        assert np.max(np.abs(t.pi(f) - want)) < 1e-12
+        fs = a.star(f)
+        shifted = np.array([phi(a.mul(a.mul(fs, a.basis_vector(j)), f))
+                            for j in range(a.dim)])
+        assert np.max(np.abs(state_action(phi, f, a).values - shifted)) < 1e-12
 
 
 class TestTorusQuotient:
@@ -83,6 +186,20 @@ class TestTruncatedBox:
         i_v = a.index_of((0, 1))
         uv = a.mul(a.basis_vector(i_u), a.basis_vector(i_v))
         assert abs(uv[a.index_of((1, 1))] - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("q", [Q3, PhaseQ.irrational(0.7)], ids=["rational", "irrational"])
+    def test_closed_form_matches_q_mul(self, r, q):
+        box = truncated_box(r, r, q)
+        labels, lmats, starmat, tail = q_mul_box(r, r, q)
+        assert box.labels == labels
+        assert np.max(np.abs(box.lmats - lmats)) <= 1e-15
+        assert np.max(np.abs(box.starmat - starmat)) <= 1e-15
+        assert abs(box.tail - tail) <= 1e-15
+
+    def test_no_tail_without_a_cut(self):
+        a = truncated_box(0, 0, Q3)
+        assert a.dim == 1 and a.tail == 0.0
 
     def test_star_phase_matches_quotient(self):
         # on shared labels the involution carries the same reordering phase
@@ -146,6 +263,15 @@ class TestGnsBuild:
         w = w / np.linalg.norm(w)
         t = gns_build(vector_form(a, w), a)
         assert t.quotient_dim == 3
+        assert t.hom_residual < 1e-10
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_vector_state_null_ideal(self, n):
+        # the null ideal of a vector state has dimension N^2 - N
+        a = torus_quotient(PhaseQ.rational(1, n))
+        w = random_vector(np.random.default_rng(n), n)
+        t = gns_build(vector_form(a, w / np.linalg.norm(w)), a)
+        assert t.quotient_dim == n
         assert t.hom_residual < 1e-10
 
     def test_zero_form_gives_zero_quotient(self):
@@ -230,3 +356,39 @@ class TestStateToolkit:
         w = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
         rg, rp = separation_rank([vector_form(a, w)], a)
         assert rg < a.dim
+
+
+class TestSizeGuards:
+    def test_limit_admits_n9_and_box_4_4(self):
+        assert torus_quotient(PhaseQ.rational(1, 9)).dim == gns.MAX_ALGEBRA_DIM
+        assert truncated_box(4, 4, Q3).dim == gns.MAX_ALGEBRA_DIM
+
+    def test_modulus_10_refused_before_allocation(self):
+        with pytest.raises(ValueError, match='"q": modulus 10 gives 100 basis elements'):
+            torus_quotient(PhaseQ.rational(1, 10))
+
+    def test_large_modulus_refused_before_allocation(self):
+        assert gns.MAX_ALGEBRA_DIM < 50 * 50  # else this test would allocate
+        with pytest.raises(ValueError, match='"q": modulus 50'):
+            torus_quotient(PhaseQ.rational(1, 50))
+
+    def test_large_box_refused_before_allocation(self):
+        assert gns.MAX_ALGEBRA_DIM < 41 * 41  # else this test would allocate
+        with pytest.raises(ValueError, match="radius_k"):
+            truncated_box(20, 20, Q3)
+
+    def test_box_just_over_the_limit_refused(self):
+        with pytest.raises(ValueError, match="the box gives 99 basis elements"):
+            truncated_box(4, 5, Q3)
+
+    def test_non_monomial_table_refused(self):
+        a = torus_quotient(Q3)
+        lm = a.lmats.copy()
+        lm[1, 0, 0] += 0.25  # e_1 e_0 now has two basis components
+        bad = dataclasses.replace(a, lmats=lm)
+        with pytest.raises(ValueError, match="not monomial"):
+            gns_build(trace_form(bad), bad, tol=10.0)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            truncated_box(-1, 1, Q3)

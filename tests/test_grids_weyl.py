@@ -10,8 +10,8 @@ from nctorus.grids import (GridFormatError, GridFunction1D, GridFunction2D,
                            grid2d_to_obj, inverse_fourier_2d,
                            require_same_grid)
 from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.weyl import (DerivationData, apply_P, apply_Q, calibrate_q,
-                          composition_phase, rep_lattice_measure,
+from nctorus.weyl import (DerivationData, _simpson, apply_P, apply_Q,
+                          calibrate_q, composition_phase, rep_lattice_measure,
                           solve_inner_generator, weyl_P, weyl_Q)
 
 
@@ -270,6 +270,18 @@ class TestSolveInner:
         b = gaussian_2d(8.0, 9.0, 32, 32)
         with pytest.raises(GridMismatchError):
             DerivationData(a, b, 0.5)
+
+    def test_simpson_exact_on_cubics(self):
+        x, h = np.linspace(1.0, 3.0, 9, retstep=True)
+        y = (2.0 - 1.0j) * x ** 3 + 0.5j * x
+        want = (2.0 - 1.0j) * (3.0 ** 4 - 1.0) / 4.0 + 0.25j * (3.0 ** 2 - 1.0)
+        assert abs(_simpson(y, h) - want) < 1e-13
+
+    @pytest.mark.parametrize("nodes", [1, 512])
+    def test_bad_node_count_rejected(self, nodes):
+        _, data = inner_pair(0.8)
+        with pytest.raises(ValueError, match="quad_nodes"):
+            solve_inner_generator(data, quad_nodes=nodes)
 
     def test_zero_hbar_rejected(self):
         a = gaussian_2d(8.0, 8.0, 32, 32)
