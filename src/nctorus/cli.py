@@ -261,15 +261,17 @@ def _cmd_torus_check_derivation(args) -> dict:
 def _cmd_matrep_eval(args) -> dict:
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
-    if f.q.kind != "rational":
-        raise CliError("field 'q': matrix evaluation needs a rational phase")
+    try:
+        # checks q (rational, modulus within the limit) before allocating
+        family = matrep.section_family(f)
+    except ValueError as exc:
+        raise CliError(f"field 'q': {exc}") from exc
     u = _parse_complex(args.u, "--u")
     v = _parse_complex(args.v, "--v")
     try:
         mat = matrep.eval_section(f, u, v)
     except ValueError as exc:
         raise CliError(f"flags '--u/--v': {exc}") from exc
-    family = matrep.section_family(f)
     eq_ok, eq_bad = matrep.equivariance_check(family, f.q)
     grid = matrep.fiber_grid(16)
     cov = max(matrep.covariance_residual(f, u, v, 1, 1),
@@ -425,13 +427,28 @@ def _cmd_twisted_conv(args) -> dict:
 
 
 def _cmd_moyal_star(args) -> dict:
-    f = symbol_from_obj(_read_doc(args.inputs[0]))
-    g = symbol_from_obj(_read_doc(args.inputs[1]))
+    if args.mode == "assoc" and len(args.inputs) != 3:
+        raise CliError("inputs: mode 'assoc' needs three symbol files")
+    if len(args.inputs) < 2:
+        raise CliError(f"inputs: mode '{args.mode}' needs two symbol files")
+    count = 3 if args.mode == "assoc" else 2
+    syms = [symbol_from_obj(_read_doc(path)) for path in args.inputs[:count]]
+    nvars = syms[0].nvars
+    for path, sym in zip(args.inputs[1:], syms[1:]):
+        if sym.nvars != nvars:
+            raise CliError(f"field 'nvars': '{path}' has {sym.nvars}, "
+                           f"'{args.inputs[0]}' has {nvars}")
+    if nvars % 2:
+        raise CliError("field 'nvars': phase-space symbols need an even "
+                       f"variable count, got {nvars}")
+    if args.mode == "half" and nvars != 2:
+        raise CliError("field 'nvars': mode 'half' needs one symplectic pair "
+                       f"(nvars 2), got {nvars}")
+    if args.order < 0:
+        raise CliError(f"flag '--order': must be non-negative, got {args.order}")
+    f, g = syms[:2]
     if args.mode == "assoc":
-        if len(args.inputs) != 3:
-            raise CliError("inputs: mode 'assoc' needs three symbol files")
-        h = symbol_from_obj(_read_doc(args.inputs[2]))
-        defect = associativity_defect(f, g, h, args.order)
+        defect = associativity_defect(*syms, args.order)
         return {"mode": "assoc", "order": args.order,
                 "defect": series_to_obj(defect),
                 "is_zero": defect.is_zero()}

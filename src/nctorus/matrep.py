@@ -35,9 +35,19 @@ __all__ = [
 ]
 
 
+# Largest modulus N with a matrix realization.  Set from run time:
+# `nctorus matrep-eval` on a pair of 3 x 3 elements evaluates 256 fibers of
+# N x N matrices and their exact norms, and took 0.46 / 1.40 / 2.78 / 4.85 s
+# at N = 32 / 64 / 96 / 128 on a 2-core host.
+MAX_MODULUS = 64
+
+
 def _require_rational(q: PhaseQ) -> int:
     if q.kind != "rational":
         raise ValueError("matrix realization needs rational q = e^{2pi i p/N}")
+    if q.modulus > MAX_MODULUS:
+        raise ValueError(f"q has modulus {q.modulus}, above the matrix "
+                         f"realization limit MAX_MODULUS = {MAX_MODULUS}")
     return q.modulus
 
 

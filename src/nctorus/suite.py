@@ -13,12 +13,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 
 from . import gns as gnsmod
 from . import matrep, symbols, twisted, weyl
-from .grids import gaussian_1d, gaussian_2d
+from .grids import GridFunction2D, gaussian_1d, gaussian_2d
 from .lattice import CoeffLattice2, PhaseQ
 from .symbols import CRat, PolySymbol
 from .torus import (DerivationSpec, TorusElement, adjoint,
@@ -349,6 +350,31 @@ def _c8_twisted(seed: int) -> tuple[list[dict], list[dict]]:
                          _rel_gap(conv_1.values, conv_h.values / hbar), 1e-6))
     logs.append({"name": "rescaling_gap_raw",
                  "value": _rel_gap(conv_1.values, conv_h.values / hbar)})
+
+    # On a matched grid the periodized products are exactly the twisted
+    # group algebra of Z_n x Z_n: associative on any data, and the FFT
+    # routes agree with the kernel up to their float phases.  The data are
+    # rough and fill the box on purpose, so the decay warning is expected.
+    n, hbar = 64, 0.5
+    assoc, routes = 0.0, 0.0
+    for conv, fft_route, half in (
+            (twisted.twisted_conv, twisted._twisted_conv_fft,
+             math.sqrt(math.pi * n / (2.0 * hbar))),
+            (twisted.other_twisted_conv, twisted._other_twisted_conv_fft,
+             math.sqrt(math.pi * n / hbar)),
+            (twisted.heisenberg_group_conv, twisted._heisenberg_group_conv_fft,
+             math.sqrt(math.pi * n / hbar))):
+        x, y, z = (GridFunction2D(half, half, n, n, rng.standard_normal((n, n))
+                                  + 1j * rng.standard_normal((n, n)))
+                   for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "boundary decay", RuntimeWarning)
+            xy = conv(x, y, hbar)
+            assoc = max(assoc, _rel_l2(conv(xy, z, hbar).values,
+                                       conv(x, conv(y, z, hbar), hbar).values))
+        routes = max(routes, _rel_l2(fft_route(x, y, hbar).values, xy.values))
+    checks.append(_check("matched_exact_associativity", assoc, 1e-13))
+    checks.append(_check("matched_fft_routes_agree", routes, 1e-12))
     return checks, logs
 
 

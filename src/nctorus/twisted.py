@@ -8,10 +8,17 @@ omega(x,y) = x1 y2 - y1 x2.  A quadratic-phase gauge map intertwines
 them, and an independently coded group-convolution route must agree
 with the symplectic one to round-off.
 
-All integrals are periodized trapezoid sums driven by the FFT, so they
-are spectrally accurate exactly when the integrands decay below the
-boundary threshold; decay is checked and warned about, never silently
-patched.
+All integrals are periodized trapezoid sums, so they are spectrally
+accurate exactly when the integrands decay below the boundary threshold;
+decay is checked and warned about, never silently patched.
+
+On a matched grid (n_t = n_s = n and a twist angle theta = 2 pi p / n,
+with theta = hbar dt ds for the ordered product and hbar dt ds / 2 for
+the other two) the periodized product is exactly the product of the
+twisted group algebra of Z_n x Z_n, a sum of matrix algebras (Schwinger,
+"Unitary operator bases", PNAS 46, 1960), and all three products run on
+one exact kernel, _heisenberg_gemm: n^3 multiply-adds in BLAS.  Other
+grids take one Python-looped pass of n x n FFTs per difference class.
 """
 
 from __future__ import annotations
@@ -37,21 +44,122 @@ __all__ = [
 ]
 
 
+# Largest phase error (n^2/4) |theta - 2 pi p/n| that replacing the twist
+# angle by the exact root of unity may cause for a grid to count as matched.
+_MATCH_TOL = 1e-12
+
+
 def _signed_class(d: int, n: int) -> int:
     # wrapped index difference -> signed representative in [-n/2, n/2)
     return (d + n // 2) % n - n // 2
 
 
+def _matched_twist(a: GridFunction2D, theta: float, factor: int) -> int | None:
+    """Kernel twist (factor * p) mod n if theta = 2 pi p / n on a square grid.
+
+    None when the grid is not matched, which includes hbar = 0 and a
+    kernel twist of 0 mod n.
+    """
+    n = a.n_t
+    if n != a.n_s or not math.isfinite(theta):
+        return None
+    p = round(n * theta / (2.0 * math.pi))
+    if (n * n / 4.0) * abs(theta - 2.0 * math.pi * p / n) > _MATCH_TOL:
+        return None
+    return (factor * p) % n or None
+
+
+def _spectrum(v: np.ndarray) -> np.ndarray:
+    """FFT along the second axis of grid-ordered values (label 0 at index
+    n/2), by label (label 0 at index 0), with every real and imaginary part
+    below 2^-500 of the largest set to zero.
+
+    The far tails of decaying data are subnormal or multiply to subnormals,
+    and BLAS runs several times slower on them; a product of two kept parts
+    of operands of ordinary size stays normal.  Dropped parts move no entry
+    of a length-n product by more than n 2^-500 of the largest product, far
+    below its rounding error.
+    """
+    x = np.fft.fft(np.fft.ifftshift(v), axis=1)
+    parts = x.view(np.float64)
+    size = np.abs(parts)
+    parts[size < size.max(initial=0.0) * 2.0 ** -500] = 0.0
+    return x
+
+
+def _heisenberg_gemm(fa: np.ndarray, fb: np.ndarray, p: int) -> np.ndarray:
+    """c(k,l) = Sum a(k-k', l-l') b(k',l') w^{p (l-l') k'} on Z_n x Z_n, w = e^{2 pi i/n}.
+
+    Takes the spectra fa = a^, fb = b^ of _spectrum and returns c by label.
+    In the spectra the twist is an integer shift of the column:
+    c^(k,m) = Sum_k' a^(k-k', m-p k') b^(k',m).  With g = gcd(p, n),
+    n1 = n/g, p1 = p/g and, for each residue eps < g, the n1 columns
+    m_rho = eps + g (p1 rho mod n1), the matrices
+    L[w,u] = a^(u-w, m_{u mod n1}) and R[u,rho] = b^(rho-u, m_rho) give
+    (L @ R)[w,rho] = c^(rho-w, m_rho): n^3 multiply-adds in g GEMMs,
+    with no array larger than n x n.
+    """
+    n = fa.shape[0]
+    g = math.gcd(p, n)
+    n1, p1 = n // g, p // g
+    idx = np.arange(n)
+    rho = np.arange(n1)
+    shift = (idx[None, :] - idx[:, None]) % n  # [w, u] -> u - w
+    back = (rho[None, :] - idx[:, None]) % n   # [u, rho] -> rho - u
+    out = np.empty((n, n), dtype=np.complex128)
+    for eps in range(g):
+        m = eps + g * ((p1 * rho) % n1)
+        prod = fa[shift, m[idx % n1]] @ fb[back, m]
+        out[:, m] = prod[back, rho]
+    return np.fft.ifft(out, axis=1)
+
+
+def _matched_product(a: GridFunction2D, b: GridFunction2D, p: int,
+                     h: np.ndarray | None = None) -> GridFunction2D:
+    """dt ds kernel(h a, h b, p) / h on grid-ordered values; h = 1 if None."""
+    spectra = [_spectrum(x.values if h is None else h * x.values) for x in (a, b)]
+    c = np.fft.fftshift(_heisenberg_gemm(*spectra, p)) * (a.dt * a.ds)
+    return a.with_values(c if h is None else c / h)
+
+
+def _symplectic_matched(a: GridFunction2D, b: GridFunction2D,
+                        hbar: float) -> GridFunction2D | None:
+    """Symplectic product on a matched grid, None on any other grid.
+
+    h = e^{(i hbar/2) x1 x2}, the inverse gauge map, carries it to the
+    ordered product at the same hbar, whose twist angle hbar dt ds is
+    2 (2 pi p / n); so the product is kernel(h a, h b, 2p) / h.
+    """
+    p = _matched_twist(a, 0.5 * hbar * a.dt * a.ds, 2)
+    if p is None:
+        return None
+    h = np.exp(0.5j * hbar * np.outer(a.t_axis(), a.s_axis()))
+    return _matched_product(a, b, p, h)
+
+
 def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunction2D:
     """Ordered twist: kernel phase e^{i (s-v) u hbar} with u = b's first argument.
+
+    Matched grids (hbar dt ds = 2 pi p / n) run on the exact kernel;
+    other grids on n_s FFT passes.
+    """
+    require_same_grid(a, b)
+    check_decay_2d(a)
+    check_decay_2d(b)
+    p = _matched_twist(a, hbar * a.dt * a.ds, 1)
+    if p is None:
+        return _twisted_conv_fft(a, b, hbar)
+    return _matched_product(a, b, p)
+
+
+def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
+                      hbar: float) -> GridFunction2D:
+    """Ordered twist on any grid.
 
     For each wrapped second-axis difference class the phase is a fixed
     modulation of b along the first axis, leaving one circular
     convolution in t per class: n_s FFT passes in total.
     """
-    require_same_grid(a, b)
-    check_decay_2d(a)
-    check_decay_2d(b)
     n_t, n_s = a.n_t, a.n_s
     u = a.t_axis()
     fa = np.fft.fft(a.values, axis=0)
@@ -71,14 +179,25 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
                        hbar: float) -> GridFunction2D:
     """Symplectic twist: kernel phase e^{-(i hbar/2)(x1 y2 - y1 x2)}.
 
+    Matched grids ((hbar/2) dt ds = 2 pi p / n) run on the exact kernel;
+    other grids on n_t FFT passes.
+    """
+    require_same_grid(a, b)
+    check_decay_2d(a)
+    check_decay_2d(b)
+    out = _symplectic_matched(a, b, hbar)
+    return _other_twisted_conv_fft(a, b, hbar) if out is None else out
+
+
+def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
+                            hbar: float) -> GridFunction2D:
+    """Symplectic twist on any grid.
+
     Looping over first-axis difference classes d (so x1 - y1 is pinned),
     the phase splits as e^{(i hbar/2) y1 (x2-y2)} * e^{-(i hbar/2) d y2},
     one factor chirping a's row into a per-class kernel bank and the
     other modulating b; each class costs one circular convolution in s.
     """
-    require_same_grid(a, b)
-    check_decay_2d(a)
-    check_decay_2d(b)
     n_t, n_s = a.n_t, a.n_s
     t_vals = a.t_axis()
     s_vals = a.s_axis()
@@ -114,13 +233,24 @@ def heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
     The lift multiplies group phases (cocycle -omega/2), so convolving the
     lifts and reading off the circle-free part gives
     (a # b)(x) = int a(y) b(x-y) e^{(i hbar/2) omega(x-y, y)} dy,
-    expanded here as e^{(i hbar/2)(x1 y2 - y1 x2)}.  Coded row by row
-    against the output's first coordinate, with no shared machinery with
-    other_twisted_conv beyond the FFT itself.
+    expanded here as e^{(i hbar/2)(x1 y2 - y1 x2)}.  That is the
+    symplectic product, so matched grids share its exact kernel; other
+    grids take _heisenberg_group_conv_fft.
     """
     require_same_grid(a, b)
     check_decay_2d(a)
     check_decay_2d(b)
+    out = _symplectic_matched(a, b, hbar)
+    return _heisenberg_group_conv_fft(a, b, hbar) if out is None else out
+
+
+def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
+                               hbar: float) -> GridFunction2D:
+    """Group convolution on any grid, n_t FFT passes.
+
+    Coded row by row against the output's first coordinate, with no
+    shared machinery with _other_twisted_conv_fft beyond the FFT itself.
+    """
     n_t, n_s = a.n_t, a.n_s
     t_vals = a.t_axis()
     s_vals = a.s_axis()

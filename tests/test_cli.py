@@ -430,6 +430,32 @@ class TestErrorDiscipline:
         assert out is None
         assert named in err
 
+    @pytest.mark.parametrize("docs,args,named", [
+        ([{"nvars": 1, "terms": [{"exps": [1], "re": 1.0, "im": 0.0}]}] * 2,
+         [], "nvars"),
+        ([{"nvars": 2, "terms": []}, {"nvars": 4, "terms": []}], [], "nvars"),
+        ([{"nvars": 4, "terms": []}] * 2, ["--mode", "half"], "nvars"),
+        ([{"nvars": 2, "terms": []}] * 2, ["--order", "-1"], "--order"),
+        ([{"nvars": 2, "terms": []}], [], "inputs"),
+    ])
+    def test_moyal_star_bad_symbols_exit_2(self, run, write, docs, args, named):
+        paths = [write(f"s{i}.json", doc) for i, doc in enumerate(docs)]
+        rc, out, err = run("moyal-star", *paths, *args)
+        assert rc == 2
+        assert out is None
+        assert named in err
+
+    def test_large_modulus_refused(self, run, write):
+        # a one-line element whose 256 fibers would be 10^5 x 10^5 matrices
+        assert nctorus.matrep.MAX_MODULUS < 100000  # else this test would allocate
+        elem = write("big.json", {"coeffs": {"radius_k": 0, "radius_l": 0,
+                                             "coeffs": [[1, 0]]},
+                                  "q": {"rational": [1, 100000]}})
+        rc, doc, err = run("matrep-eval", elem)
+        assert rc == 2
+        assert doc is None
+        assert "field 'q'" in err and "100000" in err
+
     def test_bad_q_flag(self, run, u_file):
         rc, _, err = run("torus-adjoint", u_file, "--q", "rational:1,4")
         assert rc == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.matrep import (CircleSpec, center_scalar_residual,
+from nctorus.matrep import (MAX_MODULUS, CircleSpec, center_scalar_residual,
                             circle_check_relations, circle_eval, clock_shift,
                             covariance_residual, equivariance_check,
                             eval_section, fiber_grid, homomorphism_residual,
@@ -42,6 +42,11 @@ class TestClockShift:
     def test_irrational_rejected(self):
         with pytest.raises(ValueError):
             clock_shift(PhaseQ.irrational(0.5))
+
+    def test_modulus_limit(self):
+        clock_shift(PhaseQ.rational(1, MAX_MODULUS))
+        with pytest.raises(ValueError, match="MAX_MODULUS"):
+            clock_shift(PhaseQ.rational(1, MAX_MODULUS + 1))
 
 
 class TestOpnorm:

@@ -5,10 +5,12 @@ import pytest
 
 from nctorus.grids import (GridFunction2D, fourier_2d, gaussian_2d,
                            inverse_fourier_2d)
-from nctorus.twisted import (fourier_bridge_error, gauge_iso,
-                             heisenberg_group_conv, hbar_smoothness_probe,
-                             moyal_series_on_grid, other_twisted_conv,
-                             plain_conv, twisted_conv)
+from nctorus.twisted import (_MATCH_TOL, _heisenberg_group_conv_fft,
+                             _matched_twist, _other_twisted_conv_fft,
+                             _twisted_conv_fft, fourier_bridge_error,
+                             gauge_iso, heisenberg_group_conv,
+                             hbar_smoothness_probe, moyal_series_on_grid,
+                             other_twisted_conv, plain_conv, twisted_conv)
 
 
 def random_field(seed: int, n_t: int = 16, n_s: int = 32,
@@ -195,3 +197,137 @@ class TestProbe:
               - twisted_conv(a, b, 0.5 - eps).values) / (2.0 * eps)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(res.derivative.values - fd)) / scale < 1e-5
+
+
+# kind -> (public product, its FFT route, theta / (hbar dt ds), kernel twist / p)
+VARIANTS = {
+    "ordered": (twisted_conv, _twisted_conv_fft, 1.0, 1),
+    "symplectic": (other_twisted_conv, _other_twisted_conv_fft, 0.5, 2),
+    "group": (heisenberg_group_conv, _heisenberg_group_conv_fft, 0.5, 2),
+}
+
+
+def matched_half_extent(kind: str, n: int, p: int, hbar: float) -> float:
+    # theta = factor hbar (2L/n)^2 = 2 pi p / n
+    return math.sqrt(math.pi * n * p / (2.0 * VARIANTS[kind][2] * hbar))
+
+
+def rough(seed: int, half: float, n: int, count: int,
+          n_s: int | None = None) -> list[GridFunction2D]:
+    """Random complex samples that fill the box: no decay at all.  Both
+    axes have the spacing 2 half / n, so dt ds does not depend on n_s."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n_s or n)
+    return [GridFunction2D(half, half * shape[1] / n, *shape,
+                           rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            for _ in range(count)]
+
+
+def kernel_twist(kind: str, a: GridFunction2D, hbar: float):
+    _, _, factor, mult = VARIANTS[kind]
+    return _matched_twist(a, factor * hbar * a.dt * a.ds, mult)
+
+
+def rel_l2(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.linalg.norm(x - y) / np.linalg.norm(y))
+
+
+@pytest.mark.filterwarnings("ignore:boundary decay:RuntimeWarning")
+class TestMatchedKernel:
+    """On a matched grid the products are exact in the twisted group
+    algebra of Z_n x Z_n, so rough data that fill the box are fair game."""
+
+    HBAR = 0.5
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_against_double_sums(self, kind, p):
+        n = 16
+        a, b = rough(40 + p, matched_half_extent(kind, n, p, self.HBAR), n, 2)
+        assert kernel_twist(kind, a, self.HBAR) == p * VARIANTS[kind][3]
+        fast = VARIANTS[kind][0](a, b, self.HBAR).values
+        slow = brute(a, b, self.HBAR, kind)
+        assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_against_fft_routes(self, kind, p):
+        n = 64
+        conv, fft_route = VARIANTS[kind][:2]
+        a, b = rough(50 + p, matched_half_extent(kind, n, p, self.HBAR), n, 2)
+        assert kernel_twist(kind, a, self.HBAR) == p * VARIANTS[kind][3]
+        got = conv(a, b, self.HBAR).values
+        assert rel_l2(got, fft_route(a, b, self.HBAR).values) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_gaussians_against_fft_routes(self, kind):
+        # decaying data as on the benchmark's grids: the spectra span over
+        # a hundred orders of magnitude, so a flush that cut too high shows
+        n = 128
+        conv, fft_route = VARIANTS[kind][:2]
+        half = matched_half_extent(kind, n, 1, self.HBAR)
+        a, b = (gaussian_2d(half, half, n, n, center=c, momentum=(0.5, -0.3))
+                for c in ((0.4, -0.2), (-0.3, 0.5)))
+        got = conv(a, b, self.HBAR).values
+        assert rel_l2(got, fft_route(a, b, self.HBAR).values) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_exact_associativity(self, kind):
+        n = 32
+        conv = VARIANTS[kind][0]
+        a, b, c = rough(60, matched_half_extent(kind, n, 3, self.HBAR), n, 3)
+        left = conv(conv(a, b, self.HBAR), c, self.HBAR).values
+        right = conv(a, conv(b, c, self.HBAR), self.HBAR).values
+        assert rel_l2(left, right) < 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("hbar", [0.25, 0.5, 1.0])
+    def test_benchmark_grids_are_matched(self, kind, n, hbar):
+        # half-extent sqrt(pi n / (2 hbar)) ordered, sqrt(pi n / hbar) otherwise
+        half = matched_half_extent(kind, n, 1, hbar)
+        a = gaussian_2d(half, half, n, n)
+        assert kernel_twist(kind, a, hbar) == VARIANTS[kind][3]
+
+    def fallback_cases(self):
+        n, hbar = 16, self.HBAR
+        for kind in VARIANTS:
+            half = matched_half_extent(kind, n, 1, hbar)
+            a, b = rough(70, half, n, 2)
+            yield kind, "hbar = 0", a, b, 0.0
+            # theta off 2 pi / n by 1e-9: half^2 scales theta
+            off = half * math.sqrt(1.0 + 1e-9 * n / (2.0 * math.pi))
+            a2, b2 = (GridFunction2D(off, off, n, n, x.values) for x in (a, b))
+            yield kind, "theta off by 1e-9", a2, b2, hbar
+            yield kind, "n_t != n_s", *rough(71, half, n, 2, n_s=2 * n), hbar
+
+    def test_unmatched_grids_fall_back_bit_identically(self):
+        for kind, label, a, b, hbar in self.fallback_cases():
+            assert kernel_twist(kind, a, hbar) is None, (kind, label)
+            conv, fft_route = VARIANTS[kind][:2]
+            assert np.array_equal(conv(a, b, hbar).values,
+                                  fft_route(a, b, hbar).values), (kind, label)
+
+    def test_threshold_bounds_the_phase_error(self):
+        n = 256
+        a = gaussian_2d(10.0, 10.0, n, n)
+        theta = 2.0 * math.pi / n
+        inside = theta + 0.5 * _MATCH_TOL / (n * n / 4.0)
+        outside = theta + 2.0 * _MATCH_TOL / (n * n / 4.0)
+        assert _matched_twist(a, inside, 1) == 1
+        assert _matched_twist(a, outside, 1) is None
+        assert _matched_twist(a, 0.0, 1) is None
+        assert _matched_twist(a, theta * n / 2, 2) is None  # 2p = n: trivial twist
+        assert _matched_twist(a, -theta, 1) == n - 1
+
+    def test_decay_warning_fires_on_matched_grid(self):
+        n = 64
+        for kind, (conv, *_) in VARIANTS.items():
+            half = matched_half_extent(kind, n, 1, self.HBAR)
+            good = gaussian_2d(half, half, n, n)
+            clipped = gaussian_2d(half, half, n, n, width=(half, half))
+            assert kernel_twist(kind, good, self.HBAR) is not None
+            with pytest.warns(RuntimeWarning, match="boundary decay"):
+                conv(good, clipped, self.HBAR)
+            with pytest.warns(RuntimeWarning, match="boundary decay"):
+                conv(clipped, good, self.HBAR)
