@@ -38,6 +38,14 @@ class CliError(ValueError):
     """Bad input; the message names the offending field."""
 
 
+# 1d grid samples for --grid-n; weyl-check took 0.5 s and 45 MB at the limit
+# on a 2-core host
+MAX_GRID_N = 1 << 16
+
+# float flags that must be finite; argparse's float accepts nan and inf
+_FINITE_FLAGS = ("hbar", "sigma", "delta", "grid_extent", "tol")
+
+
 class ToleranceFailure(Exception):
     """Carries the report of a check that exceeded its tolerance."""
 
@@ -584,6 +592,20 @@ def _cmd_suite(args) -> dict:
     return report
 
 
+def _check_number_flags(args) -> None:
+    """Refuse non-finite float flags and a bad --grid-n before any work."""
+    for name in _FINITE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"flag '--{name.replace('_', '-')}': must be finite, got {value}")
+    if getattr(args, "grid_extent", 1.0) <= 0:
+        raise CliError(f"flag '--grid-extent': must be positive, got {args.grid_extent}")
+    n = getattr(args, "grid_n", None)
+    if n is not None and not (8 <= n <= MAX_GRID_N and n & (n - 1) == 0):
+        raise CliError(f"flag '--grid-n': must be a power of two from 8 to "
+                       f"{MAX_GRID_N}, got {n}")
+
+
 # -- parser --------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -757,6 +779,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
+        _check_number_flags(args)
         report = _DISPATCH[args.command](args)
     except ToleranceFailure as exc:
         _emit(exc.report, getattr(args, "out", None))

@@ -37,6 +37,8 @@ __all__ = [
     "reorder_phase",
 ]
 
+_CHUNK_BYTES = 4 << 20  # bound on each operand chunk of q_mul
+
 
 class PhaseMismatchError(ValueError):
     """Operands carry different twist parameters."""
@@ -86,27 +88,27 @@ def monomial(k: int, l: int, q: PhaseQ, value: complex = 1.0) -> TorusElement:
 def q_mul(f: TorusElement, g: TorusElement) -> TorusElement:
     """(fg)_{k,l} = Sum_{m,n} f_{m,n} g_{k-m,l-n} q^{-n(k-m)}.
 
-    Accumulation order is the lexicographic support order of f, so the
-    result is bit-reproducible.
+    Row k' of g adds A_k' = (f diag(q^{-nk'})) @ T_k' at rows shifted by k',
+    with T_k'[n, l] = g_{k',l-n} banded Toeplitz: one batched GEMM, chunked
+    over k'.  The A_k' are added in ascending k' for any chunk size, so the
+    result is bit-reproducible for a fixed BLAS configuration.
     """
     _require_same_q(f, g)
-    q = f.q
     fc, gc = f.coeffs, g.coeffs
-    rk = fc.radius_k + gc.radius_k
-    rl = fc.radius_l + gc.radius_l
-    out = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
-    gk = gc.k_range()
-    # phase over g's k-offset depends only on n; cache per column index of f
-    phase_cache: dict[int, np.ndarray] = {}
-    for m, n, c in fc.support():
-        ph = phase_cache.get(n)
-        if ph is None:
-            ph = q.pow_array(-n * gk)[:, None]
-            phase_cache[n] = ph
-        i = m + fc.radius_k
-        j = n + fc.radius_l
-        out[i: i + 2 * gc.radius_k + 1, j: j + 2 * gc.radius_l + 1] += c * (ph * gc.coeffs)
-    return TorusElement(CoeffLattice2(rk, rl, out), q)
+    (rows, cols), (krows, gcols) = fc.coeffs.shape, gc.coeffs.shape
+    width = cols + gcols - 1
+    phase = f.q.pow_array(-np.outer(gc.k_range(), fc.l_range()))
+    # T_k' = padded[k', shift], g's rows zero-padded by cols - 1 on each side
+    padded = gc.expanded(gc.radius_k, gc.radius_l + cols - 1).coeffs
+    shift = np.arange(width)[None, :] - np.arange(cols)[:, None] + (cols - 1)
+    out = np.zeros((rows + krows - 1, width), dtype=np.complex128)
+    step = max(1, _CHUNK_BYTES // (16 * max(rows, cols) * width))
+    for start in range(0, krows, step):
+        ks = slice(start, start + step)
+        for i, block in enumerate((fc.coeffs * phase[ks, None, :]) @ padded[ks, shift], start):
+            out[i: i + rows] += block
+    return TorusElement(CoeffLattice2(fc.radius_k + gc.radius_k,
+                                      fc.radius_l + gc.radius_l, out), f.q)
 
 
 def adjoint(f: TorusElement) -> TorusElement:
@@ -170,23 +172,21 @@ class DerivationCheck:
 def check_derivation_relation(d: DerivationSpec, tol: float = 1e-10) -> DerivationCheck:
     """Evaluate u_{k,l-1}(1-q^{1-k}) + v_{k-1,l}(1-q^{1-l}) over both boxes.
 
-    The relation is what applying the candidate D to UV = qVU demands;
-    scan range is the union box plus margin 1, outside which every term
-    is identically zero.
+    The relation is what applying the candidate D to UV = qVU demands,
+    evaluated over the union box plus margin 2 (every term is zero outside);
+    first_violation is the lexicographically first (k, l) above tol.
     """
     u, v, q = d.du_value, d.dv_value, d.q
     rk = max(u.radius_k, v.radius_k) + 2
     rl = max(u.radius_l, v.radius_l) + 2
-    worst = 0.0
-    first: tuple[int, int] | None = None
-    for k in range(-rk, rk + 1):
-        cu = 1.0 - q.pow(1 - k)
-        for l in range(-rl, rl + 1):
-            r = abs(u.get(k, l - 1) * cu + v.get(k - 1, l) * (1.0 - q.pow(1 - l)))
-            if r > worst:
-                worst = r
-            if r > tol and first is None:
-                first = (k, l)
+    # u_{k,l-1} and v_{k-1,l}: the margin makes each roll wrap in zeros only
+    us = np.roll(u.expanded(rk, rl).coeffs, 1, axis=1)
+    vs = np.roll(v.expanded(rk, rl).coeffs, 1, axis=0)
+    res = np.abs(us * (1.0 - q.pow_array(1 - np.arange(-rk, rk + 1)))[:, None]
+                 + vs * (1.0 - q.pow_array(1 - np.arange(-rl, rl + 1)))[None, :])
+    worst = float(res.max())
+    over = np.argwhere(res > tol)
+    first = (int(over[0, 0]) - rk, int(over[0, 1]) - rl) if len(over) else None
     return DerivationCheck(worst <= tol, worst, first, tol)
 
 

@@ -456,6 +456,54 @@ class TestErrorDiscipline:
         assert doc is None
         assert "field 'q'" in err and "100000" in err
 
+    @pytest.mark.parametrize("command", ["twisted-conv", "fourier-bridge"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_hbar_refused(self, run, write, command, value):
+        ga = grid2d_file(write, "a.json")
+        gb = grid2d_file(write, "b.json", center=(0.5, 0.2))
+        rc, out, err = run(command, ga, gb, f"--hbar={value}")
+        assert rc == 2
+        assert out is None
+        assert "--hbar" in err
+
+    @pytest.mark.parametrize("args,named", [
+        (["--hbar", "inf"], "--hbar"),
+        (["--hbar", "nan"], "--hbar"),
+        (["--grid-n", "12"], "--grid-n"),
+        (["--grid-n", "4"], "--grid-n"),
+        (["--grid-extent", "-1"], "--grid-extent"),
+        (["--grid-extent", "nan"], "--grid-extent"),
+    ])
+    def test_weyl_check_bad_flags_exit_2(self, run, args, named):
+        rc, out, err = run("weyl-check", *args)
+        assert rc == 2
+        assert out is None
+        assert named in err
+
+    def test_grid_n_limit(self, run):
+        rc, doc, _ = run("weyl-check", "--grid-n", str(cli.MAX_GRID_N))
+        assert rc == 0 and doc["pass"] is True
+        rc, out, err = run("weyl-check", "--grid-n", str(2 * cli.MAX_GRID_N))
+        assert rc == 2 and out is None and "--grid-n" in err
+
+    @pytest.mark.parametrize("command", ["weyl-check", "rep-lattice"])
+    def test_oversized_grid_n_refused_before_allocation(self, run, u_file, monkeypatch,
+                                                        command):
+        huge = 1 << 40  # a 16 TB grid
+        assert cli.MAX_GRID_N < huge  # else this test would allocate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built despite the limit")
+
+        for mod, name in ((cli.suite, "weyl_battery"), (cli, "gaussian_1d"),
+                          (cli.weyl, "calibrate_q"), (cli.weyl, "rep_lattice_measure")):
+            monkeypatch.setattr(mod, name, refuse)
+        extra = [u_file] if command == "rep-lattice" else []
+        rc, out, err = run(command, *extra, "--grid-n", str(huge))
+        assert rc == 2
+        assert out is None
+        assert "--grid-n" in err and str(huge) in err
+
     def test_bad_q_flag(self, run, u_file):
         rc, _, err = run("torus-adjoint", u_file, "--q", "rational:1,4")
         assert rc == 2

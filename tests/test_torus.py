@@ -5,18 +5,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctorus import torus
 from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.torus import (DerivationSpec, PhaseMismatchError, TorusElement,
+from nctorus.torus import (DerivationCheck, DerivationSpec, PhaseMismatchError, TorusElement,
                            adjoint, apply_derivation, check_derivation_relation,
                            d_power, inner_derivation, l2_state, monomial,
                            q_mul, reorder_phase, smooth_seminorm, trace, unit)
 
 Q4 = PhaseQ.rational(1, 4)
 QI = PhaseQ.irrational(math.sqrt(2.0))
+QBIG = PhaseQ.rational(4099, 65537)
 
 
 def elem(entries, q=Q4):
     return TorusElement(CoeffLattice2.from_entries(entries), q)
+
+
+def loop_product(f: TorusElement, g: TorusElement) -> TorusElement:
+    """The product as one phased, shifted copy of g per support point of f,
+    accumulated in the lexicographic support order of f."""
+    q = f.q
+    fc, gc = f.coeffs, g.coeffs
+    rk = fc.radius_k + gc.radius_k
+    rl = fc.radius_l + gc.radius_l
+    out = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
+    gk = gc.k_range()
+    # phase over g's k-offset depends only on n; cache per column index of f
+    phase_cache: dict[int, np.ndarray] = {}
+    for m, n, c in fc.support():
+        ph = phase_cache.get(n)
+        if ph is None:
+            ph = q.pow_array(-n * gk)[:, None]
+            phase_cache[n] = ph
+        i = m + fc.radius_k
+        j = n + fc.radius_l
+        out[i: i + 2 * gc.radius_k + 1, j: j + 2 * gc.radius_l + 1] += c * (ph * gc.coeffs)
+    return TorusElement(CoeffLattice2(rk, rl, out), q)
+
+
+def loop_derivation_check(d: DerivationSpec, tol: float = 1e-10) -> DerivationCheck:
+    """The derivation relation site by site, with scalar powers of q."""
+    u, v, q = d.du_value, d.dv_value, d.q
+    rk = max(u.radius_k, v.radius_k) + 2
+    rl = max(u.radius_l, v.radius_l) + 2
+    worst = 0.0
+    first: tuple[int, int] | None = None
+    for k in range(-rk, rk + 1):
+        cu = 1.0 - q.pow(1 - k)
+        for l in range(-rl, rl + 1):
+            r = abs(u.get(k, l - 1) * cu + v.get(k - 1, l) * (1.0 - q.pow(1 - l)))
+            if r > worst:
+                worst = r
+            if r > tol and first is None:
+                first = (k, l)
+    return DerivationCheck(worst <= tol, worst, first, tol)
+
+
+def random_elem(rng, rk, rl, q, density=1.0):
+    c = rng.normal(size=(2 * rk + 1, 2 * rl + 1)) + 1j * rng.normal(size=(2 * rk + 1, 2 * rl + 1))
+    c[rng.random(c.shape) >= density] = 0.0
+    return TorusElement(CoeffLattice2(rk, rl, c), q)
+
+
+def rel_gap(got: TorusElement, want: TorusElement) -> float:
+    assert (got.coeffs.radius_k, got.coeffs.radius_l) == (want.coeffs.radius_k,
+                                                          want.coeffs.radius_l)
+    return got.max_abs_diff(want) / want.coeffs.max_abs()
 
 
 def brute_product(f: TorusElement, g: TorusElement) -> dict:
@@ -61,6 +115,60 @@ class TestProduct:
     def test_mixed_phases_rejected(self):
         with pytest.raises(PhaseMismatchError):
             q_mul(monomial(1, 0, Q4), monomial(0, 1, QI))
+
+
+class TestProductAgainstSupportLoop:
+    @pytest.mark.parametrize("q", [Q4, QI, QBIG], ids=["rational4", "irrational", "rational65537"])
+    @pytest.mark.parametrize("rf,rg", [
+        ((0, 5), (7, 0)), ((3, 1), (1, 6)), ((0, 0), (0, 0)), ((0, 0), (4, 3)),
+        ((2, 3), (0, 0)), ((5, 0), (0, 5)), ((8, 8), (8, 8)), ((4, 9), (11, 2)),
+    ])
+    def test_matches_loop(self, rf, rg, q):
+        rng = np.random.default_rng(rf + rg)
+        f, g = random_elem(rng, *rf, q), random_elem(rng, *rg, q)
+        assert rel_gap(q_mul(f, g), loop_product(f, g)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_sparse_f(self, q):
+        rng = np.random.default_rng(3)
+        f = random_elem(rng, 6, 5, q, density=0.1)
+        g = random_elem(rng, 4, 7, q)
+        assert 0 < np.count_nonzero(f.coeffs.coeffs) < 20
+        assert rel_gap(q_mul(f, g), loop_product(f, g)) <= 1e-14
+
+    @staticmethod
+    def chunk_rows(f, g):
+        rows, cols = f.coeffs.coeffs.shape
+        width = cols + g.coeffs.coeffs.shape[1] - 1
+        return max(1, torus._CHUNK_BYTES // (16 * max(rows, cols) * width))
+
+    @pytest.mark.parametrize("q", [PhaseQ.rational(3, 7), QI])
+    def test_chunked_radius(self, q):
+        rng = np.random.default_rng(30)
+        f, g = random_elem(rng, 30, 30, q), random_elem(rng, 30, 30, q)
+        assert self.chunk_rows(f, g) < 61  # the 61 rows of g take two chunks or more
+        assert rel_gap(q_mul(f, g), loop_product(f, g)) <= 1e-14
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(5)
+        f, g = random_elem(rng, 9, 7, QI), random_elem(rng, 6, 10, QI)
+        first = q_mul(f, g).coeffs.coeffs
+        for _ in range(3):
+            assert np.array_equal(q_mul(f, g).coeffs.coeffs, first)
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_bits_independent_of_chunk_budget(self, q, monkeypatch):
+        rng = np.random.default_rng(6)
+        f, g = random_elem(rng, 7, 9, q), random_elem(rng, 8, 5, q)
+        steps, results = [], []
+        for budget in (1, 40_000, 1 << 40):
+            monkeypatch.setattr(torus, "_CHUNK_BYTES", budget)
+            steps.append(self.chunk_rows(f, g))
+            results.append(q_mul(f, g).coeffs.coeffs)
+        # one row of g per chunk, several uneven chunks, one chunk
+        assert steps[0] == 1 and 1 < steps[1] < 17 <= steps[2]
+        for other in results[1:]:
+            assert np.array_equal(other, results[0])
 
 
 class TestAdjoint:
@@ -204,6 +312,42 @@ class TestDerivationClassification:
         dU = TorusElement(du.du_value, QI)
         want = q_mul(q_mul(uinv, dU), uinv).scaled(-1.0)
         assert got.max_abs_diff(want) < 1e-12
+
+
+class TestDerivationCheckAgainstLoop:
+    @staticmethod
+    def assert_same(spec, tol=1e-10):
+        got, want = check_derivation_relation(spec, tol), loop_derivation_check(spec, tol)
+        assert got.ok == want.ok
+        assert got.first_violation == want.first_violation
+        assert abs(got.max_residual - want.max_residual) <= 1e-15 * max(1.0, want.max_residual)
+
+    @pytest.mark.parametrize("q", [Q4, QI, QBIG])
+    def test_canonical_pair(self, q):
+        zero = CoeffLattice2.zeros(0, 0)
+        self.assert_same(DerivationSpec(CoeffLattice2.delta(1, 0), zero, q))
+        self.assert_same(DerivationSpec(zero, CoeffLattice2.delta(0, 1), q))
+
+    @pytest.mark.parametrize("q", [Q4, QI, PhaseQ.rational(2, 7)])
+    def test_inner_pairs(self, q):
+        rng = np.random.default_rng(11)
+        for rk, rl in ((0, 0), (1, 2), (3, 1)):
+            self.assert_same(DerivationSpec.from_inner(random_elem(rng, rk, rl, q)))
+
+    def test_swapped_generator_witness(self):
+        spec = DerivationSpec(CoeffLattice2.delta(0, 1), CoeffLattice2.zeros(0, 0), Q4)
+        self.assert_same(spec)
+        assert check_derivation_relation(spec).first_violation == (0, 2)
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    @pytest.mark.parametrize("tol", [1e-10, 0.5, 3.0])
+    def test_random_candidates(self, q, tol):
+        # generic values violate the relation at many sites; the witness is
+        # the lexicographically first of them
+        rng = np.random.default_rng(12)
+        spec = DerivationSpec(random_elem(rng, 2, 3, q).coeffs,
+                              random_elem(rng, 3, 1, q).coeffs, q)
+        self.assert_same(spec, tol)
 
 
 class TestSmoothSeminorm:
