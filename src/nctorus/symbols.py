@@ -10,6 +10,7 @@ caller asks for one.  Variables come in symplectic pairs
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,8 +195,6 @@ def _bidiff_power(nvars: int, k: int) -> dict:
 
     Returns {(f_derivs, g_derivs): integer coefficient}.
     """
-    if nvars % 2 != 0:
-        raise ValueError("phase-space symbols need an even variable count")
     zero = (0,) * nvars
     state = {(zero, zero): 1}
     for _ in range(k):
@@ -215,74 +214,142 @@ def _bump(exps: tuple, i: int) -> tuple:
     return exps[:i] + (exps[i] + 1,) + exps[i + 1:]
 
 
-def _multi_diff(f: PolySymbol, alpha: tuple) -> PolySymbol:
-    out = f
-    for var, count in enumerate(alpha):
-        for _ in range(count):
-            out = out.diff(var)
+# -- integer kernel ------------------------------------------------------
+# Symbols enter as Gaussian-integer numerators {exps: (re, im)} over one
+# common denominator.  Monomial derivatives carry falling-factorial weights
+# and the order-k scale (-i)^k / (2^k k!) is a unit over a denominator, so
+# all the work is integer and each output coefficient is reduced once, on
+# its way back into a Fraction.
+
+def _numerators(f: PolySymbol) -> tuple[int, dict]:
+    den = math.lcm(*(d for c in f.terms.values()
+                     for d in (c.re.denominator, c.im.denominator)))
+    return den, {e: (c.re.numerator * den // c.re.denominator,
+                     c.im.numerator * den // c.im.denominator)
+                 for e, c in f.terms.items()}
+
+
+def _symbol(nvars: int, num: dict, den: int) -> PolySymbol:
+    return PolySymbol(nvars, {e: CRat(Fraction(re, den), Fraction(im, den))
+                              for e, (re, im) in num.items()})
+
+
+def _deriv(num: dict, alpha: tuple) -> list:
+    """d^alpha of each term as (exps, re, im); perm(e, a) = 0 once a > e."""
+    out = []
+    for e, (re, im) in num.items():
+        w = math.prod(map(math.perm, e, alpha))
+        if w:
+            out.append((tuple(map(operator.sub, e, alpha)), w * re, w * im))
     return out
+
+
+def _bidiff(acc: dict, a: dict, b: dict, terms, scale: tuple) -> dict:
+    """acc += scale Sum c d^af a d^ag b over ((af, ag), c) in terms.
+
+    a, b and acc are numerator dicts; scale is a Gaussian integer (re, im).
+    """
+    sr, si = scale
+    for (af, ag), c in terms:
+        db = _deriv(b, ag)
+        for e1, r1, i1 in _deriv(a, af):
+            x, y = c * (sr * r1 - si * i1), c * (sr * i1 + si * r1)
+            for e2, r2, i2 in db:
+                key = tuple(map(operator.add, e1, e2))
+                re, im = acc.get(key, (0, 0))
+                acc[key] = (re + x * r2 - y * i2, im + x * i2 + y * r2)
+    return acc
+
+
+def _star(acc: dict, a: dict, b: dict, nvars: int, k: int, scale: tuple) -> dict:
+    """acc += scale B_k(a, b), B_k the bidifferential power without its scale.
+
+    B_k differentiates k times in each slot, so it is zero, and skipped
+    before its expansion is built, once k exceeds either total degree.
+    """
+    if k <= min(max(map(sum, a), default=-1), max(map(sum, b), default=-1)):
+        _bidiff(acc, a, b, _bidiff_power(nvars, k).items(), scale)
+    return acc
+
+
+def _phase_space(order: int, f: PolySymbol, *others: PolySymbol) -> int:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    for o in others:
+        f._check(o)
+    if f.nvars % 2 != 0:
+        raise ValueError("phase-space symbols need an even variable count")
+    return f.nvars
+
+
+def _star_series(f: PolySymbol, g: PolySymbol, lo: int, hi: int,
+                 antisymmetric: bool = False) -> HbarSeries:
+    """hbar^k coefficients of f*g, or of f*g - g*f, for lo <= k <= hi."""
+    nvars = _phase_space(hi, f, g)
+    (fd, fn), (gd, gn) = _numerators(f), _numerators(g)
+    out = []
+    for k in range(lo, hi + 1):
+        ur, ui = _MINUS_I_POW[k % 4]
+        acc = _star({}, fn, gn, nvars, k, (ur, ui))
+        if antisymmetric:
+            _star(acc, gn, fn, nvars, k, (-ur, -ui))
+        out.append(_symbol(nvars, acc, fd * gd * 2 ** k * math.factorial(k)))
+    return HbarSeries(tuple(out))
 
 
 def moyal_coeff(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
     """Exact hbar^k coefficient of the star product of f and g."""
-    f._check(g)
-    re, im = _MINUS_I_POW[k % 4]
-    scale = CRat(Fraction(re, 2 ** k * math.factorial(k)),
-                 Fraction(im, 2 ** k * math.factorial(k)))
-    total = PolySymbol.zero(f.nvars)
-    for (af, ag), c in sorted(_bidiff_power(f.nvars, k).items()):
-        if c == 0:
-            continue
-        total = total + (_multi_diff(f, af) * _multi_diff(g, ag)).scaled(CRat.of(c))
-    return total.scaled(scale)
+    return _star_series(f, g, k, k).coeffs[0]
 
 
 def moyal_star(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return HbarSeries(tuple(moyal_coeff(f, g, k) for k in range(order + 1)))
+    return _star_series(f, g, 0, order)
 
 
 def half_moyal(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
     """hbar^k coefficient (-i)^k/k! d2^k f d1^k g; the e^{itQ}e^{isP} ordering."""
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("the half expansion is defined for one symplectic pair")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    out = []
-    for k in range(order + 1):
-        re, im = _MINUS_I_POW[k % 4]
-        scale = CRat(Fraction(re, math.factorial(k)), Fraction(im, math.factorial(k)))
-        out.append((_multi_diff(f, (0, k)) * _multi_diff(g, (k, 0))).scaled(scale))
-    return HbarSeries(tuple(out))
+    _phase_space(order, f, g)
+    (fd, fn), (gd, gn) = _numerators(f), _numerators(g)
+    return HbarSeries(tuple(
+        _symbol(2, _bidiff({}, fn, gn, [(((0, k), (k, 0)), 1)], _MINUS_I_POW[k % 4]),
+                fd * gd * math.factorial(k))
+        for k in range(order + 1)))
 
 
 def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
+    """Sum_i d_p f d_q g - d_q f d_p g over the pairs (q, p) = (x_{2i+1}, x_{2i+2})."""
     f._check(g)
-    total = PolySymbol.zero(f.nvars)
-    for i in range(f.nvars // 2):
-        q, p = 2 * i, 2 * i + 1
-        total = total + f.diff(p) * g.diff(q) - f.diff(q) * g.diff(p)
-    return total
+    (fd, fn), (gd, gn) = _numerators(f), _numerators(g)
+    return _symbol(f.nvars, _star({}, fn, gn, f.nvars, 1, (1, 0)), fd * gd)
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
-    return moyal_star(f, g, order) - moyal_star(g, f, order)
+    return _star_series(f, g, 0, order, antisymmetric=True)
 
 
 def associativity_defect(f: PolySymbol, g: PolySymbol, h: PolySymbol,
                          order: int) -> HbarSeries:
-    """(f*g)*h - f*(g*h) collected per hbar power; identically zero series."""
-    fg = [moyal_coeff(f, g, k) for k in range(order + 1)]
-    gh = [moyal_coeff(g, h, k) for k in range(order + 1)]
-    out = []
-    for k in range(order + 1):
-        left = PolySymbol.zero(f.nvars)
-        right = PolySymbol.zero(f.nvars)
+    """(f*g)*h - f*(g*h) collected per hbar power; identically zero series.
+
+    Order k of (f*g)*h is (-i)^k/(2^k k!) Sum_m binom(k, m) B_m(B_{k-m}(f, g), h)
+    and likewise for f*(g*h), so the defect stays integer until its exit.
+    """
+    nvars = _phase_space(order, f, g, h)
+    # order k lowers the total degree by 2k, so nothing survives past top
+    top = min(order, (f.degree() + g.degree() + h.degree()) // 2)
+    (fd, fn), (gd, gn), (hd, hn) = map(_numerators, (f, g, h))
+    fg = [_star({}, fn, gn, nvars, j, (1, 0)) for j in range(top + 1)]
+    gh = [_star({}, gn, hn, nvars, j, (1, 0)) for j in range(top + 1)]
+    out = [PolySymbol.zero(nvars)] * (order + 1)
+    for k in range(top + 1):
+        acc: dict = {}
         for m in range(k + 1):
-            left = left + moyal_coeff(fg[k - m], h, m)
-            right = right + moyal_coeff(f, gh[k - m], m)
-        out.append(left - right)
+            sr, si = (math.comb(k, m) * u for u in _MINUS_I_POW[k % 4])
+            _star(acc, fg[k - m], hn, nvars, m, (sr, si))
+            _star(acc, fn, gh[k - m], nvars, m, (-sr, -si))
+        out[k] = _symbol(nvars, acc, fd * gd * hd * 2 ** k * math.factorial(k))
     return HbarSeries(tuple(out))
 
 

@@ -190,10 +190,39 @@ def check_derivation_relation(d: DerivationSpec, tol: float = 1e-10) -> Derivati
     return DerivationCheck(worst <= tol, worst, first, tol)
 
 
-def _leibniz_weights(q: PhaseQ, power: int, exps: np.ndarray) -> np.ndarray:
-    """sgn(power) Sum_m q^{-e m} over m in [0, power) or [power, 0), for each e."""
-    ms = np.arange(power) if power > 0 else np.arange(power, 0)
-    return np.sign(power) * q.pow_array(-np.outer(exps, ms)).sum(axis=1)
+def _leibniz_weights(q: PhaseQ, powers: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """sgn(p) Sum_m q^{-e m} over m in [0, p) or [p, 0), for each power p and each e."""
+    p = powers[:, None]
+    top = int(np.abs(powers).max())
+    ms = np.arange(-top, top)
+    inside = np.where(p > 0, (ms >= 0) & (ms < p), (ms >= p) & (ms < 0))
+    return (np.sign(p) * inside) @ q.pow_array(-np.outer(ms, exps))
+
+
+def _leibniz_rows(out: np.ndarray, f: np.ndarray, d: np.ndarray,
+                  exps: np.ndarray, q: PhaseQ) -> None:
+    """Add the D(U^k) V^l terms of every row k of f to out.
+
+    Arrays are centred on their middle entry.  Row k adds d, its column e
+    weighted by sgn(k) Sum_m q^{-em}, at offset (k - 1, l) for every l of
+    the row: one banded-Toeplitz product per row, all rows in one batched
+    GEMM, chunked over rows like q_mul.  Row 0 has zero weights.  Called on
+    transposes it adds the U^k D(V^l) terms.
+    """
+    (fr, fc), (dr, dc) = f.shape, d.shape
+    width = fc + dc - 1
+    weights = _leibniz_weights(q, np.arange(fr) - fr // 2, exps)
+    padded = np.zeros((fr, fc + 2 * (dc - 1)), dtype=np.complex128)
+    padded[:, dc - 1: dc - 1 + fc] = f
+    shift = np.arange(width)[None, :] - np.arange(dc)[:, None] + (dc - 1)
+    i = out.shape[0] // 2 - fr // 2 - 1 - dr // 2
+    j = out.shape[1] // 2 - fc // 2 - dc // 2
+    step = max(1, _CHUNK_BYTES // (16 * max(dr, dc) * width))
+    for start in range(0, fr, step):
+        rows = slice(start, start + step)
+        for k, block in enumerate((weights[rows, None, :] * d) @ padded[rows, shift],
+                                  i + start):
+            out[k: k + dr, j: j + width] += block
 
 
 def apply_derivation(d: DerivationSpec, f: TorusElement,
@@ -213,7 +242,6 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
             f"derivation relation violated at {chk.first_violation} "
             f"with residual {chk.max_residual:.3e} > {tol:.1e}")
     _require_same_q(TorusElement(d.du_value, d.q), f)
-    q = d.q
     du, dv = d.du_value, d.dv_value
     fc = f.coeffs
     ki, li = np.nonzero(fc.coeffs)
@@ -225,25 +253,15 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
     rl = int(max(np.abs(ls).max(initial=0),
                  (np.abs(ls[on_u]) + du.radius_l).max(initial=0),
                  (np.abs(ls[on_v] - 1) + dv.radius_l).max(initial=0)))
-    out = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
-    u_w: dict[int, np.ndarray] = {}
-    v_w: dict[int, np.ndarray] = {}
-    for k, l, c in zip(ks.tolist(), ls.tolist(), fc.coeffs[ki, li].tolist()):
-        if k != 0:
-            w = u_w.get(k)
-            if w is None:
-                w = u_w[k] = _leibniz_weights(q, k, du.l_range())[None, :] * du.coeffs
-            i = rk + k - 1 - du.radius_k
-            j = rl + l - du.radius_l
-            out[i: i + 2 * du.radius_k + 1, j: j + 2 * du.radius_l + 1] += c * w
-        if l != 0:
-            w = v_w.get(l)
-            if w is None:
-                w = v_w[l] = _leibniz_weights(q, l, dv.k_range())[:, None] * dv.coeffs
-            i = rk + k - dv.radius_k
-            j = rl + l - 1 - dv.radius_l
-            out[i: i + 2 * dv.radius_k + 1, j: j + 2 * dv.radius_l + 1] += c * w
-    return TorusElement(CoeffLattice2(rk, rl, out), q)
+    # whole rows and columns of f are added, so work in a box that holds
+    # their zero entries' terms too, then crop to the box of the nonzero ones
+    wk = fc.radius_k + max(du.radius_k + 1, dv.radius_k)
+    wl = fc.radius_l + max(du.radius_l, dv.radius_l + 1)
+    out = np.zeros((2 * wk + 1, 2 * wl + 1), dtype=np.complex128)
+    _leibniz_rows(out, fc.coeffs, du.coeffs, du.l_range(), d.q)
+    _leibniz_rows(out.T, fc.coeffs.T, dv.coeffs.T, dv.k_range(), d.q)
+    return TorusElement(CoeffLattice2(rk, rl, out[wk - rk: wk + rk + 1,
+                                                  wl - rl: wl + rl + 1]), d.q)
 
 
 def smooth_seminorm(f: TorusElement, word: Sequence[tuple[int, int]],

@@ -230,6 +230,18 @@ class TestAnalyticCommands:
         assert doc["variant"] == variant
         assert doc["result"]["n_t"] == 64
 
+    @pytest.mark.parametrize("variant", ["ordered", "symplectic", "group"])
+    def test_twisted_conv_hbar_zero_is_plain(self, run, write, variant):
+        ga = grid2d_file(write, "a.json", width=(1.0, 1.0))
+        gb = grid2d_file(write, "b.json", center=(0.3, -0.2))
+        rc, doc, _ = run("twisted-conv", ga, gb, "--hbar", "0", "--variant", variant)
+        assert rc == 0
+        rc, plain, _ = run("twisted-conv", ga, gb, "--variant", "plain")
+        assert rc == 0
+        got = np.array(doc["result"]["values"])
+        want = np.array(plain["result"]["values"])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_gauge_variant_single_input(self, run, write):
         ga = grid2d_file(write, "a.json")
         rc, doc, _ = run("twisted-conv", ga, "--hbar", "0.3",
@@ -445,6 +457,30 @@ class TestErrorDiscipline:
         assert out is None
         assert named in err
 
+    @pytest.mark.parametrize("mode", ["full", "half", "commutator", "assoc"])
+    def test_moyal_order_limit(self, run, write, mode):
+        x1 = write("x1.json", {"nvars": 2, "terms": [{"exps": [2, 1], "re": 1.0, "im": 0.0}]})
+        x2 = write("x2.json", {"nvars": 2, "terms": [{"exps": [0, 2], "re": 0.5, "im": 1.0}]})
+        rc, doc, _ = run("moyal-star", x1, x2, x1, "--mode", mode,
+                         "--order", str(cli.MAX_MOYAL_ORDER))
+        assert rc == 0
+        key = "defect" if mode == "assoc" else "result"
+        assert doc[key]["order"] == cli.MAX_MOYAL_ORDER
+        assert all(c["terms"] == [] for c in doc[key]["coeffs"][4:])
+
+    @pytest.mark.parametrize("order", [1, 1 << 40])
+    def test_moyal_order_over_limit_refused_before_reading(self, run, write, monkeypatch,
+                                                           order):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symbol was read despite the limit")
+
+        monkeypatch.setattr(cli, "_read_doc", refuse)
+        x = write("x.json", {"nvars": 2, "terms": []})
+        rc, out, err = run("moyal-star", x, x, "--order", str(cli.MAX_MOYAL_ORDER + order))
+        assert rc == 2
+        assert out is None
+        assert "--order" in err and str(cli.MAX_MOYAL_ORDER) in err
+
     def test_large_modulus_refused(self, run, write):
         # a one-line element whose 256 fibers would be 10^5 x 10^5 matrices
         assert nctorus.matrep.MAX_MODULUS < 100000  # else this test would allocate
@@ -479,6 +515,18 @@ class TestErrorDiscipline:
         assert rc == 2
         assert out is None
         assert named in err
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+    def test_weyl_check_zero_hbar_refused(self, run, monkeypatch, value):
+        # the commutator residual is relative to hbar; nothing may be built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the battery ran despite hbar 0")
+
+        monkeypatch.setattr(cli.suite, "weyl_battery", refuse)
+        rc, out, err = run("weyl-check", f"--hbar={value}")
+        assert rc == 2
+        assert out is None
+        assert "--hbar" in err
 
     def test_grid_n_limit(self, run):
         rc, doc, _ = run("weyl-check", "--grid-n", str(cli.MAX_GRID_N))

@@ -61,6 +61,40 @@ def loop_derivation_check(d: DerivationSpec, tol: float = 1e-10) -> DerivationCh
     return DerivationCheck(worst <= tol, worst, first, tol)
 
 
+def loop_apply_derivation(d: DerivationSpec, f: TorusElement) -> TorusElement:
+    """The Leibniz extension as one weighted, shifted copy of D(U) and one of
+    D(V) per support point of f, over the same box as apply_derivation."""
+    def weights(power, exps):
+        ms = np.arange(power) if power > 0 else np.arange(power, 0)
+        return np.sign(power) * q.pow_array(-np.outer(exps, ms)).sum(axis=1)
+
+    q = d.q
+    du, dv = d.du_value, d.dv_value
+    fc = f.coeffs
+    ki, li = np.nonzero(fc.coeffs)
+    ks, ls = ki - fc.radius_k, li - fc.radius_l
+    on_u, on_v = ks != 0, ls != 0
+    rk = int(max(np.abs(ks).max(initial=0),
+                 (np.abs(ks[on_u] - 1) + du.radius_k).max(initial=0),
+                 (np.abs(ks[on_v]) + dv.radius_k).max(initial=0)))
+    rl = int(max(np.abs(ls).max(initial=0),
+                 (np.abs(ls[on_u]) + du.radius_l).max(initial=0),
+                 (np.abs(ls[on_v] - 1) + dv.radius_l).max(initial=0)))
+    out = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
+    for k, l, c in zip(ks.tolist(), ls.tolist(), fc.coeffs[ki, li].tolist()):
+        if k != 0:
+            w = weights(k, du.l_range())[None, :] * du.coeffs
+            i = rk + k - 1 - du.radius_k
+            j = rl + l - du.radius_l
+            out[i: i + 2 * du.radius_k + 1, j: j + 2 * du.radius_l + 1] += c * w
+        if l != 0:
+            w = weights(l, dv.k_range())[:, None] * dv.coeffs
+            i = rk + k - dv.radius_k
+            j = rl + l - 1 - dv.radius_l
+            out[i: i + 2 * dv.radius_k + 1, j: j + 2 * dv.radius_l + 1] += c * w
+    return TorusElement(CoeffLattice2(rk, rl, out), q)
+
+
 def random_elem(rng, rk, rl, q, density=1.0):
     c = rng.normal(size=(2 * rk + 1, 2 * rl + 1)) + 1j * rng.normal(size=(2 * rk + 1, 2 * rl + 1))
     c[rng.random(c.shape) >= density] = 0.0
@@ -312,6 +346,67 @@ class TestDerivationClassification:
         dU = TorusElement(du.du_value, QI)
         want = q_mul(q_mul(uinv, dU), uinv).scaled(-1.0)
         assert got.max_abs_diff(want) < 1e-12
+
+
+class TestApplyDerivationAgainstLoop:
+    @staticmethod
+    def assert_same(spec, f):
+        got, want = apply_derivation(spec, f), loop_apply_derivation(spec, f)
+        assert (got.coeffs.radius_k, got.coeffs.radius_l) == (want.coeffs.radius_k,
+                                                              want.coeffs.radius_l)
+        assert got.max_abs_diff(want) <= 1e-15 * want.coeffs.max_abs()
+
+    @pytest.mark.parametrize("q", [Q4, QI, QBIG, PhaseQ.rational(2, 7)])
+    @pytest.mark.parametrize("ra,rf", [((2, 2), (3, 3)), ((2, 1), (4, 2)), ((1, 3), (0, 5)),
+                                       ((0, 0), (3, 3)), ((2, 2), (0, 0)), ((3, 2), (6, 1)),
+                                       ((2, 2), (9, 9))])
+    def test_inner(self, q, ra, rf):
+        rng = np.random.default_rng(21)
+        a = random_elem(rng, *ra, q)
+        self.assert_same(DerivationSpec.from_inner(a), random_elem(rng, *rf, q))
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_sparse_and_off_centre_f(self, q):
+        # empty rows and columns, and a support far from the centre, so the
+        # box is set by the nonzero entries alone
+        rng = np.random.default_rng(22)
+        spec = DerivationSpec.from_inner(random_elem(rng, 2, 2, q))
+        self.assert_same(spec, random_elem(rng, 5, 5, q, density=0.2))
+        self.assert_same(spec, elem({(4, -3): 1.0 - 2j, (4, 2): 0.5, (-1, 0): 3j}, q))
+        self.assert_same(spec, elem({(0, 0): 2.0}, q))
+        self.assert_same(spec, elem({(0, 5): 1.0, (0, -2): 1j}, q))
+        self.assert_same(spec, elem({(5, 0): 1.0, (-2, 0): 1j}, q))
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_outer_plus_inner(self, q):
+        # alpha d1 + beta d2 + ad(a): the canonical pair shifts D(U), D(V)
+        rng = np.random.default_rng(23)
+        inner = DerivationSpec.from_inner(random_elem(rng, 1, 2, q))
+        spec = DerivationSpec(inner.du_value + CoeffLattice2.delta(1, 0, 0.7),
+                              inner.dv_value + CoeffLattice2.delta(0, 1, -1.3j), q)
+        self.assert_same(spec, random_elem(rng, 4, 3, q))
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(24)
+        spec = DerivationSpec.from_inner(random_elem(rng, 2, 2, QI))
+        f = random_elem(rng, 4, 4, QI)
+        first = apply_derivation(spec, f).coeffs.coeffs
+        assert np.array_equal(first, apply_derivation(spec, f).coeffs.coeffs)
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_bits_independent_of_chunk_budget(self, q, monkeypatch):
+        # one row per chunk, uneven chunks, one chunk: rows are still added
+        # in ascending order, so the bits cannot move
+        rng = np.random.default_rng(25)
+        spec = DerivationSpec.from_inner(random_elem(rng, 3, 2, q))
+        f = random_elem(rng, 8, 6, q)
+        results = []
+        for budget in (1, 5_000, 1 << 40):
+            monkeypatch.setattr(torus, "_CHUNK_BYTES", budget)
+            results.append(apply_derivation(spec, f).coeffs.coeffs)
+            self.assert_same(spec, f)
+        for other in results[1:]:
+            assert np.array_equal(other, results[0])
 
 
 class TestDerivationCheckAgainstLoop:
