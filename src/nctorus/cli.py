@@ -9,6 +9,8 @@ same bytes to a file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -151,12 +153,34 @@ def _element_obj(f: TorusElement) -> dict:
     return {"coeffs": lattice_to_obj(f.coeffs), "q": phaseq_to_obj(f.q)}
 
 
+# Chunks of the indented encoder joined per write.  The document is never
+# held whole, so a large grid's text does not add to the peak memory; each
+# write is still large (about 0.5 MB of a grid), so that a process reading
+# the output through a pipe gets full reads, not one short read per write.
+_EMIT_BATCH = 65536
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+    """Write json.dumps(obj, indent=2) + "\n" to stdout and to out, if given.
+
+    out is opened first, so a path that cannot be written is a usage error
+    (exit 2) before anything reaches stdout.
+    """
+    sinks = [sys.stdout]
+    with contextlib.ExitStack() as stack:
+        if out:
+            try:
+                sinks.append(stack.enter_context(open(out, "w")))
+            except OSError as exc:
+                raise CliError(f"flag '--out': cannot write '{out}' "
+                               f"({exc.strerror})") from exc
+        chunks = json.JSONEncoder(indent=2).iterencode(obj)
+        while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
+            text = "".join(batch)
+            for fh in sinks:
+                fh.write(text)
+        for fh in sinks:
+            fh.write("\n")
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -789,16 +813,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_number_flags(args)
-        report = _DISPATCH[args.command](args)
+        report, code = _DISPATCH[args.command](args), 0
     except ToleranceFailure as exc:
-        _emit(exc.report, getattr(args, "out", None))
-        return 1
+        report, code = exc.report, 1
     except (CliError, LatticeFormatError, GridFormatError, SymbolFormatError,
             PhaseMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, getattr(args, "out", None))
-    return 0
+    try:
+        _emit(report, getattr(args, "out", None))
+    except CliError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return code
 
 
 if __name__ == "__main__":

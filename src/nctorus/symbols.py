@@ -320,9 +320,9 @@ def half_moyal(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
 
 def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """Sum_i d_p f d_q g - d_q f d_p g over the pairs (q, p) = (x_{2i+1}, x_{2i+2})."""
-    f._check(g)
+    nvars = _phase_space(1, f, g)
     (fd, fn), (gd, gn) = _numerators(f), _numerators(g)
-    return _symbol(f.nvars, _star({}, fn, gn, f.nvars, 1, (1, 0)), fd * gd)
+    return _symbol(nvars, _star({}, fn, gn, nvars, 1, (1, 0)), fd * gd)
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:

@@ -18,7 +18,9 @@ the other two) the periodized product is exactly the product of the
 twisted group algebra of Z_n x Z_n, a sum of matrix algebras (Schwinger,
 "Unitary operator bases", PNAS 46, 1960), and all three products run on
 one exact kernel, _heisenberg_gemm: n^3 multiply-adds in BLAS.  Other
-grids take one Python-looped pass of n x n FFTs per difference class.
+grids loop over difference classes in reused buffers, all FFTs along the
+contiguous axis: one pass of n_t x n_s FFTs per class for the ordered
+product, two for the symplectic and the group product.
 """
 
 from __future__ import annotations
@@ -154,24 +156,27 @@ def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunct
 
 def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
                       hbar: float) -> GridFunction2D:
-    """Ordered twist on any grid.
+    """Ordered twist on any grid: one FFT pass per class, n_s in total.
 
-    For each wrapped second-axis difference class the phase is a fixed
+    For each wrapped second-axis difference class d the phase is a fixed
     modulation of b along the first axis, leaving one circular
-    convolution in t per class: n_s FFT passes in total.
+    convolution in t per class.  Everything runs transposed, so that t
+    is the contiguous axis, in one reused buffer; class d lands on the
+    output columns shifted by d, two slice-adds.
     """
     n_t, n_s = a.n_t, a.n_s
     u = a.t_axis()
-    fa = np.fft.fft(a.values, axis=0)
-    out_hat = np.zeros((n_t, n_s), dtype=np.complex128)
-    cols = np.arange(n_s)
+    fa = np.fft.fft(np.ascontiguousarray(a.values.T), axis=1)
+    b_t = np.ascontiguousarray(b.values.T)
+    buf, acc = np.empty_like(fa), np.zeros_like(fa)
     for d in range(n_s):
         delta_s = _signed_class(d, n_s) * a.ds
-        col_a = (d + n_s // 2) % n_s
-        modulated = b.values * np.exp(1j * hbar * delta_s * u)[:, None]
-        bd = np.fft.fft(modulated, axis=0)
-        out_hat[:, (cols + d) % n_s] += fa[:, col_a][:, None] * bd
-    out = np.roll(np.fft.ifft(out_hat, axis=0), -(n_t // 2), axis=0)
+        np.multiply(b_t, np.exp(1j * hbar * delta_s * u), out=buf)
+        np.fft.fft(buf, axis=1, out=buf)
+        buf *= fa[(d + n_s // 2) % n_s]
+        acc[d:] += buf[:n_s - d]
+        acc[:d] += buf[n_s - d:]
+    out = np.roll(np.fft.ifft(acc, axis=1, out=acc).T, -(n_t // 2), axis=0)
     return a.with_values(out * (a.dt * a.ds))
 
 
@@ -180,7 +185,7 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
     """Symplectic twist: kernel phase e^{-(i hbar/2)(x1 y2 - y1 x2)}.
 
     Matched grids ((hbar/2) dt ds = 2 pi p / n) run on the exact kernel;
-    other grids on n_t FFT passes.
+    other grids on 2 n_t FFT passes.
     """
     require_same_grid(a, b)
     check_decay_2d(a)
@@ -191,28 +196,30 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
 
 def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
                             hbar: float) -> GridFunction2D:
-    """Symplectic twist on any grid.
+    """Symplectic twist on any grid: two FFT passes per class, n_t classes.
 
     Looping over first-axis difference classes d (so x1 - y1 is pinned),
     the phase splits as e^{(i hbar/2) y1 (x2-y2)} * e^{-(i hbar/2) d y2},
     one factor chirping a's row into a per-class kernel bank and the
     other modulating b; each class costs one circular convolution in s.
+    The class's row shift commutes with the inverse FFT along s, so the
+    products of the two spectra are summed and transformed back once.
     """
     n_t, n_s = a.n_t, a.n_s
     t_vals = a.t_axis()
     s_vals = a.s_axis()
-    rows = np.arange(n_t)
     # kernel bank: row y1 holds a(delta_t, w) e^{(i hbar/2) y1 w}
     chirp = np.exp(0.5j * hbar * np.outer(t_vals, s_vals))
-    out = np.zeros((n_t, n_s), dtype=np.complex128)
+    bank, b_mod, acc = np.empty_like(chirp), np.empty_like(chirp), np.zeros_like(chirp)
     for d in range(n_t):
         delta_t = _signed_class(d, n_t) * a.dt
-        row_a = (d + n_t // 2) % n_t
-        bank = a.values[row_a, :][None, :] * chirp
-        b_mod = b.values * np.exp(-0.5j * hbar * delta_t * s_vals)[None, :]
-        conv = np.fft.ifft(np.fft.fft(bank, axis=1) * np.fft.fft(b_mod, axis=1),
-                           axis=1)
-        out[(rows + d) % n_t, :] += np.roll(conv, -(n_s // 2), axis=1)
+        np.multiply(chirp, a.values[(d + n_t // 2) % n_t], out=bank)
+        np.multiply(b.values, np.exp(-0.5j * hbar * delta_t * s_vals), out=b_mod)
+        np.fft.fft(bank, axis=1, out=bank)
+        bank *= np.fft.fft(b_mod, axis=1, out=b_mod)
+        acc[d:] += bank[:n_t - d]
+        acc[:d] += bank[n_t - d:]
+    out = np.roll(np.fft.ifft(acc, axis=1, out=acc), -(n_s // 2), axis=1)
     return a.with_values(out * (a.dt * a.ds))
 
 
@@ -246,25 +253,29 @@ def heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
 
 def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
                                hbar: float) -> GridFunction2D:
-    """Group convolution on any grid, n_t FFT passes.
+    """Group convolution on any grid: two FFT passes per row, n_t rows.
 
     Coded row by row against the output's first coordinate, with no
     shared machinery with _other_twisted_conv_fft beyond the FFT itself.
+    Row k1 pairs a's row j with b's row k1 - j, which is row j - k1 of
+    b's rows taken in reverse order; the chirp is laid out on the
+    unrolled convolution axis, so only the summed row is rolled.
     """
     n_t, n_s = a.n_t, a.n_s
     t_vals = a.t_axis()
     s_vals = a.s_axis()
-    fb = np.fft.fft(b.values, axis=1)
-    chirp = np.exp(-0.5j * hbar * np.outer(t_vals, s_vals))  # e^{-(i hbar/2) y1 x2}
-    out = np.zeros((n_t, n_s), dtype=np.complex128)
-    idx = np.arange(n_t)
+    fbr = np.fft.fft(b.values[(n_t // 2 - np.arange(n_t)) % n_t], axis=1)
+    # e^{-(i hbar/2) y1 x2} at x2 = s_vals[(m - n_s/2) mod n_s] in column m
+    chirp = np.exp(-0.5j * hbar * np.outer(t_vals, np.roll(s_vals, n_s // 2)))
+    buf, out = np.empty_like(fbr), np.empty_like(fbr)
     for k1 in range(n_t):
-        ca = a.values * np.exp(0.5j * hbar * t_vals[k1] * s_vals)[None, :]
-        fc = np.fft.fft(ca, axis=1)
-        rows = (k1 - idx + n_t // 2) % n_t
-        conv = np.fft.ifft(fc * fb[rows, :], axis=1)
-        conv = np.roll(conv, -(n_s // 2), axis=1)
-        out[k1, :] = (conv * chirp).sum(axis=0)
+        np.multiply(a.values, np.exp(0.5j * hbar * t_vals[k1] * s_vals), out=buf)
+        np.fft.fft(buf, axis=1, out=buf)
+        buf[k1:] *= fbr[:n_t - k1]
+        buf[:k1] *= fbr[n_t - k1:]
+        np.fft.ifft(buf, axis=1, out=buf)
+        buf *= chirp
+        out[k1] = np.roll(buf.sum(axis=0), -(n_s // 2))
     return a.with_values(out * (a.dt * a.ds))
 
 

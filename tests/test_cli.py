@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ import nctorus
 from nctorus import cli
 from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
                            grid2d_to_obj)
+from nctorus.lattice import CoeffLattice2, lattice_to_obj
 
 Q14 = '{"rational": [1, 4]}'
 Q13 = '{"rational": [1, 3]}'
@@ -568,6 +570,52 @@ class TestErrorDiscipline:
                          "--out", str(target))
         assert rc == 0
         assert json.loads(target.read_text()) == doc
+
+    def test_unwritable_out_refused(self, run, u_file, tmp_path):
+        # an --out that cannot be opened is a usage error: exit 2 naming the
+        # flag, no traceback and no report on stdout
+        target = tmp_path / "missing" / "res.json"
+        rc, out, err = run("torus-adjoint", u_file, "--q", Q14,
+                           "--out", str(target))
+        assert rc == 2
+        assert out is None
+        assert "--out" in err and str(target) in err
+        assert not target.exists()
+
+
+def _emit_documents(tmp_path):
+    rng = np.random.default_rng(5)
+    grid = grid2d_to_obj(gaussian_2d(10.0, 10.0, 64, 64, momentum=(0.3, -0.7)))
+    coeffs = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    lattice = lattice_to_obj(CoeffLattice2(2, 3, coeffs))
+    alg, form = tmp_path / "alg.json", tmp_path / "tr.json"
+    alg.write_text(json.dumps({"kind": "torus_quotient",
+                               "q": {"rational": [1, 3]}}))
+    form.write_text(json.dumps({"values": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}))
+    gns = cli._cmd_gns_build(argparse.Namespace(algebra=str(alg),
+                                                form=str(form), tol=None))
+    return {"grid": grid, "lattice": lattice, "gns": gns}
+
+
+@pytest.mark.parametrize("kind", ["grid", "lattice", "gns"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_emit_writes_indented_dump(kind, to_file, tmp_path, capsys,
+                                   monkeypatch):
+    # the writer streams the encoder in batches; the bytes must be those of
+    # one json.dumps call, on stdout and in the --out file alike
+    monkeypatch.setattr(cli, "_EMIT_BATCH", 1000)
+    doc = _emit_documents(tmp_path)[kind]
+    want = json.dumps(doc, indent=2) + "\n"
+    if kind == "grid":  # several batches and a partial one
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
+        assert chunks > 2 * cli._EMIT_BATCH and chunks % cli._EMIT_BATCH
+    target = tmp_path / "out.json"
+    cli._emit(doc, str(target) if to_file else None)
+    assert capsys.readouterr().out == want
+    if to_file:
+        assert target.read_text() == want
+    else:
+        assert not target.exists()
 
 
 class TestOperationCoverage:

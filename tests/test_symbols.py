@@ -271,6 +271,12 @@ class TestKernelAgainstFractionRoute:
             moyal_coeff(PolySymbol.variable(0, 3), PolySymbol.variable(1, 3), 5)
         with pytest.raises(ValueError):
             associativity_defect(X1, X2, X1, -1)
+        # an odd variable count has no symplectic pairing, not a constant x3
+        y1, y2, y3 = (PolySymbol.variable(i, 3) for i in range(3))
+        with pytest.raises(ValueError, match="even variable count"):
+            poisson_bracket(y1 * y3, y2)
+        with pytest.raises(ValueError):
+            poisson_bracket(X1, PolySymbol.variable(0, 4))
 
 
 class TestHalfMoyal:

@@ -7,7 +7,8 @@ from nctorus.grids import (GridFunction2D, fourier_2d, gaussian_2d,
                            inverse_fourier_2d)
 from nctorus.twisted import (_MATCH_TOL, _heisenberg_group_conv_fft,
                              _matched_twist, _other_twisted_conv_fft,
-                             _twisted_conv_fft, fourier_bridge_error,
+                             _signed_class, _twisted_conv_fft,
+                             fourier_bridge_error,
                              gauge_iso, heisenberg_group_conv,
                              hbar_smoothness_probe, moyal_series_on_grid,
                              other_twisted_conv, plain_conv, twisted_conv)
@@ -331,3 +332,111 @@ class TestMatchedKernel:
                 conv(good, clipped, self.HBAR)
             with pytest.warns(RuntimeWarning, match="boundary decay"):
                 conv(clipped, good, self.HBAR)
+
+
+# The per-class loops that the FFT routes replaced, kept as oracles: fresh
+# n x n temporaries, FFTs along the strided axis and fancy-indexed scatter.
+
+
+def loop_twisted_conv(a: GridFunction2D, b: GridFunction2D,
+                      hbar: float) -> GridFunction2D:
+    n_t, n_s = a.n_t, a.n_s
+    u = a.t_axis()
+    fa = np.fft.fft(a.values, axis=0)
+    out_hat = np.zeros((n_t, n_s), dtype=np.complex128)
+    cols = np.arange(n_s)
+    for d in range(n_s):
+        delta_s = _signed_class(d, n_s) * a.ds
+        col_a = (d + n_s // 2) % n_s
+        modulated = b.values * np.exp(1j * hbar * delta_s * u)[:, None]
+        bd = np.fft.fft(modulated, axis=0)
+        out_hat[:, (cols + d) % n_s] += fa[:, col_a][:, None] * bd
+    out = np.roll(np.fft.ifft(out_hat, axis=0), -(n_t // 2), axis=0)
+    return a.with_values(out * (a.dt * a.ds))
+
+
+def loop_other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
+                            hbar: float) -> GridFunction2D:
+    n_t, n_s = a.n_t, a.n_s
+    t_vals = a.t_axis()
+    s_vals = a.s_axis()
+    rows = np.arange(n_t)
+    chirp = np.exp(0.5j * hbar * np.outer(t_vals, s_vals))
+    out = np.zeros((n_t, n_s), dtype=np.complex128)
+    for d in range(n_t):
+        delta_t = _signed_class(d, n_t) * a.dt
+        row_a = (d + n_t // 2) % n_t
+        bank = a.values[row_a, :][None, :] * chirp
+        b_mod = b.values * np.exp(-0.5j * hbar * delta_t * s_vals)[None, :]
+        conv = np.fft.ifft(np.fft.fft(bank, axis=1) * np.fft.fft(b_mod, axis=1),
+                           axis=1)
+        out[(rows + d) % n_t, :] += np.roll(conv, -(n_s // 2), axis=1)
+    return a.with_values(out * (a.dt * a.ds))
+
+
+def loop_heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
+                               hbar: float) -> GridFunction2D:
+    n_t, n_s = a.n_t, a.n_s
+    t_vals = a.t_axis()
+    s_vals = a.s_axis()
+    fb = np.fft.fft(b.values, axis=1)
+    chirp = np.exp(-0.5j * hbar * np.outer(t_vals, s_vals))
+    out = np.zeros((n_t, n_s), dtype=np.complex128)
+    idx = np.arange(n_t)
+    for k1 in range(n_t):
+        ca = a.values * np.exp(0.5j * hbar * t_vals[k1] * s_vals)[None, :]
+        fc = np.fft.fft(ca, axis=1)
+        rows = (k1 - idx + n_t // 2) % n_t
+        conv = np.fft.ifft(fc * fb[rows, :], axis=1)
+        conv = np.roll(conv, -(n_s // 2), axis=1)
+        out[k1, :] = (conv * chirp).sum(axis=0)
+    return a.with_values(out * (a.dt * a.ds))
+
+
+LOOPS = {
+    "ordered": loop_twisted_conv,
+    "symplectic": loop_other_twisted_conv,
+    "group": loop_heisenberg_group_conv,
+}
+
+
+def rel_max(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+class TestFftRoutesAgainstLoops:
+    """The FFT routes sum the same periodized terms as the loops, in
+    another order (and, for the symplectic route, in the spectrum), so
+    they agree to round-off on any data, decaying or not."""
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 64), (64, 32), (64, 64)])
+    @pytest.mark.parametrize("hbar", [0.0, 0.37, 1.3])
+    def test_rough_data(self, kind, shape, hbar):
+        n_t, n_s = shape
+        a, b = rough(80 + n_t + n_s, 6.0, n_t, 2, n_s=n_s)
+        fast = VARIANTS[kind][1](a, b, hbar).values
+        slow = LOOPS[kind](a, b, hbar).values
+        assert rel_max(fast, slow) < 1e-14
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_gaussians(self, kind):
+        n, hbar = 128, 0.5
+        a = gaussian_2d(16.0, 16.0, n, n, center=(0.4, -0.2),
+                        momentum=(0.5, -0.3))
+        b = gaussian_2d(16.0, 16.0, n, n, center=(-0.3, 0.5), width=(1.2, 0.9))
+        assert kernel_twist(kind, a, hbar) is None
+        fast = VARIANTS[kind][0](a, b, hbar).values
+        slow = LOOPS[kind](a, b, hbar).values
+        assert rel_max(fast, slow) < 1e-15
+
+    def test_decay_warning_fires_on_unmatched_grid(self):
+        n, hbar, half = 32, 0.5, 6.0
+        good = gaussian_2d(half, half, n, n)
+        clipped = gaussian_2d(half, half, n, n, width=(half, half))
+        for kind, (conv, *_) in VARIANTS.items():
+            assert kernel_twist(kind, good, hbar) is None
+            with pytest.warns(RuntimeWarning, match="boundary decay"):
+                conv(good, clipped, hbar)
+            with pytest.warns(RuntimeWarning, match="boundary decay"):
+                conv(clipped, good, hbar)
