@@ -4,30 +4,24 @@ Exit codes: 0 success, 1 a measured residual exceeded its tolerance,
 2 malformed input (every message names the offending field or file).
 Output is deterministic JSON on stdout; --out additionally writes the
 same bytes to a file.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only those (see the README on import cost).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import gns as gnsmod
-from . import matrep, suite, twisted, weyl
-from .grids import (GridFormatError, GridMismatchError, values_from_list,
-                    gaussian_1d, grid1d_from_obj, grid1d_to_obj,
-                    grid2d_from_obj, grid2d_to_obj)
-from .lattice import (CoeffLattice2, LatticeFormatError, PhaseQ,
-                      lattice_from_obj, lattice_to_obj, phaseq_from_obj,
-                      phaseq_to_obj, retruncate, seminorm, to_primed)
-from .symbols import (SymbolFormatError, associativity_defect, half_moyal,
-                      moyal_star, poisson_bracket, series_to_obj,
-                      star_commutator, symbol_from_obj, symbol_to_obj)
+from .lattice import (FormatError, PhaseQ, lattice_from_obj, lattice_to_obj,
+                      pairs_to_list, phaseq_from_obj, phaseq_to_obj, retruncate,
+                      seminorm, to_primed, values_from_list)
 from .torus import (DerivationSpec, PhaseMismatchError, TorusElement, adjoint,
                     apply_derivation, check_derivation_relation, d_power,
                     inner_derivation, l2_state, q_mul, reorder_phase,
@@ -139,25 +133,61 @@ def _element_from_doc(doc, q_flag: PhaseQ | None, name: str) -> TorusElement:
     return TorusElement(coeffs, q)
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_obj(m: np.ndarray) -> list:
-    return [[_pair(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
-
+# Reports hold complex numbers and arrays as they are; _emit writes them as
+# [re, im] lists.  The *_to_obj calls pass pairs=np.asarray to keep theirs.
 
 def _element_obj(f: TorusElement) -> dict:
-    return {"coeffs": lattice_to_obj(f.coeffs), "q": phaseq_to_obj(f.q)}
+    return {"coeffs": lattice_to_obj(f.coeffs, pairs=np.asarray),
+            "q": phaseq_to_obj(f.q)}
 
 
-# Chunks of the indented encoder joined per write.  The document is never
-# held whole, so a large grid's text does not add to the peak memory; each
-# write is still large (about 0.5 MB of a grid), so that a process reading
-# the output through a pipe gets full reads, not one short read per write.
-_EMIT_BATCH = 65536
+# [re, im] pairs per block of array text, about 0.5 MB of a grid document.
+# The document is never held whole, so a large grid's text does not add to
+# the peak memory; each write is still large, so that a process reading the
+# output through a pipe gets full reads, not one short read per write.
+_EMIT_BATCH = 6144
+
+
+def _encode(obj, level: int = 0):
+    """Yield the text of json.dumps(obj, indent=2), nested level deep.
+
+    Complex numbers and complex arrays are written as nested [re, im]
+    lists; a vector in blocks of _EMIT_BATCH pairs, each block formatted
+    by one join.
+    """
+    nl = "\n" + "  " * (level + 1)
+    if isinstance(obj, (complex, np.ndarray)):
+        obj = np.asarray(obj, dtype=np.complex128)
+        if obj.ndim == 0:  # one [re, im] pair, written by the list branch
+            obj = pairs_to_list(obj)
+        elif obj.ndim == 1 and len(obj):
+            comma, gap = "," + nl + "  ", nl + "]," + nl + "[" + nl + "  "
+            head = "[" + nl + "[" + nl + "  "
+            for start in range(0, len(obj), _EMIT_BATCH):
+                x = np.ascontiguousarray(obj[start:start + _EMIT_BATCH]).view(np.float64)
+                # float.__repr__ is json's spelling of a finite float
+                texts = map(float.__repr__ if np.isfinite(x).all() else json.dumps, x.tolist())
+                yield head + gap.join(map(comma.join, zip(texts, texts)))
+                head = gap
+            yield nl + "]" + nl[:-2] + "]"
+            return
+    if isinstance(obj, dict) and obj:
+        head = "{" + nl
+        for key, value in obj.items():
+            # json.dumps turns a key that is not a string into its own text
+            yield head + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _encode(value, level + 1)
+            head = "," + nl
+        yield nl[:-2] + "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
+        head = "[" + nl
+        for value in obj:
+            yield head
+            yield from _encode(value, level + 1)
+            head = "," + nl
+        yield nl[:-2] + "]"
+    else:
+        yield "[]" if isinstance(obj, np.ndarray) else json.dumps(obj)
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -174,9 +204,7 @@ def _emit(obj: dict, out: str | None) -> None:
             except OSError as exc:
                 raise CliError(f"flag '--out': cannot write '{out}' "
                                f"({exc.strerror})") from exc
-        chunks = json.JSONEncoder(indent=2).iterencode(obj)
-        while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
-            text = "".join(batch)
+        for text in _encode(obj):
             for fh in sinks:
                 fh.write(text)
         for fh in sinks:
@@ -210,7 +238,7 @@ def _cmd_torus_mul(args) -> dict:
             raise CliError("field 'q': --word needs --q")
         word = _parse_int_list(args.word, "--word")
         exps, phase = reorder_phase(word, q)
-        return {"exponents": [int(e) for e in exps], "phase": _pair(phase)}
+        return {"exponents": [int(e) for e in exps], "phase": complex(phase)}
     if len(args.inputs) != 2:
         raise CliError("inputs: torus-mul needs two element files "
                        "(or --word)")
@@ -232,8 +260,8 @@ def _cmd_torus_seminorm(args) -> dict:
         "order": args.order,
         "seminorm": seminorm(f.coeffs, args.order),
         "l2_state": l2_state(f),
-        "trace": _pair(trace(f)),
-        "primed_coeffs": lattice_to_obj(to_primed(f.coeffs, f.q)),
+        "trace": complex(trace(f)),
+        "primed_coeffs": lattice_to_obj(to_primed(f.coeffs, f.q), pairs=np.asarray),
     }
     if args.deriv_word is not None:
         word = []
@@ -248,7 +276,7 @@ def _cmd_torus_seminorm(args) -> dict:
         if len(rk_rl) != 2:
             raise CliError("flag '--truncate': expected 'radius_k,radius_l'")
         cut, tail = retruncate(f.coeffs, rk_rl[0], rk_rl[1])
-        out["truncated_coeffs"] = lattice_to_obj(cut)
+        out["truncated_coeffs"] = lattice_to_obj(cut, pairs=np.asarray)
         out["truncation_tail"] = tail
     return out
 
@@ -296,6 +324,7 @@ def _cmd_torus_check_derivation(args) -> dict:
 
 
 def _cmd_matrep_eval(args) -> dict:
+    from . import matrep
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
     try:
@@ -315,9 +344,9 @@ def _cmd_matrep_eval(args) -> dict:
               matrep.covariance_residual(f, u, v, 0, 1))
     out = {
         "n": f.q.modulus,
-        "u": _pair(u),
-        "v": _pair(v),
-        "matrix": _matrix_obj(mat),
+        "u": u,
+        "v": v,
+        "matrix": mat,
         "opnorm": matrep.opnorm(mat),
         "equivariance_ok": eq_ok,
         "equivariance_violation": list(eq_bad) if eq_bad else None,
@@ -346,6 +375,7 @@ def _cmd_matrep_eval(args) -> dict:
 
 
 def _parse_circle_doc(doc, name: str):
+    from . import matrep
     if not isinstance(doc, dict) or "spec" not in doc:
         raise CliError(f"input '{name}': expected an object with a 'spec' "
                        "field")
@@ -364,13 +394,14 @@ def _parse_circle_doc(doc, name: str):
         try:
             key = (int(term["j"]), int(term["s"]), int(term["t"]))
             coeffs[key] = complex(float(term["re"]), float(term["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"field 'coeffs[{i}]': expected j, s, t, re, im "
                            f"({exc})") from exc
     return spec, coeffs
 
 
 def _cmd_circle_check(args) -> dict:
+    from . import matrep
     spec, coeffs = _parse_circle_doc(_read_doc(args.input), args.input)
     off = (math.sqrt(5.0) - 1.0) / 2.0
     samples = [complex(np.exp(2j * np.pi * (j + off) / 16)) for j in range(16)]
@@ -389,6 +420,7 @@ def _cmd_circle_check(args) -> dict:
 
 
 def _cmd_weyl_check(args) -> dict:
+    from . import suite
     if args.hbar == 0:
         # [Q, P] = i hbar is checked relative to hbar
         raise CliError(f"flag '--hbar': must be nonzero, got {args.hbar}")
@@ -402,6 +434,8 @@ def _cmd_weyl_check(args) -> dict:
 
 
 def _cmd_rep_lattice(args) -> dict:
+    from . import weyl
+    from .grids import gaussian_1d, grid1d_from_obj, grid1d_to_obj
     doc = _read_doc(args.coeffs)
     if isinstance(doc, dict) and "coeffs" in doc and "radius_k" not in doc:
         c = lattice_from_obj(doc["coeffs"])
@@ -419,13 +453,15 @@ def _cmd_rep_lattice(args) -> dict:
         "sigma": args.sigma,
         "hbar": args.hbar,
         "calibrated_q": phaseq_to_obj(measured),
-        "closed_form_phase": _pair(closed),
+        "closed_form_phase": complex(closed),
         "calibration_gap": abs(measured.q - closed),
-        "result": grid1d_to_obj(result),
+        "result": grid1d_to_obj(result, pairs=np.asarray),
     }
 
 
 def _cmd_solve_inner(args) -> dict:
+    from . import weyl
+    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
     a_q = grid2d_from_obj(_read_doc(args.a_q))
     a_p = grid2d_from_obj(_read_doc(args.a_p))
     try:
@@ -438,16 +474,18 @@ def _cmd_solve_inner(args) -> dict:
     return {
         "compat_residual": result.compat_residual,
         "overlap_residual": result.overlap_residual,
-        "b": grid2d_to_obj(result.b),
+        "b": grid2d_to_obj(result.b, pairs=np.asarray),
     }
 
 
 def _cmd_twisted_conv(args) -> dict:
+    from . import twisted
+    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     if args.variant == "gauge":
         out = twisted.gauge_iso(a, args.hbar, args.direction)
         return {"variant": "gauge", "hbar": args.hbar,
-                "result": grid2d_to_obj(out)}
+                "result": grid2d_to_obj(out, pairs=np.asarray)}
     if len(args.inputs) != 2:
         raise CliError("inputs: this variant needs two grid files")
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
@@ -463,10 +501,13 @@ def _cmd_twisted_conv(args) -> dict:
     except GridMismatchError as exc:
         raise CliError(f"inputs: {exc}") from exc
     return {"variant": args.variant, "hbar": args.hbar,
-            "result": grid2d_to_obj(out)}
+            "result": grid2d_to_obj(out, pairs=np.asarray)}
 
 
 def _cmd_moyal_star(args) -> dict:
+    from .symbols import (associativity_defect, half_moyal, moyal_star,
+                          poisson_bracket, series_to_obj, star_commutator,
+                          symbol_from_obj, symbol_to_obj)
     if not 0 <= args.order <= MAX_MOYAL_ORDER:
         raise CliError(f"flag '--order': must be from 0 to {MAX_MOYAL_ORDER}, "
                        f"got {args.order}")
@@ -507,6 +548,8 @@ def _cmd_moyal_star(args) -> dict:
 
 
 def _cmd_fourier_bridge(args) -> dict:
+    from . import twisted
+    from .grids import GridMismatchError, grid2d_from_obj
     f = grid2d_from_obj(_read_doc(args.inputs[0]))
     g = grid2d_from_obj(_read_doc(args.inputs[1]))
     try:
@@ -522,6 +565,8 @@ def _cmd_fourier_bridge(args) -> dict:
 
 
 def _cmd_hbar_probe(args) -> dict:
+    from . import twisted
+    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
     try:
@@ -533,13 +578,14 @@ def _cmd_hbar_probe(args) -> dict:
            "residual_coarse": r.residual_coarse,
            "residual_fine": r.residual_fine,
            "ratio_band": [3.5, 4.5], "ok": ok,
-           "derivative": grid2d_to_obj(r.derivative)}
+           "derivative": grid2d_to_obj(r.derivative, pairs=np.asarray)}
     if not ok:
         raise ToleranceFailure(out)
     return out
 
 
-def _parse_algebra(doc, name: str) -> gnsmod.FiniteAlgebra:
+def _parse_algebra(doc, name: str):
+    from . import gns as gnsmod
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliError(f"input '{name}': expected an object with 'kind'")
     kind = doc["kind"]
@@ -556,13 +602,15 @@ def _parse_algebra(doc, name: str) -> gnsmod.FiniteAlgebra:
     raise CliError(f"field 'kind': unknown algebra kind '{kind}'")
 
 
-def _parse_form(doc, a: gnsmod.FiniteAlgebra, name: str) -> gnsmod.PositiveForm:
+def _parse_form(doc, a, name: str):
+    from . import gns as gnsmod
     if not isinstance(doc, dict) or "values" not in doc:
         raise CliError(f"input '{name}': expected an object with 'values'")
     return gnsmod.PositiveForm(values_from_list(doc["values"], a.dim, "values"))
 
 
 def _cmd_gns_build(args) -> dict:
+    from . import gns as gnsmod
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
     try:
@@ -574,13 +622,13 @@ def _cmd_gns_build(args) -> dict:
         "recon_residual": trip.recon_residual,
         "hom_residual": trip.hom_residual,
         "star_residual": trip.star_residual,
-        "omega": [_pair(z) for z in trip.omega],
+        "omega": trip.omega,
     }
     gen_u = (1, 0) if (1, 0) in a.labels else None
     gen_v = (0, 1) if (0, 1) in a.labels else None
     if trip.quotient_dim > 0 and gen_u and gen_v:
-        out["pi_u"] = _matrix_obj(trip.pi_mats[a.index_of(gen_u)])
-        out["pi_v"] = _matrix_obj(trip.pi_mats[a.index_of(gen_v)])
+        out["pi_u"] = trip.pi_mats[a.index_of(gen_u)]
+        out["pi_v"] = trip.pi_mats[a.index_of(gen_v)]
     if trip.quotient_dim > 0:
         other = gnsmod.gns_build(phi, a, tol=args.tol,
                                  order=list(reversed(range(a.dim))))
@@ -590,6 +638,7 @@ def _cmd_gns_build(args) -> dict:
 
 
 def _cmd_gns_check(args) -> dict:
+    from . import gns as gnsmod
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
     rep = gnsmod.is_positive(phi, a, tol=args.tol)
@@ -604,10 +653,9 @@ def _cmd_gns_check(args) -> dict:
         "min_eigenvalue": rep.min_eigenvalue,
         "hermiticity_residual": rep.hermiticity_residual,
         "star_residual": rep.star_residual,
-        "gram_trace": _pair(np.trace(rep.gram)),
+        "gram_trace": complex(np.trace(rep.gram)),
         "schwarz_max": schwarz,
-        "witness": [_pair(z) for z in rep.witness]
-        if rep.witness is not None else None,
+        "witness": rep.witness,
     }
     if rep.ok:
         out["separation_ranks"] = [rg, rp]
@@ -619,6 +667,7 @@ def _cmd_gns_check(args) -> dict:
 
 
 def _cmd_suite(args) -> dict:
+    from . import suite
     report = suite.run_suite(args.seed)
     if not report["pass"]:
         raise ToleranceFailure(report)
@@ -816,8 +865,7 @@ def main(argv=None) -> int:
         report, code = _DISPATCH[args.command](args), 0
     except ToleranceFailure as exc:
         report, code = exc.report, 1
-    except (CliError, LatticeFormatError, GridFormatError, SymbolFormatError,
-            PhaseMismatchError) as exc:
+    except (CliError, FormatError, PhaseMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:

@@ -19,6 +19,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -35,13 +36,21 @@ __all__ = [
     "lattice_from_obj",
     "phaseq_to_obj",
     "phaseq_from_obj",
+    "pairs_from_list",
+    "pairs_to_list",
+    "values_from_list",
+    "FormatError",
     "LatticeFormatError",
 ]
 
 _TAU = 2.0 * math.pi
 
 
-class LatticeFormatError(ValueError):
+class FormatError(ValueError):
+    """Malformed input document; the message names the offending field."""
+
+
+class LatticeFormatError(FormatError):
     """Malformed serialized lattice or phase document."""
 
 
@@ -139,6 +148,14 @@ def is_number(x, kind=(int, float)) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def is_finite_number(x) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return is_number(x) and math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def phaseq_from_obj(obj) -> PhaseQ:
     if not isinstance(obj, dict):
         raise LatticeFormatError(f"phase must be an object, got {type(obj).__name__}")
@@ -149,10 +166,13 @@ def phaseq_from_obj(obj) -> PhaseQ:
         p, n = pair
         if not (is_number(p, int) and is_number(n, int)):
             raise LatticeFormatError('field "rational" entries must be integers')
-        return PhaseQ.rational(p, n)
+        try:
+            return PhaseQ.rational(p, n)
+        except OverflowError:  # theta = 2 pi p / N needs N in the float range
+            raise LatticeFormatError('field "rational" modulus is past the float range') from None
     if "theta" in obj:
         t = obj["theta"]
-        if not is_number(t) or not math.isfinite(float(t)):
+        if not is_finite_number(t):
             raise LatticeFormatError('field "theta" must be a finite number')
         return PhaseQ.irrational(float(t))
     raise LatticeFormatError('phase object needs a "rational" or "theta" field')
@@ -301,15 +321,64 @@ def retruncate(f: CoeffLattice2, radius_k: int, radius_l: int) -> tuple[CoeffLat
 
 
 # -- serialization ------------------------------------------------------
+# Complex arrays travel as JSON lists of [re, im] pairs.  This is the one
+# codec for them: lattice, grid, GNS-form and matrix arrays alike.
+
+def pairs_to_list(values: np.ndarray) -> list:
+    """Nested lists of [re, im] floats, one level per axis of values."""
+    v = np.asarray(values, dtype=np.complex128, order="C")
+    return v[..., None].view(np.float64).tolist()
+
+
+def pairs_from_list(raw: list, bad) -> np.ndarray:
+    """The complex128 vector of a JSON list of [re, im] number pairs.
+
+    The exact type scan is needed because NumPy alone reads the string "1.5"
+    as 1.5 and true as 1.0.  A list that fails is scanned pair by pair, to
+    raise bad(index, problem) for its first bad entry, problem being "pair",
+    "number" or "finite" (NaN, an infinity or an integer past the float range).
+    """
+    try:
+        ok = (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+              and set(map(type, chain.from_iterable(raw))) <= {float, int})
+        if ok:
+            arr = np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw))
+            ok = bool(np.isfinite(arr).all())
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok:
+        for i, pair in enumerate(raw):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise bad(i, "pair")
+            if not (is_number(pair[0]) and is_number(pair[1])):
+                raise bad(i, "number")
+            if not (is_finite_number(pair[0]) and is_finite_number(pair[1])):
+                raise bad(i, "finite")
+        arr = np.array(raw, dtype=np.float64)  # int or float subclasses, such as NumPy's
+    return arr.view(np.complex128).reshape(-1)
+
+
+def values_from_list(raw, count: int, what: str, error=FormatError) -> np.ndarray:
+    """count [re, im] pairs from the field named what, else raise error."""
+    if not isinstance(raw, list):
+        raise error(f'"{what}" must be a list')
+    if len(raw) != count:
+        raise error(f'"{what}" has {len(raw)} entries, expected {count}')
+    problems = {"pair": "must be a [re, im] pair",
+                "number": "must be a [re, im] pair of numbers",
+                "finite": "is not finite"}
+    return pairs_from_list(raw, lambda i, problem: error(f"{what}[{i}] {problems[problem]}"))
+
+
 # {"radius_k": int, "radius_l": int, "coeffs": [[re, im], ...]}
 # row-major: k from -radius_k to +radius_k outer, l inner.
 
-def lattice_to_obj(f: CoeffLattice2) -> dict:
-    flat = f.coeffs.reshape(-1)
+def lattice_to_obj(f: CoeffLattice2, pairs=pairs_to_list) -> dict:
+    """The document of f; pairs encodes the flat coefficient vector."""
     return {
         "radius_k": f.radius_k,
         "radius_l": f.radius_l,
-        "coeffs": [[float(c.real), float(c.imag)] for c in flat],
+        "coeffs": pairs(f.coeffs.reshape(-1)),
     }
 
 
@@ -329,18 +398,13 @@ def lattice_from_obj(obj) -> CoeffLattice2:
     if len(raw) != rows * cols:
         raise LatticeFormatError(
             f'"coeffs" has {len(raw)} entries, box ({rk},{rl}) expects {rows * cols}')
-    arr = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and is_number(pair[0]) and is_number(pair[1])):
-            raise LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            k, l = divmod(i, cols)
-            raise LatticeFormatError(
-                f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
-        arr[i] = complex(re, im)
-    return CoeffLattice2(rk, rl, arr.reshape(rows, cols))
+
+    def bad(i, problem):
+        if problem != "finite":
+            return LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
+        k, l = divmod(i, cols)
+        return LatticeFormatError(f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
+    return CoeffLattice2(rk, rl, pairs_from_list(raw, bad).reshape(rows, cols))
 
 
 def read_json(data: bytes | str) -> CoeffLattice2:

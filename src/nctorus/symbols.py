@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import is_number
+from .lattice import FormatError, is_finite_number, is_number
 
 __all__ = [
     "CRat",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class SymbolFormatError(ValueError):
+class SymbolFormatError(FormatError):
     """Malformed serialized symbol document."""
 
 
@@ -381,7 +381,7 @@ def symbol_from_obj(obj) -> PolySymbol:
                 and all(is_number(e, int) and e >= 0 for e in exps)):
             raise SymbolFormatError(f"terms[{i}].exps must be {nvars} non-negative integers")
         for part in ("re", "im"):
-            if not (is_number(t[part]) and math.isfinite(t[part])):
+            if not is_finite_number(t[part]):
                 raise SymbolFormatError(f"terms[{i}].{part} must be a finite number")
         # Fraction(float) is exact, so reading floats loses nothing
         c = CRat(Fraction(float(t["re"])), Fraction(float(t["im"])))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import nctorus
-from nctorus import cli
+from nctorus import cli, grids, suite, weyl
 from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
                            grid2d_to_obj)
-from nctorus.lattice import CoeffLattice2, lattice_to_obj
+from nctorus.lattice import CoeffLattice2, lattice_to_obj, pairs_to_list
 
 Q14 = '{"rational": [1, 4]}'
 Q13 = '{"rational": [1, 3]}'
@@ -444,6 +444,59 @@ class TestErrorDiscipline:
         assert out is None
         assert named in err
 
+    # an integer past the float range, as JSON writes it: digit by digit
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("field,named", [("values", "values[3]"),
+                                             ("half_extent_t", "half_extent_t")])
+    def test_huge_integer_in_grid(self, run, write, field, named):
+        doc = grid2d_to_obj(gaussian_2d(10.0, 10.0, 8, 8))
+        if field == "values":
+            doc["values"][3] = [0.0, self.HUGE]
+        else:
+            doc[field] = self.HUGE
+        ga = write("a.json", doc)
+        rc, out, err = run("twisted-conv", ga, ga, "--hbar", "0.3")
+        assert (rc, out) == (2, None)
+        assert named in err
+
+    @pytest.mark.parametrize("where,named", [
+        ("coeffs", "coeffs[1]"),
+        ('{"theta": %d}' % HUGE, "theta"),
+        ('{"rational": [1, %d]}' % HUGE, "rational"),
+    ], ids=["coeffs", "theta", "rational"])
+    def test_huge_integer_in_lattice(self, run, write, where, named):
+        coeffs = [[0, 0], [self.HUGE, 1], [0, 0]] if where == "coeffs" else [[0, 0]] * 3
+        f = write("f.json", {"radius_k": 1, "radius_l": 0, "coeffs": coeffs})
+        rc, out, err = run("torus-mul", f, f, "--q", Q14 if where == "coeffs" else where)
+        assert (rc, out) == (2, None)
+        assert named in err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_huge_integer_in_symbol(self, run, write, part):
+        term = {"exps": [1, 0], "re": 1.0, "im": 0.0}
+        term[part] = self.HUGE
+        bad = write("bad.json", {"nvars": 2, "terms": [term]})
+        x = write("x.json", {"nvars": 2, "terms": []})
+        rc, out, err = run("moyal-star", bad, x, "--order", "1")
+        assert (rc, out) == (2, None)
+        assert f"terms[0].{part}" in err
+
+    def test_huge_integer_in_gns_form(self, run, write):
+        alg = write("alg.json", {"kind": "torus_quotient", "q": {"rational": [1, 2]}})
+        form = write("f.json", {"values": [[1.0, 0.0], [0.0, -self.HUGE]] + [[0.0, 0.0]] * 2})
+        rc, out, err = run("gns-build", alg, form)
+        assert (rc, out) == (2, None)
+        assert "values[1]" in err
+
+    def test_huge_integer_in_circle_coeffs(self, run, write):
+        doc = {"spec": {"a": 2, "b": 3, "a_prime": -1, "b_prime": 1,
+                        "q": {"rational": [1, 5]}},
+               "coeffs": [{"j": 1, "s": 0, "t": 1, "re": self.HUGE, "im": 0.0}]}
+        rc, out, err = run("circle-check", write("c.json", doc))
+        assert (rc, out) == (2, None)
+        assert "coeffs[0]" in err
+
     @pytest.mark.parametrize("docs,args,named", [
         ([{"nvars": 1, "terms": [{"exps": [1], "re": 1.0, "im": 0.0}]}] * 2,
          [], "nvars"),
@@ -524,7 +577,7 @@ class TestErrorDiscipline:
         def refuse(*args, **kwargs):
             raise AssertionError("the battery ran despite hbar 0")
 
-        monkeypatch.setattr(cli.suite, "weyl_battery", refuse)
+        monkeypatch.setattr(suite, "weyl_battery", refuse)
         rc, out, err = run("weyl-check", f"--hbar={value}")
         assert rc == 2
         assert out is None
@@ -545,8 +598,8 @@ class TestErrorDiscipline:
         def refuse(*args, **kwargs):
             raise AssertionError("a grid was built despite the limit")
 
-        for mod, name in ((cli.suite, "weyl_battery"), (cli, "gaussian_1d"),
-                          (cli.weyl, "calibrate_q"), (cli.weyl, "rep_lattice_measure")):
+        for mod, name in ((suite, "weyl_battery"), (grids, "gaussian_1d"),
+                          (weyl, "calibrate_q"), (weyl, "rep_lattice_measure")):
             monkeypatch.setattr(mod, name, refuse)
         extra = [u_file] if command == "rep-lattice" else []
         rc, out, err = run(command, *extra, "--grid-n", str(huge))
@@ -584,10 +637,12 @@ class TestErrorDiscipline:
 
 
 def _emit_documents(tmp_path):
+    # as the subcommands build them: complex arrays kept as ndarrays
     rng = np.random.default_rng(5)
-    grid = grid2d_to_obj(gaussian_2d(10.0, 10.0, 64, 64, momentum=(0.3, -0.7)))
+    grid = grid2d_to_obj(gaussian_2d(10.0, 10.0, 64, 64, momentum=(0.3, -0.7)),
+                         pairs=np.asarray)
     coeffs = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    lattice = lattice_to_obj(CoeffLattice2(2, 3, coeffs))
+    lattice = lattice_to_obj(CoeffLattice2(2, 3, coeffs), pairs=np.asarray)
     alg, form = tmp_path / "alg.json", tmp_path / "tr.json"
     alg.write_text(json.dumps({"kind": "torus_quotient",
                                "q": {"rational": [1, 3]}}))
@@ -601,14 +656,15 @@ def _emit_documents(tmp_path):
 @pytest.mark.parametrize("to_file", [False, True])
 def test_emit_writes_indented_dump(kind, to_file, tmp_path, capsys,
                                    monkeypatch):
-    # the writer streams the encoder in batches; the bytes must be those of
-    # one json.dumps call, on stdout and in the --out file alike
+    # the writer streams arrays in batches; the bytes must be those of one
+    # json.dumps call with each array spelled as [re, im] lists, on stdout
+    # and in the --out file alike
     monkeypatch.setattr(cli, "_EMIT_BATCH", 1000)
     doc = _emit_documents(tmp_path)[kind]
-    want = json.dumps(doc, indent=2) + "\n"
+    want = json.dumps(doc, indent=2, default=pairs_to_list) + "\n"
     if kind == "grid":  # several batches and a partial one
-        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
-        assert chunks > 2 * cli._EMIT_BATCH and chunks % cli._EMIT_BATCH
+        pairs = len(doc["values"])
+        assert pairs > 2 * cli._EMIT_BATCH and pairs % cli._EMIT_BATCH
     target = tmp_path / "out.json"
     cli._emit(doc, str(target) if to_file else None)
     assert capsys.readouterr().out == want
@@ -663,3 +719,48 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _python(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
+def test_cli_import_loads_only_lattice_and_torus():
+    # the other subcommands' modules load inside their handlers
+    code = ("import sys, nctorus.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('nctorus'))))")
+    assert _python(code).split() == ["nctorus", "nctorus.cli", "nctorus.lattice",
+                                     "nctorus.torus"]
+
+
+def test_package_import_is_lazy():
+    code = ("import sys, nctorus; "
+            "print(sorted(m for m in sys.modules if m.startswith('nctorus')), "
+            "'numpy' in sys.modules)")
+    assert _python(code) == "['nctorus'] False"
+
+
+def test_every_public_name_resolves():
+    # in a fresh interpreter: through getattr, through a star import, and the
+    # submodule paths the benchmark uses
+    code = "\n".join([
+        "import nctorus",
+        "names = [n for n in nctorus.__all__ if getattr(nctorus, n) is None]",
+        "ns = {}",
+        "exec('from nctorus import *', ns)",
+        "missing = sorted(set(nctorus.__all__) - set(ns))",
+        "print(names, missing, len(nctorus.__all__),",
+        "      callable(nctorus.lattice.lattice_to_obj),",
+        "      callable(nctorus.symbols.symbol_from_obj))",
+    ])
+    assert _python(code) == f"[] [] {len(nctorus.__all__)} True True"
+    for name in nctorus.__all__:
+        assert name in dir(nctorus)
+    assert {"cli", "lattice", "twisted"} <= set(dir(nctorus))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nctorus.no_such_name
+    assert not hasattr(nctorus, "values_from_list")  # a lattice name not exported
