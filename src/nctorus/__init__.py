@@ -17,8 +17,8 @@ _EXPORTS = {
            "state_action torus_quotient truncated_box",
     "grids": "GridFormatError GridFunction1D GridFunction2D GridMismatchError "
              "fourier_2d gaussian_1d gaussian_2d inverse_fourier_2d",
-    "lattice": "CoeffLattice2 LatticeFormatError PhaseQ retruncate seminorm "
-               "to_primed",
+    "lattice": "CoeffLattice2 LatticeFormatError MismatchError PhaseQ "
+               "retruncate seminorm to_primed",
     "matrep": "CircleSpec center_scalar_residual circle_check_relations "
               "circle_eval clock_shift covariance_residual equivariance_check "
               "eval_section fiber_grid homomorphism_residual opnorm "

@@ -19,13 +19,12 @@ import sys
 
 import numpy as np
 
-from .lattice import (FormatError, PhaseQ, lattice_from_obj, lattice_to_obj,
-                      pairs_to_list, phaseq_from_obj, phaseq_to_obj, retruncate,
-                      seminorm, to_primed, values_from_list)
-from .torus import (DerivationSpec, PhaseMismatchError, TorusElement, adjoint,
-                    apply_derivation, check_derivation_relation, d_power,
-                    inner_derivation, l2_state, q_mul, reorder_phase,
-                    smooth_seminorm, trace)
+from .lattice import (FormatError, MismatchError, PhaseQ, lattice_from_obj,
+                      lattice_to_obj, pairs_to_list, phaseq_from_obj, phaseq_to_obj,
+                      retruncate, seminorm, to_primed, values_from_list)
+from .torus import (DerivationSpec, TorusElement, adjoint, apply_derivation,
+                    check_derivation_relation, d_power, inner_derivation, l2_state,
+                    q_mul, reorder_phase, smooth_seminorm, trace)
 
 __all__ = ["main", "OPERATIONS"]
 
@@ -43,8 +42,19 @@ MAX_GRID_N = 1 << 16
 # limit on degree-3 symbols (1.8 s and 207 kB at 4096) on a 2-core host
 MAX_MOYAL_ORDER = 1024
 
-# float flags that must be finite; argparse's float accepts nan and inf
-_FINITE_FLAGS = ("hbar", "sigma", "delta", "grid_extent", "tol")
+# fourier-bridge --order; each operand holds (K+1)(K+2)/2 spectral-derivative
+# grids.  At the limit a 256^2 pair took 1.2 s and 344 MB on a 2-core host.
+# Past it round-off in the derivatives wins: on 128^2 Gaussians at hbar 0.3
+# to 1.0 the error at order 20 was above that at 16
+MAX_BRIDGE_ORDER = 16
+
+# what each float flag must be; all must be finite, as argparse's float
+# accepts nan and inf
+_FLOAT_FLAGS = {"hbar": "finite", "sigma": "finite", "delta": "positive",
+                "grid_extent": "positive", "tol": "non-negative"}
+
+# --order limit per subcommand; torus-seminorm's weight has none
+_ORDER_LIMITS = {"moyal-star": MAX_MOYAL_ORDER, "fourier-bridge": MAX_BRIDGE_ORDER}
 
 
 class ToleranceFailure(Exception):
@@ -219,6 +229,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
                        f"got '{text}'") from exc
 
 
+def _parse_pair(text: str, flag: str, form: str) -> tuple[int, int]:
+    """Two non-negative integers written as form, such as 'm,n'."""
+    pair = _parse_int_list(text, flag)
+    if len(pair) != 2 or min(pair) < 0:
+        raise CliError(f"flag '{flag}': expected '{form}', two non-negative "
+                       f"integers, got '{text}'")
+    return pair[0], pair[1]
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -237,6 +256,8 @@ def _cmd_torus_mul(args) -> dict:
         if q is None:
             raise CliError("field 'q': --word needs --q")
         word = _parse_int_list(args.word, "--word")
+        if 0 in word:
+            raise CliError(f"flag '--word': entries must be nonzero, got '{args.word}'")
         exps, phase = reorder_phase(word, q)
         return {"exponents": [int(e) for e in exps], "phase": complex(phase)}
     if len(args.inputs) != 2:
@@ -264,18 +285,12 @@ def _cmd_torus_seminorm(args) -> dict:
         "primed_coeffs": lattice_to_obj(to_primed(f.coeffs, f.q), pairs=np.asarray),
     }
     if args.deriv_word is not None:
-        word = []
-        for pair in args.deriv_word.split(";"):
-            mn = _parse_int_list(pair, "--deriv-word")
-            if len(mn) != 2:
-                raise CliError("flag '--deriv-word': expected 'm,n;m,n;...'")
-            word.append((mn[0], mn[1]))
+        word = [_parse_pair(pair, "--deriv-word", "m,n")
+                for pair in args.deriv_word.split(";")]
         out["smooth_seminorm"] = smooth_seminorm(f, word)
     if args.truncate is not None:
-        rk_rl = _parse_int_list(args.truncate, "--truncate")
-        if len(rk_rl) != 2:
-            raise CliError("flag '--truncate': expected 'radius_k,radius_l'")
-        cut, tail = retruncate(f.coeffs, rk_rl[0], rk_rl[1])
+        cut, tail = retruncate(f.coeffs, *_parse_pair(args.truncate, "--truncate",
+                                                       "radius_k,radius_l"))
         out["truncated_coeffs"] = lattice_to_obj(cut, pairs=np.asarray)
         out["truncation_tail"] = tail
     return out
@@ -289,10 +304,7 @@ def _cmd_torus_derive(args) -> dict:
         raise CliError("flags: pick exactly one of --power, --inner, "
                        "or --du/--dv")
     if args.power is not None:
-        mn = _parse_int_list(args.power, "--power")
-        if len(mn) != 2:
-            raise CliError("flag '--power': expected 'm,n'")
-        return _element_obj(d_power(f, mn[0], mn[1]))
+        return _element_obj(d_power(f, *_parse_pair(args.power, "--power", "m,n")))
     if args.inner is not None:
         a = _element_from_doc(_read_doc(args.inner), f.q, args.inner)
         return _element_obj(inner_derivation(a, f))
@@ -461,14 +473,14 @@ def _cmd_rep_lattice(args) -> dict:
 
 def _cmd_solve_inner(args) -> dict:
     from . import weyl
-    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
+    from .grids import grid2d_from_obj, grid2d_to_obj
     a_q = grid2d_from_obj(_read_doc(args.a_q))
     a_p = grid2d_from_obj(_read_doc(args.a_p))
     try:
         data = weyl.DerivationData(a_q, a_p, args.hbar)
         result = weyl.solve_inner_generator(data, tol=args.tol)
-    except GridMismatchError as exc:
-        raise CliError(f"inputs: {exc}") from exc
+    except MismatchError:
+        raise  # an input error, not a failed solvability condition
     except ValueError as exc:
         raise ToleranceFailure({"error": str(exc)}) from exc
     return {
@@ -480,7 +492,7 @@ def _cmd_solve_inner(args) -> dict:
 
 def _cmd_twisted_conv(args) -> dict:
     from . import twisted
-    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
+    from .grids import grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     if args.variant == "gauge":
         out = twisted.gauge_iso(a, args.hbar, args.direction)
@@ -489,17 +501,14 @@ def _cmd_twisted_conv(args) -> dict:
     if len(args.inputs) != 2:
         raise CliError("inputs: this variant needs two grid files")
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
-    try:
-        if args.variant == "ordered":
-            out = twisted.twisted_conv(a, b, args.hbar)
-        elif args.variant == "symplectic":
-            out = twisted.other_twisted_conv(a, b, args.hbar)
-        elif args.variant == "group":
-            out = twisted.heisenberg_group_conv(a, b, args.hbar)
-        else:
-            out = twisted.plain_conv(a, b)
-    except GridMismatchError as exc:
-        raise CliError(f"inputs: {exc}") from exc
+    if args.variant == "ordered":
+        out = twisted.twisted_conv(a, b, args.hbar)
+    elif args.variant == "symplectic":
+        out = twisted.other_twisted_conv(a, b, args.hbar)
+    elif args.variant == "group":
+        out = twisted.heisenberg_group_conv(a, b, args.hbar)
+    else:
+        out = twisted.plain_conv(a, b)
     return {"variant": args.variant, "hbar": args.hbar,
             "result": grid2d_to_obj(out, pairs=np.asarray)}
 
@@ -508,9 +517,6 @@ def _cmd_moyal_star(args) -> dict:
     from .symbols import (associativity_defect, half_moyal, moyal_star,
                           poisson_bracket, series_to_obj, star_commutator,
                           symbol_from_obj, symbol_to_obj)
-    if not 0 <= args.order <= MAX_MOYAL_ORDER:
-        raise CliError(f"flag '--order': must be from 0 to {MAX_MOYAL_ORDER}, "
-                       f"got {args.order}")
     if args.mode == "assoc" and len(args.inputs) != 3:
         raise CliError("inputs: mode 'assoc' needs three symbol files")
     if len(args.inputs) < 2:
@@ -549,13 +555,10 @@ def _cmd_moyal_star(args) -> dict:
 
 def _cmd_fourier_bridge(args) -> dict:
     from . import twisted
-    from .grids import GridMismatchError, grid2d_from_obj
+    from .grids import grid2d_from_obj
     f = grid2d_from_obj(_read_doc(args.inputs[0]))
     g = grid2d_from_obj(_read_doc(args.inputs[1]))
-    try:
-        err = twisted.fourier_bridge_error(f, g, args.hbar, args.order)
-    except GridMismatchError as exc:
-        raise CliError(f"inputs: {exc}") from exc
+    err = twisted.fourier_bridge_error(f, g, args.hbar, args.order)
     out = {"hbar": args.hbar, "order": args.order, "relative_error": err}
     if args.tol is not None:
         out["tol"] = args.tol
@@ -566,13 +569,10 @@ def _cmd_fourier_bridge(args) -> dict:
 
 def _cmd_hbar_probe(args) -> dict:
     from . import twisted
-    from .grids import GridMismatchError, grid2d_from_obj, grid2d_to_obj
+    from .grids import grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
-    try:
-        r = twisted.hbar_smoothness_probe(a, b, args.hbar, args.delta)
-    except GridMismatchError as exc:
-        raise CliError(f"inputs: {exc}") from exc
+    r = twisted.hbar_smoothness_probe(a, b, args.hbar, args.delta)
     ok = 3.5 <= r.ratio <= 4.5
     out = {"hbar": args.hbar, "delta": args.delta, "ratio": r.ratio,
            "residual_coarse": r.residual_coarse,
@@ -675,13 +675,20 @@ def _cmd_suite(args) -> dict:
 
 
 def _check_number_flags(args) -> None:
-    """Refuse non-finite float flags and a bad --grid-n before any work."""
-    for name in _FINITE_FLAGS:
+    """Refuse bad float flags, --order and --grid-n before any work."""
+    for name, need in _FLOAT_FLAGS.items():
         value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise CliError(f"flag '--{name.replace('_', '-')}': must be finite, got {value}")
-    if getattr(args, "grid_extent", 1.0) <= 0:
-        raise CliError(f"flag '--grid-extent': must be positive, got {args.grid_extent}")
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            need = "finite"
+        elif not (need == "positive" and value <= 0 or need == "non-negative" and value < 0):
+            continue
+        raise CliError(f"flag '--{name.replace('_', '-')}': must be {need}, got {value}")
+    order, top = getattr(args, "order", 0), _ORDER_LIMITS.get(args.command)
+    if order < 0 or (top is not None and order > top):
+        need = "non-negative" if top is None else f"from 0 to {top}"
+        raise CliError(f"flag '--order': must be {need}, got {order}")
     n = getattr(args, "grid_n", None)
     if n is not None and not (8 <= n <= MAX_GRID_N and n & (n - 1) == 0):
         raise CliError(f"flag '--grid-n': must be a power of two from 8 to "
@@ -697,26 +704,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Weyl calculus, and finite GNS constructions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, run):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         sp.add_argument("--out", default=None, help="also write the JSON "
                         "report to this file")
         return sp
 
     sp = add("torus-mul", "multiply two torus elements, or normal order a "
-             "generator word with --word")
+             "generator word with --word", _cmd_torus_mul)
     sp.add_argument("inputs", nargs="*", help="element JSON files")
     sp.add_argument("--q", default=None, help="phase JSON, e.g. "
                     '\'{"rational":[1,4]}\'')
     sp.add_argument("--word", default=None, help="signed generator indices, "
                     "e.g. '2,1,-2'")
 
-    sp = add("torus-adjoint", "adjoint of a torus element")
+    sp = add("torus-adjoint", "adjoint of a torus element", _cmd_torus_adjoint)
     sp.add_argument("input")
     sp.add_argument("--q", default=None)
 
     sp = add("torus-seminorm", "seminorms, trace, and convention views of an "
-             "element")
+             "element", _cmd_torus_seminorm)
     sp.add_argument("input")
     sp.add_argument("--q", default=None)
     sp.add_argument("--order", type=int, default=0, help="seminorm weight m")
@@ -726,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truncate", default=None,
                     help="'radius_k,radius_l' box to truncate to")
 
-    sp = add("torus-derive", "apply a derivation to an element")
+    sp = add("torus-derive", "apply a derivation to an element", _cmd_torus_derive)
     sp.add_argument("input")
     sp.add_argument("--q", default=None)
     sp.add_argument("--power", default=None, help="'m,n' coordinate powers")
@@ -736,14 +744,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = add("torus-check-derivation", "test whether (D(U), D(V)) extends to "
-             "a derivation")
+             "a derivation", _cmd_torus_check_derivation)
     sp.add_argument("du")
     sp.add_argument("dv")
     sp.add_argument("--q", default=None)
     sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = add("matrep-eval", "evaluate an element in the clock and shift "
-             "fiber at (u, v)")
+             "fiber at (u, v)", _cmd_matrep_eval)
     sp.add_argument("inputs", nargs="+", help="element file, optionally a "
                     "second element for homomorphism checks")
     sp.add_argument("--q", default=None)
@@ -751,17 +759,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", default="1,0", help="fiber point 're,im'")
     sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = add("circle-check", "verify the circle-fibered relations for a spec")
+    sp = add("circle-check", "verify the circle-fibered relations for a spec", _cmd_circle_check)
     sp.add_argument("input")
     sp.add_argument("--tol", type=float, default=1e-12)
 
-    sp = add("weyl-check", "run the Weyl relation battery on a 1d grid")
+    sp = add("weyl-check", "run the Weyl relation battery on a 1d grid", _cmd_weyl_check)
     sp.add_argument("--hbar", type=float, default=0.7)
     sp.add_argument("--grid-n", type=int, default=512)
     sp.add_argument("--grid-extent", type=float, default=16.0)
 
     sp = add("rep-lattice", "apply the lattice measure representation and "
-             "calibrate its composition phase")
+             "calibrate its composition phase", _cmd_rep_lattice)
     sp.add_argument("coeffs", help="lattice JSON file")
     sp.add_argument("state", nargs="?", default=None,
                     help="1d grid JSON (default: a fixed gaussian)")
@@ -771,14 +779,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-extent", type=float, default=16.0)
 
     sp = add("solve-inner", "recover the generator of an inner derivation "
-             "from its component data")
+             "from its component data", _cmd_solve_inner)
     sp.add_argument("a_q")
     sp.add_argument("a_p")
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-6)
 
     sp = add("twisted-conv", "twisted convolutions and the gauge transport "
-             "on 2d grids")
+             "on 2d grids", _cmd_twisted_conv)
     sp.add_argument("inputs", nargs="+", help="grid JSON files")
     sp.add_argument("--hbar", type=float, default=1.0)
     sp.add_argument("--variant", default="ordered",
@@ -788,7 +796,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["forward", "inverse"],
                     help="gauge variant only")
 
-    sp = add("moyal-star", "formal star products of polynomial symbols")
+    sp = add("moyal-star", "formal star products of polynomial symbols", _cmd_moyal_star)
     sp.add_argument("inputs", nargs="+", help="symbol JSON files")
     sp.add_argument("--order", type=int, default=4)
     sp.add_argument("--mode", default="full",
@@ -796,53 +804,32 @@ def _build_parser() -> argparse.ArgumentParser:
                              "assoc"])
 
     sp = add("fourier-bridge", "compare the convolution route with the "
-             "truncated star expansion")
+             "truncated star expansion", _cmd_fourier_bridge)
     sp.add_argument("inputs", nargs=2, help="grid JSON files")
     sp.add_argument("--hbar", type=float, default=0.05)
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--tol", type=float, default=None)
 
     sp = add("hbar-probe", "Richardson probe of hbar smoothness of the "
-             "twisted product")
+             "twisted product", _cmd_hbar_probe)
     sp.add_argument("inputs", nargs=2, help="grid JSON files")
     sp.add_argument("--hbar", type=float, default=0.5)
     sp.add_argument("--delta", type=float, default=1e-2)
 
-    sp = add("gns-build", "build the GNS triplet of a positive form")
+    sp = add("gns-build", "build the GNS triplet of a positive form", _cmd_gns_build)
     sp.add_argument("algebra")
     sp.add_argument("form")
     sp.add_argument("--tol", type=float, default=None)
 
     sp = add("gns-check", "positivity, Schwarz, and separation diagnostics "
-             "for a form")
+             "for a form", _cmd_gns_check)
     sp.add_argument("algebra")
     sp.add_argument("form")
     sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = add("suite", "run the full deterministic acceptance battery")
+    sp = add("suite", "run the full deterministic acceptance battery", _cmd_suite)
     sp.add_argument("--seed", type=int, default=42)
     return p
-
-
-_DISPATCH = {
-    "torus-mul": _cmd_torus_mul,
-    "torus-adjoint": _cmd_torus_adjoint,
-    "torus-seminorm": _cmd_torus_seminorm,
-    "torus-derive": _cmd_torus_derive,
-    "torus-check-derivation": _cmd_torus_check_derivation,
-    "matrep-eval": _cmd_matrep_eval,
-    "circle-check": _cmd_circle_check,
-    "weyl-check": _cmd_weyl_check,
-    "rep-lattice": _cmd_rep_lattice,
-    "solve-inner": _cmd_solve_inner,
-    "twisted-conv": _cmd_twisted_conv,
-    "moyal-star": _cmd_moyal_star,
-    "fourier-bridge": _cmd_fourier_bridge,
-    "hbar-probe": _cmd_hbar_probe,
-    "gns-build": _cmd_gns_build,
-    "gns-check": _cmd_gns_check,
-    "suite": _cmd_suite,
-}
 
 
 def _glue_point_flags(argv: list[str]) -> list[str]:
@@ -858,22 +845,21 @@ def _glue_point_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
+    args = _build_parser().parse_args(
+        _glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_number_flags(args)
-        report, code = _DISPATCH[args.command](args), 0
-    except ToleranceFailure as exc:
-        report, code = exc.report, 1
-    except (CliError, FormatError, PhaseMismatchError) as exc:
+        try:
+            report, code = args.run(args), 0
+        except ToleranceFailure as exc:
+            report, code = exc.report, 1
+        _emit(report, args.out)
+        return code
+    except MismatchError as exc:
+        sys.stderr.write(f"error: inputs: {exc}\n")
+    except (CliError, FormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        _emit(report, getattr(args, "out", None))
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return code
+    return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,10 @@ __all__ = [
 # N = 9, box radii 4, 4) a trace-form gns_build takes 1.5 s on a 2-core host.
 MAX_ALGEBRA_DIM = 81
 
+# Gram-Schmidt drops a vector whose remaining Gram norm is at most this
+# fraction of the largest diagonal Gram entry
+_RANK_CUT = 1e-9
+
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
@@ -195,7 +199,7 @@ class GnsTriplet:
 
 
 def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
-              rank_cut: float = 1e-9, order=None) -> GnsTriplet:
+              order=None) -> GnsTriplet:
     """Quotient by the Gram kernel, orthonormalize, compress left multiplication.
 
     order permutes the basis fed to Gram-Schmidt (the default is the
@@ -219,7 +223,7 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
             for u in cols:
                 v = v - u * np.dot(np.conj(u), g @ v)
         n2 = float(np.real(np.dot(np.conj(v), g @ v)))
-        if n2 <= rank_cut * gmax:
+        if n2 <= _RANK_CUT * gmax:
             continue
         cols.append(v / math.sqrt(n2))
     if not cols:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (FormatError, is_finite_number, is_number, pairs_to_list,
-                      values_from_list)
+from .lattice import (FormatError, MismatchError, is_finite_number, is_number,
+                      pairs_to_list, values_from_list)
 
 __all__ = [
     "GridFunction1D",
@@ -37,7 +37,10 @@ __all__ = [
 ]
 
 
-class GridMismatchError(ValueError):
+_DECAY_EDGE = 1e-10  # relative edge magnitude above which check_decay_* warn
+
+
+class GridMismatchError(MismatchError):
     """Operands sampled on different grids."""
 
 
@@ -183,26 +186,26 @@ def gaussian_2d(half_extent_t: float, half_extent_s: float, n_t: int, n_s: int,
     return g.with_values(vals)
 
 
-def check_decay_1d(f: GridFunction1D, threshold: float = 1e-10) -> float:
+def check_decay_1d(f: GridFunction1D) -> float:
     """Relative boundary magnitude; warns when the box visibly clips f."""
     peak = f.max_abs()
     if peak == 0.0:
         return 0.0
     edge = max(abs(f.values[0]), abs(f.values[-1])) / peak
-    if edge > threshold:
-        warnings.warn(f"boundary decay {edge:.3e} exceeds {threshold:.1e}; "
+    if edge > _DECAY_EDGE:
+        warnings.warn(f"boundary decay {edge:.3e} exceeds {_DECAY_EDGE:.1e}; "
                       "the box clips this function", RuntimeWarning, stacklevel=2)
     return float(edge)
 
 
-def check_decay_2d(f: GridFunction2D, threshold: float = 1e-10) -> float:
+def check_decay_2d(f: GridFunction2D) -> float:
     peak = f.max_abs()
     if peak == 0.0:
         return 0.0
     v = np.abs(f.values)
     edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()) / peak
-    if edge > threshold:
-        warnings.warn(f"boundary decay {edge:.3e} exceeds {threshold:.1e}; "
+    if edge > _DECAY_EDGE:
+        warnings.warn(f"boundary decay {edge:.3e} exceeds {_DECAY_EDGE:.1e}; "
                       "the box clips this function", RuntimeWarning, stacklevel=2)
     return float(edge)
 

@@ -16,7 +16,6 @@ bit-reproducible.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -30,8 +29,6 @@ __all__ = [
     "seminorm",
     "to_primed",
     "retruncate",
-    "read_json",
-    "write_json",
     "lattice_to_obj",
     "lattice_from_obj",
     "phaseq_to_obj",
@@ -41,6 +38,7 @@ __all__ = [
     "values_from_list",
     "FormatError",
     "LatticeFormatError",
+    "MismatchError",
 ]
 
 _TAU = 2.0 * math.pi
@@ -52,6 +50,10 @@ class FormatError(ValueError):
 
 class LatticeFormatError(FormatError):
     """Malformed serialized lattice or phase document."""
+
+
+class MismatchError(ValueError):
+    """Operands that cannot be combined, such as different twists or grids."""
 
 
 def _wrap_angle(theta: float) -> float:
@@ -93,10 +95,6 @@ class PhaseQ:
         if not math.isfinite(theta):
             raise ValueError("theta must be finite")
         return PhaseQ(kind="irrational", theta_value=_wrap_angle(theta))
-
-    @property
-    def theta(self) -> float:
-        return self.theta_value
 
     @property
     def q(self) -> complex:
@@ -205,10 +203,9 @@ class CoeffLattice2:
                              np.zeros((2 * radius_k + 1, 2 * radius_l + 1), dtype=np.complex128))
 
     @staticmethod
-    def delta(k: int, l: int, value: complex = 1.0,
-              radius_k: int | None = None, radius_l: int | None = None) -> "CoeffLattice2":
-        rk = abs(k) if radius_k is None else radius_k
-        rl = abs(l) if radius_l is None else radius_l
+    def delta(k: int, l: int, value: complex = 1.0) -> "CoeffLattice2":
+        """value at (k, l) on the smallest box holding it."""
+        rk, rl = abs(k), abs(l)
         arr = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
         arr[k + rk, l + rl] = value
         return CoeffLattice2(rk, rl, arr)
@@ -239,11 +236,8 @@ class CoeffLattice2:
 
     def support(self) -> Iterator[tuple[int, int, complex]]:
         """Nonzero entries in lexicographic order (k ascending, then l)."""
-        for i in range(self.coeffs.shape[0]):
-            for j in range(self.coeffs.shape[1]):
-                c = self.coeffs[i, j]
-                if c != 0:
-                    yield i - self.radius_k, j - self.radius_l, complex(c)
+        for i, j in zip(*np.nonzero(self.coeffs)):
+            yield int(i) - self.radius_k, int(j) - self.radius_l, complex(self.coeffs[i, j])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -262,15 +256,19 @@ class CoeffLattice2:
         rl = max(radius_l, self.radius_l)
         return CoeffLattice2(rk, rl, self._embedded(rk, rl))
 
-    def __add__(self, other: "CoeffLattice2") -> "CoeffLattice2":
+    def _union(self, other: "CoeffLattice2") -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The union box's radii and both operands embedded in it."""
         rk = max(self.radius_k, other.radius_k)
         rl = max(self.radius_l, other.radius_l)
-        return CoeffLattice2(rk, rl, self._embedded(rk, rl) + other._embedded(rk, rl))
+        return rk, rl, self._embedded(rk, rl), other._embedded(rk, rl)
+
+    def __add__(self, other: "CoeffLattice2") -> "CoeffLattice2":
+        rk, rl, a, b = self._union(other)
+        return CoeffLattice2(rk, rl, a + b)
 
     def __sub__(self, other: "CoeffLattice2") -> "CoeffLattice2":
-        rk = max(self.radius_k, other.radius_k)
-        rl = max(self.radius_l, other.radius_l)
-        return CoeffLattice2(rk, rl, self._embedded(rk, rl) - other._embedded(rk, rl))
+        rk, rl, a, b = self._union(other)
+        return CoeffLattice2(rk, rl, a - b)
 
     def scaled(self, a: complex) -> "CoeffLattice2":
         return CoeffLattice2(self.radius_k, self.radius_l, self.coeffs * a)
@@ -279,10 +277,8 @@ class CoeffLattice2:
         return self.scaled(-1.0)
 
     def max_abs_diff(self, other: "CoeffLattice2") -> float:
-        rk = max(self.radius_k, other.radius_k)
-        rl = max(self.radius_l, other.radius_l)
-        d = self._embedded(rk, rl) - other._embedded(rk, rl)
-        return float(np.max(np.abs(d))) if d.size else 0.0
+        _, _, a, b = self._union(other)
+        return float(np.max(np.abs(a - b)))
 
 
 def seminorm(f: CoeffLattice2, m: int) -> float:
@@ -406,17 +402,3 @@ def lattice_from_obj(obj) -> CoeffLattice2:
         return LatticeFormatError(f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
     return CoeffLattice2(rk, rl, pairs_from_list(raw, bad).reshape(rows, cols))
 
-
-def read_json(data: bytes | str) -> CoeffLattice2:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise LatticeFormatError(
-            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    return lattice_from_obj(obj)
-
-
-def write_json(f: CoeffLattice2) -> bytes:
-    return json.dumps(lattice_to_obj(f)).encode("utf-8")

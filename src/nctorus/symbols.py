@@ -145,12 +145,9 @@ class PolySymbol:
             out[key] = out.get(key, _ZERO) + c * CRat.of(e[var])
         return PolySymbol(self.nvars, out)
 
-    def degree(self, var: int | None = None) -> int:
-        if not self.terms:
-            return 0
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        return max(e[var] for e in self.terms)
+    def degree(self) -> int:
+        """Total degree; 0 for the zero symbol."""
+        return max((sum(e) for e in self.terms), default=0)
 
     def evaluate(self, point) -> complex:
         total = 0.0 + 0.0j

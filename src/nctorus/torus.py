@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import CoeffLattice2, PhaseQ
+from .lattice import CoeffLattice2, MismatchError, PhaseQ
 
 __all__ = [
     "TorusElement",
@@ -37,10 +37,10 @@ __all__ = [
     "reorder_phase",
 ]
 
-_CHUNK_BYTES = 4 << 20  # bound on each operand chunk of q_mul
+_CHUNK_BYTES = 4 << 20  # bound on each Toeplitz chunk of _toeplitz_rows
 
 
-class PhaseMismatchError(ValueError):
+class PhaseMismatchError(MismatchError):
     """Operands carry different twist parameters."""
 
 
@@ -80,35 +80,46 @@ def unit(q: PhaseQ) -> TorusElement:
     return TorusElement(CoeffLattice2.delta(0, 0), q)
 
 
-def monomial(k: int, l: int, q: PhaseQ, value: complex = 1.0) -> TorusElement:
-    """value * U^k V^l."""
-    return TorusElement(CoeffLattice2.delta(k, l, value), q)
+def monomial(k: int, l: int, q: PhaseQ) -> TorusElement:
+    """U^k V^l."""
+    return TorusElement(CoeffLattice2.delta(k, l), q)
 
 
 def q_mul(f: TorusElement, g: TorusElement) -> TorusElement:
     """(fg)_{k,l} = Sum_{m,n} f_{m,n} g_{k-m,l-n} q^{-n(k-m)}.
 
-    Row k' of g adds A_k' = (f diag(q^{-nk'})) @ T_k' at rows shifted by k',
-    with T_k'[n, l] = g_{k',l-n} banded Toeplitz: one batched GEMM, chunked
-    over k'.  The A_k' are added in ascending k' for any chunk size, so the
-    result is bit-reproducible for a fixed BLAS configuration.
+    Row k' of g adds (f diag(q^{-nk'})) @ T_k' at rows shifted by k', with
+    T_k'[n, l] = g_{k',l-n} banded Toeplitz (see _toeplitz_rows).
     """
     _require_same_q(f, g)
     fc, gc = f.coeffs, g.coeffs
     (rows, cols), (krows, gcols) = fc.coeffs.shape, gc.coeffs.shape
-    width = cols + gcols - 1
     phase = f.q.pow_array(-np.outer(gc.k_range(), fc.l_range()))
-    # T_k' = padded[k', shift], g's rows zero-padded by cols - 1 on each side
-    padded = gc.expanded(gc.radius_k, gc.radius_l + cols - 1).coeffs
+    out = np.zeros((rows + krows - 1, cols + gcols - 1), dtype=np.complex128)
+    _toeplitz_rows(out, fc.coeffs, phase, gc.coeffs)
+    return TorusElement(CoeffLattice2(fc.radius_k + gc.radius_k,
+                                      fc.radius_l + gc.radius_l, out), f.q)
+
+
+def _toeplitz_rows(out: np.ndarray, a: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+    """out[k: k + R] += (a * w[k]) @ T(b[k]) for every row k of b.
+
+    a is R x C, w is K x C and b is K x B; T(b[k])[n, l] = b[k, l - n] is
+    the C x (C + B - 1) banded Toeplitz matrix of row k.  One batched GEMM
+    per chunk of rows, each chunk's Toeplitz stack about _CHUNK_BYTES.  The
+    blocks are added in ascending k for any chunk size, so the result is
+    bit-reproducible for a fixed BLAS configuration.
+    """
+    (rows, cols), (krows, bcols) = a.shape, b.shape
+    width = cols + bcols - 1
+    padded = np.zeros((krows, bcols + 2 * (cols - 1)), dtype=np.complex128)
+    padded[:, cols - 1: cols - 1 + bcols] = b
     shift = np.arange(width)[None, :] - np.arange(cols)[:, None] + (cols - 1)
-    out = np.zeros((rows + krows - 1, width), dtype=np.complex128)
     step = max(1, _CHUNK_BYTES // (16 * max(rows, cols) * width))
     for start in range(0, krows, step):
         ks = slice(start, start + step)
-        for i, block in enumerate((fc.coeffs * phase[ks, None, :]) @ padded[ks, shift], start):
-            out[i: i + rows] += block
-    return TorusElement(CoeffLattice2(fc.radius_k + gc.radius_k,
-                                      fc.radius_l + gc.radius_l, out), f.q)
+        for k, block in enumerate((a * w[ks, None, :]) @ padded[ks, shift], start):
+            out[k: k + rows] += block
 
 
 def adjoint(f: TorusElement) -> TorusElement:
@@ -205,24 +216,14 @@ def _leibniz_rows(out: np.ndarray, f: np.ndarray, d: np.ndarray,
 
     Arrays are centred on their middle entry.  Row k adds d, its column e
     weighted by sgn(k) Sum_m q^{-em}, at offset (k - 1, l) for every l of
-    the row: one banded-Toeplitz product per row, all rows in one batched
-    GEMM, chunked over rows like q_mul.  Row 0 has zero weights.  Called on
-    transposes it adds the U^k D(V^l) terms.
+    the row: one banded-Toeplitz product per row.  Row 0 has zero weights.
+    Called on transposes it adds the U^k D(V^l) terms.
     """
     (fr, fc), (dr, dc) = f.shape, d.shape
-    width = fc + dc - 1
-    weights = _leibniz_weights(q, np.arange(fr) - fr // 2, exps)
-    padded = np.zeros((fr, fc + 2 * (dc - 1)), dtype=np.complex128)
-    padded[:, dc - 1: dc - 1 + fc] = f
-    shift = np.arange(width)[None, :] - np.arange(dc)[:, None] + (dc - 1)
     i = out.shape[0] // 2 - fr // 2 - 1 - dr // 2
     j = out.shape[1] // 2 - fc // 2 - dc // 2
-    step = max(1, _CHUNK_BYTES // (16 * max(dr, dc) * width))
-    for start in range(0, fr, step):
-        rows = slice(start, start + step)
-        for k, block in enumerate((weights[rows, None, :] * d) @ padded[rows, shift],
-                                  i + start):
-            out[k: k + dr, j: j + width] += block
+    _toeplitz_rows(out[i: i + fr + dr - 1, j: j + fc + dc - 1], d,
+                   _leibniz_weights(q, np.arange(fr) - fr // 2, exps), f)
 
 
 def apply_derivation(d: DerivationSpec, f: TorusElement,

@@ -136,11 +136,14 @@ def _simpson(y: np.ndarray, h: float) -> complex:
     return complex(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 
 
-def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
-                          min_cells: int = 2, quad_nodes: int = 513) -> SolveInnerResult:
+_MIN_CELLS = 2  # division needs a coordinate this many cells from an axis
+_QUAD_NODES = 513  # odd, as the composite Simpson rule along each ray needs
+
+
+def solve_inner_generator(d: DerivationData, tol: float = 1e-6) -> SolveInnerResult:
     """Recover b with b(t,s) s hbar = a_Q and -b(t,s) t hbar = a_P.
 
-    Division does the work wherever one coordinate clears min_cells grid
+    Division does the work wherever one coordinate clears _MIN_CELLS grid
     cells; the two branches must agree on their overlap.  The small
     square around the origin, where both divisions are singular, is
     filled from the identity div(b x) = (d_s a_Q - d_t a_P)/hbar: writing
@@ -149,8 +152,6 @@ def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
     support, and b(0) = w(0)/2 exactly.  w is sampled along rays by trig
     interpolation of its FFT.
     """
-    if quad_nodes < 3 or quad_nodes % 2 == 0:
-        raise ValueError(f"quad_nodes must be odd and at least 3, got {quad_nodes}")
     g = d.a_Q
     aq, ap = d.a_Q.values, d.a_P.values
     hbar = d.hbar
@@ -166,8 +167,8 @@ def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
             f"compatibility residual {compat:.3e} > {tol:.1e}: "
             "t*a_Q + s*a_P must vanish for an inner generator to exist")
 
-    s_ok = np.abs(ss) >= (min_cells - 0.5) * g.ds
-    t_ok = np.abs(tt) >= (min_cells - 0.5) * g.dt
+    s_ok = np.abs(ss) >= (_MIN_CELLS - 0.5) * g.ds
+    t_ok = np.abs(tt) >= (_MIN_CELLS - 0.5) * g.dt
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = np.where(s_ok, aq / (ss * hbar), 0.0)
         b2 = np.where(t_ok, -ap / (tt * hbar), 0.0)
@@ -203,7 +204,7 @@ def solve_inner_generator(d: DerivationData, tol: float = 1e-6,
             if s0 != 0.0:
                 bounds.append(g.half_extent_s / abs(s0))
             rho_max = 0.98 * min(bounds)
-            rho, h = np.linspace(1.0, rho_max, quad_nodes, retstep=True)
+            rho, h = np.linspace(1.0, rho_max, _QUAD_NODES, retstep=True)
             pt = np.exp(1j * np.outer(rho * t0 + g.half_extent_t, xi_t))
             ps = np.exp(1j * np.outer(rho * s0 + g.half_extent_s, xi_s))
             w_ray = ((pt @ what) * ps).sum(axis=1) / norm

@@ -536,6 +536,85 @@ class TestErrorDiscipline:
         assert out is None
         assert "--order" in err and str(cli.MAX_MOYAL_ORDER) in err
 
+    @pytest.mark.parametrize("command,args,named", [
+        ("torus-seminorm", ["--order", "-1"], "--order"),
+        ("torus-seminorm", ["--deriv-word=-1,0"], "--deriv-word"),
+        ("torus-seminorm", ["--deriv-word=1,0;0,-2"], "--deriv-word"),
+        ("torus-seminorm", ["--truncate=-1,2"], "--truncate"),
+        ("torus-derive", ["--power=-1,0"], "--power"),
+        ("torus-derive", ["--power=0,-1"], "--power"),
+        ("torus-check-derivation", ["--tol=-1e-10"], "--tol"),
+        ("torus-mul", ["--word", "2,0"], "--word"),
+    ])
+    def test_bad_torus_flags_exit_2(self, run, u_file, zero_file, command, args, named):
+        files = [u_file, zero_file] if command == "torus-check-derivation" else [u_file]
+        rc, out, err = run(command, *files, "--q", Q14, *args)
+        assert rc == 2
+        assert out is None
+        assert named in err
+
+    @pytest.mark.parametrize("command,args,named", [
+        ("hbar-probe", ["--delta", "0"], "--delta"),
+        ("hbar-probe", ["--delta=-0.01"], "--delta"),
+        ("fourier-bridge", ["--order=-1"], "--order"),
+        ("fourier-bridge", ["--tol=-1"], "--tol"),
+    ])
+    def test_bad_grid_flags_exit_2(self, run, write, command, args, named):
+        ga = grid2d_file(write, "a.json")
+        gb = grid2d_file(write, "b.json", center=(0.4, 0.1))
+        rc, out, err = run(command, ga, gb, *args)
+        assert rc == 2
+        assert out is None
+        assert named in err
+
+    def test_bridge_order_limit(self, run, write):
+        ga = grid2d_file(write, "a.json", width=(1.0, 1.2))
+        gb = grid2d_file(write, "b.json", width=(1.1, 0.9))
+        rc, doc, _ = run("fourier-bridge", ga, gb, "--order", str(cli.MAX_BRIDGE_ORDER))
+        assert rc == 0
+        assert doc["order"] == cli.MAX_BRIDGE_ORDER and doc["relative_error"] < 1e-5
+
+    @pytest.mark.parametrize("order", [1, 1 << 40])
+    def test_bridge_order_over_limit_refused_before_reading(self, run, write, monkeypatch,
+                                                            order):
+        # 2^40 orders would be about 6e23 derivative grids per operand
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was read despite the limit")
+
+        monkeypatch.setattr(cli, "_read_doc", refuse)
+        ga = grid2d_file(write, "a.json")
+        rc, out, err = run("fourier-bridge", ga, ga, "--order",
+                           str(cli.MAX_BRIDGE_ORDER + order))
+        assert rc == 2
+        assert out is None
+        assert "--order" in err and str(cli.MAX_BRIDGE_ORDER) in err
+
+    @pytest.mark.parametrize("command,args", [
+        ("twisted-conv", ["--variant", "ordered"]),
+        ("twisted-conv", ["--variant", "symplectic"]),
+        ("twisted-conv", ["--variant", "group"]),
+        ("twisted-conv", ["--variant", "plain"]),
+        ("fourier-bridge", []),
+        ("hbar-probe", []),
+        ("solve-inner", []),
+    ])
+    def test_grid_mismatch_is_an_input_error(self, run, write, command, args):
+        ga = grid2d_file(write, "a.json")
+        gb = write("b.json", grid2d_to_obj(gaussian_2d(10.0, 10.0, 32, 32)))
+        rc, out, err = run(command, ga, gb, *args)
+        assert rc == 2
+        assert out is None
+        assert err.startswith("error: inputs: grid mismatch")
+
+    def test_phase_mismatch_is_an_input_error(self, run, write):
+        coeffs = {"radius_k": 1, "radius_l": 0, "coeffs": [[0, 0], [0, 0], [1, 0]]}
+        f = write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}})
+        g = write("g.json", {"coeffs": coeffs, "q": {"theta": 0.5}})
+        rc, out, err = run("torus-mul", f, g)
+        assert rc == 2
+        assert out is None
+        assert err.startswith("error: inputs: q mismatch")
+
     def test_large_modulus_refused(self, run, write):
         # a one-line element whose 256 fibers would be 10^5 x 10^5 matrices
         assert nctorus.matrep.MAX_MODULUS < 100000  # else this test would allocate
@@ -712,6 +791,8 @@ class TestOperationCoverage:
     def test_every_subcommand_is_wired(self):
         parser_actions = cli._build_parser()._subparsers._group_actions[0]
         assert set(parser_actions.choices) == set(cli.OPERATIONS)
+        for name, sp in parser_actions.choices.items():
+            assert callable(sp.get_default("run")), name
 
 
 def test_import_does_not_load_scipy():

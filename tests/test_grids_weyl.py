@@ -277,12 +277,6 @@ class TestSolveInner:
         want = (2.0 - 1.0j) * (3.0 ** 4 - 1.0) / 4.0 + 0.25j * (3.0 ** 2 - 1.0)
         assert abs(_simpson(y, h) - want) < 1e-13
 
-    @pytest.mark.parametrize("nodes", [1, 512])
-    def test_bad_node_count_rejected(self, nodes):
-        _, data = inner_pair(0.8)
-        with pytest.raises(ValueError, match="quad_nodes"):
-            solve_inner_generator(data, quad_nodes=nodes)
-
     def test_zero_hbar_rejected(self):
         a = gaussian_2d(8.0, 8.0, 32, 32)
         with pytest.raises(ValueError, match="hbar"):
