@@ -25,7 +25,7 @@ _EXPORTS = {
               "section_family star_residual",
     "suite": "run_criterion run_suite",
     "symbols": "CRat HbarSeries PolySymbol SymbolFormatError "
-               "associativity_defect half_moyal moyal_coeff moyal_star "
+               "associativity_defect half_moyal moyal_star "
                "poisson_bracket star_commutator",
     "torus": "DerivationCheck DerivationSpec PhaseMismatchError TorusElement "
              "adjoint apply_derivation check_derivation_relation d_power "

@@ -26,7 +26,7 @@ from .torus import (DerivationSpec, TorusElement, adjoint, apply_derivation,
                     check_derivation_relation, d_power, inner_derivation, l2_state,
                     q_mul, reorder_phase, smooth_seminorm, trace)
 
-__all__ = ["main", "OPERATIONS"]
+__all__ = ["main"]
 
 
 class CliError(ValueError):
@@ -42,10 +42,11 @@ MAX_GRID_N = 1 << 16
 # limit on degree-3 symbols (1.8 s and 207 kB at 4096) on a 2-core host
 MAX_MOYAL_ORDER = 1024
 
-# fourier-bridge --order; each operand holds (K+1)(K+2)/2 spectral-derivative
-# grids.  At the limit a 256^2 pair took 1.2 s and 344 MB on a 2-core host.
-# Past it round-off in the derivatives wins: on 128^2 Gaussians at hbar 0.3
-# to 1.0 the error at order 20 was above that at 16
+# fourier-bridge --order; the series takes (K+1)(K+2) inverse FFTs but keeps
+# only a few grids, so at the limit a 256^2 pair took 1.3-1.5 s and 46 MB
+# peak RSS (the same as at order 8) on a 2-core host.  The limit is set by
+# accuracy: past it round-off in the derivatives wins, and on 128^2
+# Gaussians at hbar 0.3 to 1.0 the error at order 20 was above that at 16
 MAX_BRIDGE_ORDER = 16
 
 # what each float flag must be; all must be finite, as argparse's float
@@ -56,6 +57,10 @@ _FLOAT_FLAGS = {"hbar": "finite", "sigma": "finite", "delta": "positive",
 # --order limit per subcommand; torus-seminorm's weight has none
 _ORDER_LIMITS = {"moyal-star": MAX_MOYAL_ORDER, "fourier-bridge": MAX_BRIDGE_ORDER}
 
+# subcommands whose --hbar must be nonzero: weyl-check checks [Q, P] = i hbar
+# relative to hbar, and solve-inner divides by it
+_NONZERO_HBAR = {"weyl-check", "solve-inner"}
+
 
 class ToleranceFailure(Exception):
     """Carries the report of a check that exceeded its tolerance."""
@@ -63,38 +68,6 @@ class ToleranceFailure(Exception):
     def __init__(self, report: dict):
         super().__init__("tolerance exceeded")
         self.report = report
-
-
-# operation -> owning subcommand; the test suite checks the inverse map
-# is single valued and that each subcommand actually runs its operations
-OPERATIONS = {
-    "torus-mul": ("q_mul", "reorder_phase"),
-    "torus-adjoint": ("adjoint",),
-    "torus-seminorm": ("seminorm", "smooth_seminorm", "to_primed",
-                       "retruncate", "trace", "l2_state"),
-    "torus-derive": ("apply_derivation", "d_power", "inner_derivation"),
-    "torus-check-derivation": ("check_derivation_relation",),
-    "matrep-eval": ("eval_section", "clock_shift", "opnorm", "section_family",
-                    "equivariance_check", "covariance_residual", "fiber_grid",
-                    "homomorphism_residual", "star_residual",
-                    "center_scalar_residual"),
-    "circle-check": ("circle_eval", "circle_check_relations"),
-    "weyl-check": ("apply_Q", "apply_P", "weyl_Q", "weyl_P"),
-    "rep-lattice": ("rep_lattice_measure", "calibrate_q", "composition_phase"),
-    "solve-inner": ("solve_inner_generator",),
-    "twisted-conv": ("twisted_conv", "other_twisted_conv",
-                     "heisenberg_group_conv", "plain_conv", "gauge_iso"),
-    "moyal-star": ("moyal_star", "half_moyal", "star_commutator",
-                   "poisson_bracket", "associativity_defect", "moyal_coeff"),
-    "fourier-bridge": ("fourier_bridge_error", "moyal_series_on_grid",
-                       "fourier_2d", "inverse_fourier_2d"),
-    "hbar-probe": ("hbar_smoothness_probe",),
-    "gns-build": ("torus_quotient", "truncated_box", "gns_build",
-                  "intertwiner"),
-    "gns-check": ("gram_matrix", "is_positive", "schwarz_check",
-                  "state_action", "separation_rank"),
-    "suite": ("run_suite",),
-}
 
 
 def _read_doc(path: str):
@@ -176,7 +149,7 @@ def _encode(obj, level: int = 0):
             for start in range(0, len(obj), _EMIT_BATCH):
                 x = np.ascontiguousarray(obj[start:start + _EMIT_BATCH]).view(np.float64)
                 # float.__repr__ is json's spelling of a finite float
-                texts = map(float.__repr__ if np.isfinite(x).all() else json.dumps, x.tolist())
+                texts = map(float.__repr__, x.tolist())
                 yield head + gap.join(map(comma.join, zip(texts, texts)))
                 head = gap
             yield nl + "]" + nl[:-2] + "]"
@@ -200,12 +173,36 @@ def _encode(obj, level: int = 0):
         yield "[]" if isinstance(obj, np.ndarray) else json.dumps(obj)
 
 
+def _nonfinite_field(obj, path: str = "") -> str | None:
+    """Path of the first NaN or infinity in a report, None if there is none."""
+    if isinstance(obj, (float, complex, np.ndarray)):
+        bad = np.argwhere(~np.isfinite(np.asarray(obj, dtype=np.complex128)))
+        if len(bad) == 0:
+            return None
+        return path + "".join(f"[{i}]" for i in bad[0])
+    if isinstance(obj, dict):
+        items = [(f"{path}.{key}" if path else str(key), v) for key, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return None
+    for where, value in items:
+        found = _nonfinite_field(value, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(obj: dict, out: str | None) -> None:
     """Write json.dumps(obj, indent=2) + "\n" to stdout and to out, if given.
 
-    out is opened first, so a path that cannot be written is a usage error
-    (exit 2) before anything reaches stdout.
+    A report holding a NaN or an infinity, which JSON cannot spell, is a
+    usage error (exit 2) that names the field, and so is an out path that
+    cannot be written; both are found before anything is written.
     """
+    bad = _nonfinite_field(obj)
+    if bad is not None:
+        raise CliError(f"report field '{bad}': not a finite number")
     sinks = [sys.stdout]
     with contextlib.ExitStack() as stack:
         if out:
@@ -433,9 +430,6 @@ def _cmd_circle_check(args) -> dict:
 
 def _cmd_weyl_check(args) -> dict:
     from . import suite
-    if args.hbar == 0:
-        # [Q, P] = i hbar is checked relative to hbar
-        raise CliError(f"flag '--hbar': must be nonzero, got {args.hbar}")
     checks = suite.weyl_battery(args.grid_extent, args.grid_n, args.hbar)
     out = {"hbar": args.hbar, "grid_n": args.grid_n,
            "grid_extent": args.grid_extent, "checks": checks,
@@ -476,11 +470,9 @@ def _cmd_solve_inner(args) -> dict:
     from .grids import grid2d_from_obj, grid2d_to_obj
     a_q = grid2d_from_obj(_read_doc(args.a_q))
     a_p = grid2d_from_obj(_read_doc(args.a_p))
+    data = weyl.DerivationData(a_q, a_p, args.hbar)
     try:
-        data = weyl.DerivationData(a_q, a_p, args.hbar)
         result = weyl.solve_inner_generator(data, tol=args.tol)
-    except MismatchError:
-        raise  # an input error, not a failed solvability condition
     except ValueError as exc:
         raise ToleranceFailure({"error": str(exc)}) from exc
     return {
@@ -675,7 +667,7 @@ def _cmd_suite(args) -> dict:
 
 
 def _check_number_flags(args) -> None:
-    """Refuse bad float flags, --order and --grid-n before any work."""
+    """Refuse bad float flags, --order, --hbar and --grid-n before any work."""
     for name, need in _FLOAT_FLAGS.items():
         value = getattr(args, name, None)
         if value is None:
@@ -693,6 +685,8 @@ def _check_number_flags(args) -> None:
     if n is not None and not (8 <= n <= MAX_GRID_N and n & (n - 1) == 0):
         raise CliError(f"flag '--grid-n': must be a power of two from 8 to "
                        f"{MAX_GRID_N}, got {n}")
+    if args.command in _NONZERO_HBAR and args.hbar == 0:
+        raise CliError(f"flag '--hbar': must be nonzero, got {args.hbar}")
 
 
 # -- parser --------------------------------------------------------------

@@ -26,8 +26,7 @@ __all__ = [
     "require_same_grid",
     "gaussian_1d",
     "gaussian_2d",
-    "check_decay_1d",
-    "check_decay_2d",
+    "check_decay",
     "fourier_2d",
     "inverse_fourier_2d",
     "grid1d_to_obj",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 
-_DECAY_EDGE = 1e-10  # relative edge magnitude above which check_decay_* warn
+_DECAY_EDGE = 1e-10  # relative edge magnitude above which check_decay warns
 
 
 class GridMismatchError(MismatchError):
@@ -48,9 +47,24 @@ class GridFormatError(FormatError):
     """Malformed serialized grid document."""
 
 
-def _check_count(n: int, name: str) -> None:
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+def _freeze_values(grid, extents_positive: bool, extents: str,
+                   counts: dict[str, int]) -> None:
+    """Check a grid's extents and sample counts, then store its values as a
+    read-only complex copy, shaped as the counts in order."""
+    if not extents_positive:
+        raise ValueError(f"{extents} must be positive")
+    for name, n in counts.items():
+        if n < 8 or (n & (n - 1)) != 0:
+            raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+    shape = tuple(counts.values())
+    v = np.asarray(grid.values, dtype=np.complex128)
+    if v.shape != shape:
+        raise ValueError(f"values shape {v.shape} != {shape}")
+    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        raise ValueError("values must be finite")
+    v = v.copy()
+    v.flags.writeable = False
+    object.__setattr__(grid, "values", v)
 
 
 @dataclass(frozen=True)
@@ -60,17 +74,7 @@ class GridFunction1D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (self.half_extent > 0):
-            raise ValueError("half_extent must be positive")
-        _check_count(self.n, "n")
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.n,):
-            raise ValueError(f"values shape {v.shape} != ({self.n},)")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-            raise ValueError("values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _freeze_values(self, self.half_extent > 0, "half_extent", {"n": self.n})
 
     @property
     def dx(self) -> float:
@@ -106,18 +110,8 @@ class GridFunction2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (self.half_extent_t > 0 and self.half_extent_s > 0):
-            raise ValueError("half extents must be positive")
-        _check_count(self.n_t, "n_t")
-        _check_count(self.n_s, "n_s")
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.n_t, self.n_s):
-            raise ValueError(f"values shape {v.shape} != ({self.n_t}, {self.n_s})")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-            raise ValueError("values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _freeze_values(self, self.half_extent_t > 0 and self.half_extent_s > 0,
+                       "half extents", {"n_t": self.n_t, "n_s": self.n_s})
 
     @property
     def dt(self) -> float:
@@ -186,24 +180,14 @@ def gaussian_2d(half_extent_t: float, half_extent_s: float, n_t: int, n_s: int,
     return g.with_values(vals)
 
 
-def check_decay_1d(f: GridFunction1D) -> float:
-    """Relative boundary magnitude; warns when the box visibly clips f."""
-    peak = f.max_abs()
-    if peak == 0.0:
-        return 0.0
-    edge = max(abs(f.values[0]), abs(f.values[-1])) / peak
-    if edge > _DECAY_EDGE:
-        warnings.warn(f"boundary decay {edge:.3e} exceeds {_DECAY_EDGE:.1e}; "
-                      "the box clips this function", RuntimeWarning, stacklevel=2)
-    return float(edge)
-
-
-def check_decay_2d(f: GridFunction2D) -> float:
+def check_decay(f: GridFunction1D | GridFunction2D) -> float:
+    """Largest edge sample of any axis relative to the peak; warns when the
+    box visibly clips f."""
     peak = f.max_abs()
     if peak == 0.0:
         return 0.0
     v = np.abs(f.values)
-    edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()) / peak
+    edge = max(np.take(v, [0, -1], axis).max() for axis in range(v.ndim)) / peak
     if edge > _DECAY_EDGE:
         warnings.warn(f"boundary decay {edge:.3e} exceeds {_DECAY_EDGE:.1e}; "
                       "the box clips this function", RuntimeWarning, stacklevel=2)
@@ -215,29 +199,28 @@ def check_decay_2d(f: GridFunction2D) -> float:
 # With x_j = -L + j dx and y_m = (m - n/2) pi/L the Riemann sum becomes a
 # plain FFT after modulation by (-1)^j; the pair below inverts exactly.
 
-def _fourier_axis(values: np.ndarray, axis: int, half_extent: float) -> np.ndarray:
+def _axis_setup(values: np.ndarray, axis: int,
+                half_extent: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """dx, then (-1)^j and xi_m shaped to broadcast along axis of values."""
     n = values.shape[axis]
     dx = 2.0 * half_extent / n
     xi = (np.arange(n) - n // 2) * (np.pi / half_extent)
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     shape = [1] * values.ndim
     shape[axis] = n
-    modulated = values * sign.reshape(shape)
-    spec = np.fft.fft(modulated, axis=axis)
-    phase = dx * np.exp(1j * xi * half_extent)
-    return spec * phase.reshape(shape)
+    return dx, sign.reshape(shape), xi.reshape(shape)
+
+
+def _fourier_axis(values: np.ndarray, axis: int, half_extent: float) -> np.ndarray:
+    dx, sign, xi = _axis_setup(values, axis, half_extent)
+    spec = np.fft.fft(values * sign, axis=axis)
+    return spec * (dx * np.exp(1j * xi * half_extent))
 
 
 def _inv_fourier_axis(values: np.ndarray, axis: int, half_extent: float) -> np.ndarray:
-    n = values.shape[axis]
-    dx = 2.0 * half_extent / n
-    xi = (np.arange(n) - n // 2) * (np.pi / half_extent)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    demodulated = values * np.exp(-1j * xi * half_extent).reshape(shape)
-    back = np.fft.ifft(demodulated, axis=axis)
-    return back * sign.reshape(shape) / dx
+    dx, sign, xi = _axis_setup(values, axis, half_extent)
+    back = np.fft.ifft(values * np.exp(-1j * xi * half_extent), axis=axis)
+    return back * sign / dx
 
 
 def fourier_2d(f: GridFunction2D) -> GridFunction2D:

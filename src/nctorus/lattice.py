@@ -107,13 +107,6 @@ class PhaseQ:
             return cmath.exp(2j * math.pi * e / self.modulus)
         return cmath.exp(1j * self.theta_value * n)
 
-    def half_pow(self, n: int) -> complex:
-        """q**(n/2) on the branch e^{i theta/2} with theta the stored angle."""
-        if self.kind == "rational":
-            e = (self.p * n) % (2 * self.modulus)
-            return cmath.exp(1j * math.pi * e / self.modulus)
-        return cmath.exp(0.5j * self.theta_value * n)
-
     def pow_array(self, exponents: np.ndarray) -> np.ndarray:
         """Vectorized q**e over an integer array of exponents."""
         e = np.asarray(exponents, dtype=np.int64)
@@ -128,11 +121,6 @@ class PhaseQ:
             r = (self.p * e) % (2 * self.modulus)
             return np.exp(1j * np.pi * r / self.modulus)
         return np.exp(0.5j * self.theta_value * e)
-
-    def conjugate(self) -> "PhaseQ":
-        if self.kind == "rational":
-            return PhaseQ.rational(-self.p, self.modulus)
-        return PhaseQ.irrational(-self.theta_value)
 
 
 def phaseq_to_obj(q: PhaseQ) -> dict:
@@ -203,11 +191,11 @@ class CoeffLattice2:
                              np.zeros((2 * radius_k + 1, 2 * radius_l + 1), dtype=np.complex128))
 
     @staticmethod
-    def delta(k: int, l: int, value: complex = 1.0) -> "CoeffLattice2":
-        """value at (k, l) on the smallest box holding it."""
+    def delta(k: int, l: int) -> "CoeffLattice2":
+        """1 at (k, l) on the smallest box holding it."""
         rk, rl = abs(k), abs(l)
         arr = np.zeros((2 * rk + 1, 2 * rl + 1), dtype=np.complex128)
-        arr[k + rk, l + rl] = value
+        arr[k + rk, l + rl] = 1.0
         return CoeffLattice2(rk, rl, arr)
 
     @staticmethod

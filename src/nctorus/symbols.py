@@ -20,7 +20,6 @@ __all__ = [
     "CRat",
     "PolySymbol",
     "HbarSeries",
-    "moyal_coeff",
     "moyal_star",
     "half_moyal",
     "poisson_bracket",
@@ -149,15 +148,6 @@ class PolySymbol:
         """Total degree; 0 for the zero symbol."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def evaluate(self, point) -> complex:
-        total = 0.0 + 0.0j
-        for e, c in sorted(self.terms.items()):
-            val = c.to_complex()
-            for x, p in zip(point, e):
-                val *= x ** p
-            total += val
-        return total
-
     def _check(self, o: "PolySymbol") -> None:
         if self.nvars != o.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {o.nvars}")
@@ -279,13 +269,13 @@ def _phase_space(order: int, f: PolySymbol, *others: PolySymbol) -> int:
     return f.nvars
 
 
-def _star_series(f: PolySymbol, g: PolySymbol, lo: int, hi: int,
+def _star_series(f: PolySymbol, g: PolySymbol, order: int,
                  antisymmetric: bool = False) -> HbarSeries:
-    """hbar^k coefficients of f*g, or of f*g - g*f, for lo <= k <= hi."""
-    nvars = _phase_space(hi, f, g)
+    """hbar^k coefficients of f*g, or of f*g - g*f, for k <= order."""
+    nvars = _phase_space(order, f, g)
     (fd, fn), (gd, gn) = _numerators(f), _numerators(g)
     out = []
-    for k in range(lo, hi + 1):
+    for k in range(order + 1):
         ur, ui = _MINUS_I_POW[k % 4]
         acc = _star({}, fn, gn, nvars, k, (ur, ui))
         if antisymmetric:
@@ -294,13 +284,8 @@ def _star_series(f: PolySymbol, g: PolySymbol, lo: int, hi: int,
     return HbarSeries(tuple(out))
 
 
-def moyal_coeff(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
-    """Exact hbar^k coefficient of the star product of f and g."""
-    return _star_series(f, g, k, k).coeffs[0]
-
-
 def moyal_star(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
-    return _star_series(f, g, 0, order)
+    return _star_series(f, g, order)
 
 
 def half_moyal(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
@@ -323,7 +308,7 @@ def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol, order: int) -> HbarSeries:
-    return _star_series(f, g, 0, order, antisymmetric=True)
+    return _star_series(f, g, order, antisymmetric=True)
 
 
 def associativity_defect(f: PolySymbol, g: PolySymbol, h: PolySymbol,

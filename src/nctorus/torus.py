@@ -10,9 +10,8 @@ the box, nothing is dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,11 +52,11 @@ class TorusElement:
         return self.coeffs.get(k, l)
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
-        _require_same_q(self, other)
+        _require_same_q(self.q, other.q)
         return TorusElement(self.coeffs + other.coeffs, self.q)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
-        _require_same_q(self, other)
+        _require_same_q(self.q, other.q)
         return TorusElement(self.coeffs - other.coeffs, self.q)
 
     def scaled(self, a: complex) -> "TorusElement":
@@ -67,12 +66,8 @@ class TorusElement:
         return self.coeffs.max_abs_diff(other.coeffs)
 
 
-def _require_same_q(f: TorusElement, g: TorusElement) -> None:
-    a, b = f.q, g.q
-    same = (a.kind == b.kind
-            and ((a.kind == "rational" and (a.p, a.modulus) == (b.p, b.modulus))
-                 or (a.kind == "irrational" and a.theta_value == b.theta_value)))
-    if not same:
+def _require_same_q(a: PhaseQ, b: PhaseQ) -> None:
+    if a != b:
         raise PhaseMismatchError(f"q mismatch: {a} vs {b}")
 
 
@@ -91,7 +86,7 @@ def q_mul(f: TorusElement, g: TorusElement) -> TorusElement:
     Row k' of g adds (f diag(q^{-nk'})) @ T_k' at rows shifted by k', with
     T_k'[n, l] = g_{k',l-n} banded Toeplitz (see _toeplitz_rows).
     """
-    _require_same_q(f, g)
+    _require_same_q(f.q, g.q)
     fc, gc = f.coeffs, g.coeffs
     (rows, cols), (krows, gcols) = fc.coeffs.shape, gc.coeffs.shape
     phase = f.q.pow_array(-np.outer(gc.k_range(), fc.l_range()))
@@ -242,7 +237,7 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
         raise ValueError(
             f"derivation relation violated at {chk.first_violation} "
             f"with residual {chk.max_residual:.3e} > {tol:.1e}")
-    _require_same_q(TorusElement(d.du_value, d.q), f)
+    _require_same_q(d.q, f.q)
     du, dv = d.du_value, d.dv_value
     fc = f.coeffs
     ki, li = np.nonzero(fc.coeffs)
@@ -265,30 +260,20 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
                                                   wl - rl: wl + rl + 1]), d.q)
 
 
-def smooth_seminorm(f: TorusElement, word: Sequence[tuple[int, int]],
-                    state: str | Callable[[TorusElement], complex] = "trace") -> float:
-    """nu(X_1 ... X_p f) with X_i = D_U^{m_i} D_V^{n_i} and nu from the state.
-
-    state "trace" evaluates the l2 value sqrt(tr(f* f)); a callable phi is
-    treated as a positive form, giving sqrt(Re phi(f* f)).
-    """
+def smooth_seminorm(f: TorusElement, word: Sequence[tuple[int, int]]) -> float:
+    """sqrt(tr(g* g)) of g = X_1 ... X_p f, X_i = D_U^{m_i} D_V^{n_i}."""
     g = f
     for m, n in word:
         g = d_power(g, m, n)
-    if state == "trace":
-        return l2_state(g)
-    if callable(state):
-        val = complex(state(q_mul(adjoint(g), g)))
-        return math.sqrt(max(val.real, 0.0))
-    raise ValueError('state must be "trace" or a callable form')
+    return l2_state(g)
 
 
-def reorder_phase(word: Sequence[int], q: PhaseQ,
-                  n: int | None = None) -> tuple[np.ndarray, complex]:
+def reorder_phase(word: Sequence[int], q: PhaseQ) -> tuple[np.ndarray, complex]:
     """Normal-order a word in generators S_1..S_n with S_i S_{i+1} = q S_{i+1} S_i.
 
-    word entries are signed indices: +i for S_i, -i for S_i^{-1}.  Returns
-    the exponent vector of S_1^{k_1}..S_n^{k_n} and the accumulated phase.
+    word entries are signed indices: +i for S_i, -i for S_i^{-1}, and n is
+    the largest index in word (1 for an empty word).  Returns the exponent
+    vector of S_1^{k_1}..S_n^{k_n} and the accumulated phase.
     Uses stable adjacent transpositions only, so the two relations (twist
     for neighbours, commute for |i-j| >= 2) are the single source of truth.
     """
@@ -297,10 +282,7 @@ def reorder_phase(word: Sequence[int], q: PhaseQ,
         if not isinstance(w, int) or w == 0:
             raise ValueError(f"word entries are nonzero signed integers, got {w!r}")
         letters.append((abs(w), 1 if w > 0 else -1))
-    if n is None:
-        n = max((idx for idx, _ in letters), default=1)
-    if any(idx > n for idx, _ in letters):
-        raise ValueError("generator index exceeds n")
+    n = max((idx for idx, _ in letters), default=1)
     phase_exp = 0
     changed = True
     while changed:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridFunction2D, check_decay_2d, fourier_2d,
+from .grids import (GridFunction2D, check_decay, fourier_2d,
                     inverse_fourier_2d, require_same_grid)
 
 __all__ = [
@@ -146,8 +146,8 @@ def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunct
     other grids on n_s FFT passes.
     """
     require_same_grid(a, b)
-    check_decay_2d(a)
-    check_decay_2d(b)
+    check_decay(a)
+    check_decay(b)
     p = _matched_twist(a, hbar * a.dt * a.ds, 1)
     if p is None:
         return _twisted_conv_fft(a, b, hbar)
@@ -188,8 +188,8 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
     other grids on 2 n_t FFT passes.
     """
     require_same_grid(a, b)
-    check_decay_2d(a)
-    check_decay_2d(b)
+    check_decay(a)
+    check_decay(b)
     out = _symplectic_matched(a, b, hbar)
     return _other_twisted_conv_fft(a, b, hbar) if out is None else out
 
@@ -245,8 +245,8 @@ def heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
     grids take _heisenberg_group_conv_fft.
     """
     require_same_grid(a, b)
-    check_decay_2d(a)
-    check_decay_2d(b)
+    check_decay(a)
+    check_decay(b)
     out = _symplectic_matched(a, b, hbar)
     return _heisenberg_group_conv_fft(a, b, hbar) if out is None else out
 
@@ -323,36 +323,30 @@ def hbar_smoothness_probe(a: GridFunction2D, b: GridFunction2D, hbar0: float,
     return ProbeResult(best, r1, r2, ratio)
 
 
-def _spectral_derivs(f: GridFunction2D, max_order: int) -> dict[tuple[int, int], np.ndarray]:
-    """All mixed spectral derivatives of total order <= max_order."""
-    xi_t = f.t_freqs()[:, None]
-    xi_s = f.s_freqs()[None, :]
-    base = np.fft.fft2(f.values)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for p in range(max_order + 1):
-        for r in range(max_order + 1 - p):
-            out[(p, r)] = np.fft.ifft2(base * (1j * xi_t) ** p * (1j * xi_s) ** r)
-    return out
-
-
 def moyal_series_on_grid(f: GridFunction2D, g: GridFunction2D, hbar: float,
                          order: int) -> GridFunction2D:
     """(2 pi)^2 Sum_k (-i hbar)^k/(2^k k!) (d2 d1' - d1 d2')^k (f x g)|_diag.
 
     Spectral derivatives on the shared grid; the binomial expansion of
     the k-th bidifferential power pairs d2^j d1^{k-j} f with
-    d1^j d2^{k-j} g carrying sign (-1)^{k-j}.
+    d1^j d2^{k-j} g carrying sign (-1)^{k-j}.  Each derivative is used
+    once, so it is computed where it is used and no table is kept.
     """
     require_same_grid(f, g)
-    df = _spectral_derivs(f, order)
-    dg = _spectral_derivs(g, order)
+    xi_t = f.t_freqs()[:, None]
+    xi_s = f.s_freqs()[None, :]
+    fs, gs = np.fft.fft2(f.values), np.fft.fft2(g.values)
+
+    def deriv(base: np.ndarray, p: int, r: int) -> np.ndarray:
+        return np.fft.ifft2(base * (1j * xi_t) ** p * (1j * xi_s) ** r)
+
     total = np.zeros_like(f.values)
     for k in range(order + 1):
         coeff = (-1j * hbar) ** k / (2.0 ** k * math.factorial(k))
         term = np.zeros_like(total)
         for j in range(k + 1):
             sign = (-1.0) ** (k - j)
-            term += (math.comb(k, j) * sign) * df[(k - j, j)] * dg[(j, k - j)]
+            term += (math.comb(k, j) * sign) * deriv(fs, k - j, j) * deriv(gs, j, k - j)
         total += coeff * term
     return f.with_values((2.0 * math.pi) ** 2 * total)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nctorus.grids import (GridFormatError, GridFunction1D, GridFunction2D,
-                           GridMismatchError, check_decay_1d, check_decay_2d,
+                           GridMismatchError, check_decay,
                            fourier_2d, gaussian_1d, gaussian_2d,
                            grid1d_from_obj, grid1d_to_obj, grid2d_from_obj,
                            grid2d_to_obj, inverse_fourier_2d,
@@ -94,17 +94,29 @@ class TestFourier:
 class TestDecayChecks:
     def test_quiet_for_contained_bump(self):
         f = gaussian_1d(16.0, 256, width=1.0)
-        assert check_decay_1d(f) < 1e-10
+        assert check_decay(f) < 1e-10
 
     def test_warns_when_clipped(self):
         f = gaussian_1d(2.0, 64, width=2.0)
         with pytest.warns(RuntimeWarning, match="decay"):
-            edge = check_decay_1d(f)
+            edge = check_decay(f)
         assert edge > 1e-10
 
     def test_2d_edge_ratio(self):
         f = gaussian_2d(16.0, 16.0, 64, 64)
-        assert check_decay_2d(f) < 1e-10
+        assert check_decay(f) < 1e-10
+
+    @pytest.mark.parametrize("where", [(0,), (-1,), (0, 5), (-1, 5), (5, 0), (5, -1)])
+    def test_every_edge_of_every_axis_is_read(self, where):
+        # a zero box with a peak of 2 inside and one small sample on one edge
+        shape = (16,) * len(where)
+        values = np.zeros(shape, dtype=complex)
+        values[(8,) * len(where)] = 2.0
+        values[where] = 1e-6j
+        f = (GridFunction1D(4.0, 16, values) if len(where) == 1
+             else GridFunction2D(4.0, 4.0, 16, 16, values))
+        with pytest.warns(RuntimeWarning, match="boundary decay 5.000e-07"):
+            assert check_decay(f) == 5e-7
 
 
 class TestGridSerialization:

@@ -382,8 +382,8 @@ class TestApplyDerivationAgainstLoop:
         # alpha d1 + beta d2 + ad(a): the canonical pair shifts D(U), D(V)
         rng = np.random.default_rng(23)
         inner = DerivationSpec.from_inner(random_elem(rng, 1, 2, q))
-        spec = DerivationSpec(inner.du_value + CoeffLattice2.delta(1, 0, 0.7),
-                              inner.dv_value + CoeffLattice2.delta(0, 1, -1.3j), q)
+        spec = DerivationSpec(inner.du_value + CoeffLattice2.delta(1, 0).scaled(0.7),
+                              inner.dv_value + CoeffLattice2.delta(0, 1).scaled(-1.3j), q)
         self.assert_same(spec, random_elem(rng, 4, 3, q))
 
     def test_repeated_calls_bit_identical(self):
@@ -456,16 +456,6 @@ class TestSmoothSeminorm:
         f = elem({(2, 3): 1.0}, QI)
         assert abs(smooth_seminorm(f, [(1, 1)]) - 6.0) < 1e-14
 
-    def test_callable_state_agrees_with_trace(self):
-        f = elem({(1, 1): 1 + 1j, (0, 2): -0.5}, QI)
-        got = smooth_seminorm(f, [(1, 0)], state=trace)
-        want = smooth_seminorm(f, [(1, 0)], state="trace")
-        assert abs(got - want) < 1e-13
-
-    def test_bad_state_rejected(self):
-        with pytest.raises(ValueError):
-            smooth_seminorm(elem({}), [], state="operator")
-
 
 class TestReorderPhase:
     def test_adjacent_twist(self):
@@ -479,7 +469,7 @@ class TestReorderPhase:
         assert abs(phase - (-1j)) < 1e-15
 
     def test_distant_generators_commute(self):
-        exps, phase = reorder_phase([3, 1], Q4, n=3)
+        exps, phase = reorder_phase([3, 1], Q4)
         assert list(exps) == [1, 0, 1]
         assert phase == Q4.pow(0)
 
@@ -491,7 +481,7 @@ class TestReorderPhase:
         pair2 = ([1, 3], [4])
 
         def phase_of(word):
-            exps, ph = reorder_phase(word, q, n=4)
+            exps, ph = reorder_phase(word, q)
             return tuple(exps), ph
 
         for a, b in ((pair1[0], pair1[1]), (pair2[0], pair2[1])):
@@ -508,8 +498,6 @@ class TestReorderPhase:
     def test_bad_word_rejected(self):
         with pytest.raises(ValueError):
             reorder_phase([1, 0, 2], Q4)
-        with pytest.raises(ValueError):
-            reorder_phase([5], Q4, n=3)
 
 
 # a light property layer over the exact algebra; the deterministic suite

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,62 @@ class TestRouteIdentities:
         assert np.max(np.abs(lhs.values - rhs.values)) / scale < 1e-6
 
 
+def spectral_derivs(f: GridFunction2D, max_order: int) -> dict[tuple[int, int], np.ndarray]:
+    """All mixed spectral derivatives of total order <= max_order."""
+    xi_t = f.t_freqs()[:, None]
+    xi_s = f.s_freqs()[None, :]
+    base = np.fft.fft2(f.values)
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for p in range(max_order + 1):
+        for r in range(max_order + 1 - p):
+            out[(p, r)] = np.fft.ifft2(base * (1j * xi_t) ** p * (1j * xi_s) ** r)
+    return out
+
+
+def moyal_series_from_table(f: GridFunction2D, g: GridFunction2D, hbar: float,
+                            order: int) -> np.ndarray:
+    """The series route with every derivative tabled first, (K+1)(K+2)/2
+    grids per operand; same expressions and order as moyal_series_on_grid."""
+    df = spectral_derivs(f, order)
+    dg = spectral_derivs(g, order)
+    total = np.zeros_like(f.values)
+    for k in range(order + 1):
+        coeff = (-1j * hbar) ** k / (2.0 ** k * math.factorial(k))
+        term = np.zeros_like(total)
+        for j in range(k + 1):
+            sign = (-1.0) ** (k - j)
+            term += (math.comb(k, j) * sign) * df[(k - j, j)] * dg[(j, k - j)]
+        total += coeff * term
+    return (2.0 * math.pi) ** 2 * total
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSeriesOnGrid:
+    @pytest.mark.parametrize("order", [0, 3, 8])
+    def test_bit_identical_to_table_route(self, order):
+        f = gaussian_2d(8.0, 6.0, 64, 32, center=(0.3, 0.1), width=(1.0, 1.2))
+        g = random_field(40, 64, 32, 8.0, 6.0)
+        got = moyal_series_on_grid(f, g, 0.3, order)
+        assert np.array_equal(got.values, moyal_series_from_table(f, g, 0.3, order))
+
+    def test_memory_does_not_grow_with_order(self):
+        # 128^2 at order 16: the table holds 153 grids of 256 kB per operand,
+        # about 78 MB; computing each derivative where it is used keeps a few
+        f = gaussian_2d(10.0, 10.0, 128, 128, center=(0.3, 0.1), width=(1.0, 1.2))
+        g = gaussian_2d(10.0, 10.0, 128, 128, center=(-0.2, 0.4), width=(1.1, 0.9))
+        bound = 8 << 20
+        assert traced_peak(moyal_series_on_grid, f, g, 0.3, 16) < bound
+        assert traced_peak(moyal_series_from_table, f, g, 0.3, 16) > bound
+
     def test_order_zero_is_pointwise_product(self):
         f, g = bump(31), bump(32)
         got = moyal_series_on_grid(f, g, 0.0, 0)
