@@ -29,10 +29,6 @@ from .torus import (DerivationSpec, TorusElement, adjoint, apply_derivation,
 __all__ = ["main"]
 
 
-class CliError(ValueError):
-    """Bad input; the message names the offending field."""
-
-
 # 1d grid samples for --grid-n; weyl-check took 0.5 s and 45 MB at the limit
 # on a 2-core host
 MAX_GRID_N = 1 << 16
@@ -62,14 +58,6 @@ _ORDER_LIMITS = {"moyal-star": MAX_MOYAL_ORDER, "fourier-bridge": MAX_BRIDGE_ORD
 _NONZERO_HBAR = {"weyl-check", "solve-inner"}
 
 
-class ToleranceFailure(Exception):
-    """Carries the report of a check that exceeded its tolerance."""
-
-    def __init__(self, report: dict):
-        super().__init__("tolerance exceeded")
-        self.report = report
-
-
 def _read_doc(path: str):
     try:
         if path == "-":
@@ -79,9 +67,9 @@ def _read_doc(path: str):
                 text = fh.read()
         return json.loads(text)
     except OSError as exc:
-        raise CliError(f"input '{path}': {exc}") from exc
+        raise FormatError(f"input '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"input '{path}': invalid JSON ({exc})") from exc
+        raise FormatError(f"input '{path}': invalid JSON ({exc})") from exc
 
 
 def _parse_q_flag(text: str | None) -> PhaseQ | None:
@@ -90,13 +78,13 @@ def _parse_q_flag(text: str | None) -> PhaseQ | None:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"flag '--q': invalid JSON ({exc})") from exc
+        raise FormatError(f"flag '--q': invalid JSON ({exc})") from exc
     return phaseq_from_obj(obj)
 
 
 def _element_from_doc(doc, q_flag: PhaseQ | None, name: str) -> TorusElement:
     if not isinstance(doc, dict):
-        raise CliError(f"input '{name}': expected a JSON object")
+        raise FormatError(f"input '{name}': expected a JSON object")
     if "radius_k" in doc:  # bare lattice; phase comes from --q
         coeffs = lattice_from_obj(doc)
         q_doc = None
@@ -104,15 +92,15 @@ def _element_from_doc(doc, q_flag: PhaseQ | None, name: str) -> TorusElement:
         coeffs = lattice_from_obj(doc["coeffs"])
         q_doc = phaseq_from_obj(doc.get("q")) if "q" in doc else None
     else:
-        raise CliError(f"input '{name}': expected 'radius_k' (bare lattice) "
-                       "or 'coeffs' (element with embedded phase)")
+        raise FormatError(f"input '{name}': expected 'radius_k' (bare lattice) "
+                          "or 'coeffs' (element with embedded phase)")
     q = q_doc if q_doc is not None else q_flag
     if q is None:
-        raise CliError(f"field 'q': missing for '{name}' (no --q flag and "
-                       "no embedded phase)")
+        raise FormatError(f"field 'q': missing for '{name}' (no --q flag and "
+                          "no embedded phase)")
     if q_doc is not None and q_flag is not None and q_doc != q_flag:
-        raise CliError(f"field 'q': '{name}' embeds a phase that differs "
-                       "from --q")
+        raise FormatError(f"field 'q': '{name}' embeds a phase that differs "
+                          "from --q")
     return TorusElement(coeffs, q)
 
 
@@ -202,15 +190,15 @@ def _emit(obj: dict, out: str | None) -> None:
     """
     bad = _nonfinite_field(obj)
     if bad is not None:
-        raise CliError(f"report field '{bad}': not a finite number")
+        raise FormatError(f"report field '{bad}': not a finite number")
     sinks = [sys.stdout]
     with contextlib.ExitStack() as stack:
         if out:
             try:
                 sinks.append(stack.enter_context(open(out, "w")))
             except OSError as exc:
-                raise CliError(f"flag '--out': cannot write '{out}' "
-                               f"({exc.strerror})") from exc
+                raise FormatError(f"flag '--out': cannot write '{out}' "
+                                  f"({exc.strerror})") from exc
         for text in _encode(obj):
             for fh in sinks:
                 fh.write(text)
@@ -222,56 +210,57 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"flag '{flag}': expected comma separated integers, "
-                       f"got '{text}'") from exc
+        raise FormatError(f"flag '{flag}': expected comma separated integers, "
+                          f"got '{text}'") from exc
 
 
 def _parse_pair(text: str, flag: str, form: str) -> tuple[int, int]:
     """Two non-negative integers written as form, such as 'm,n'."""
     pair = _parse_int_list(text, flag)
     if len(pair) != 2 or min(pair) < 0:
-        raise CliError(f"flag '{flag}': expected '{form}', two non-negative "
-                       f"integers, got '{text}'")
+        raise FormatError(f"flag '{flag}': expected '{form}', two non-negative "
+                          f"integers, got '{text}'")
     return pair[0], pair[1]
 
 
 def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"flag '{flag}': expected 're,im', got '{text}'")
+        raise FormatError(f"flag '{flag}': expected 're,im', got '{text}'")
     try:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise CliError(f"flag '{flag}': expected 're,im', got '{text}'") from exc
+        raise FormatError(f"flag '{flag}': expected 're,im', got '{text}'") from exc
 
 
 # -- subcommand bodies ---------------------------------------------------
+# Each returns (report, ok); ok False, a failed tolerance or condition, is exit 1.
 
-def _cmd_torus_mul(args) -> dict:
+def _cmd_torus_mul(args) -> tuple[dict, bool]:
     q = _parse_q_flag(args.q)
     if args.word is not None:
         if q is None:
-            raise CliError("field 'q': --word needs --q")
+            raise FormatError("field 'q': --word needs --q")
         word = _parse_int_list(args.word, "--word")
         if 0 in word:
-            raise CliError(f"flag '--word': entries must be nonzero, got '{args.word}'")
+            raise FormatError(f"flag '--word': entries must be nonzero, got '{args.word}'")
         exps, phase = reorder_phase(word, q)
-        return {"exponents": [int(e) for e in exps], "phase": complex(phase)}
+        return {"exponents": [int(e) for e in exps], "phase": complex(phase)}, True
     if len(args.inputs) != 2:
-        raise CliError("inputs: torus-mul needs two element files "
-                       "(or --word)")
+        raise FormatError("inputs: torus-mul needs two element files "
+                          "(or --word)")
     f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
     g = _element_from_doc(_read_doc(args.inputs[1]), q, args.inputs[1])
-    return _element_obj(q_mul(f, g))
+    return _element_obj(q_mul(f, g)), True
 
 
-def _cmd_torus_adjoint(args) -> dict:
+def _cmd_torus_adjoint(args) -> tuple[dict, bool]:
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.input), q, args.input)
-    return _element_obj(adjoint(f))
+    return _element_obj(adjoint(f)), True
 
 
-def _cmd_torus_seminorm(args) -> dict:
+def _cmd_torus_seminorm(args) -> tuple[dict, bool]:
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.input), q, args.input)
     out = {
@@ -290,34 +279,34 @@ def _cmd_torus_seminorm(args) -> dict:
                                                        "radius_k,radius_l"))
         out["truncated_coeffs"] = lattice_to_obj(cut, pairs=np.asarray)
         out["truncation_tail"] = tail
-    return out
+    return out, True
 
 
-def _cmd_torus_derive(args) -> dict:
+def _cmd_torus_derive(args) -> tuple[dict, bool]:
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.input), q, args.input)
     modes = sum(x is not None for x in (args.power, args.inner, args.du))
     if modes != 1:
-        raise CliError("flags: pick exactly one of --power, --inner, "
-                       "or --du/--dv")
+        raise FormatError("flags: pick exactly one of --power, --inner, "
+                          "or --du/--dv")
     if args.power is not None:
-        return _element_obj(d_power(f, *_parse_pair(args.power, "--power", "m,n")))
+        return _element_obj(d_power(f, *_parse_pair(args.power, "--power", "m,n"))), True
     if args.inner is not None:
         a = _element_from_doc(_read_doc(args.inner), f.q, args.inner)
-        return _element_obj(inner_derivation(a, f))
+        return _element_obj(inner_derivation(a, f)), True
     if args.dv is None:
-        raise CliError("flag '--dv': required when --du is given")
+        raise FormatError("flag '--dv': required when --du is given")
     du = _element_from_doc(_read_doc(args.du), f.q, args.du)
     dv = _element_from_doc(_read_doc(args.dv), f.q, args.dv)
     spec = DerivationSpec(du.coeffs, dv.coeffs, f.q)
     try:
         result = apply_derivation(spec, f, tol=args.tol)
     except ValueError as exc:
-        raise ToleranceFailure({"error": str(exc)}) from exc
-    return _element_obj(result)
+        return {"error": str(exc)}, False
+    return _element_obj(result), True
 
 
-def _cmd_torus_check_derivation(args) -> dict:
+def _cmd_torus_check_derivation(args) -> tuple[dict, bool]:
     q = _parse_q_flag(args.q)
     du = _element_from_doc(_read_doc(args.du), q, args.du)
     dv = _element_from_doc(_read_doc(args.dv), du.q, args.dv)
@@ -327,12 +316,10 @@ def _cmd_torus_check_derivation(args) -> dict:
            "first_violation": list(rep.first_violation)
            if rep.first_violation else None,
            "tol": rep.tol}
-    if not rep.ok:
-        raise ToleranceFailure(out)
-    return out
+    return out, rep.ok
 
 
-def _cmd_matrep_eval(args) -> dict:
+def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     from . import matrep
     q = _parse_q_flag(args.q)
     f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
@@ -340,13 +327,13 @@ def _cmd_matrep_eval(args) -> dict:
         # checks q (rational, modulus within the limit) before allocating
         family = matrep.section_family(f)
     except ValueError as exc:
-        raise CliError(f"field 'q': {exc}") from exc
+        raise FormatError(f"field 'q': {exc}") from exc
     u = _parse_complex(args.u, "--u")
     v = _parse_complex(args.v, "--v")
     try:
         mat = matrep.eval_section(f, u, v)
     except ValueError as exc:
-        raise CliError(f"flags '--u/--v': {exc}") from exc
+        raise FormatError(f"flags '--u/--v': {exc}") from exc
     eq_ok, eq_bad = matrep.equivariance_check(family, f.q)
     grid = matrep.fiber_grid(16)
     cov = max(matrep.covariance_residual(f, u, v, 1, 1),
@@ -379,15 +366,14 @@ def _cmd_matrep_eval(args) -> dict:
         failures["equivariance"] = 1.0
     if failures:
         out["failures"] = failures
-        raise ToleranceFailure(out)
-    return out
+    return out, not failures
 
 
 def _parse_circle_doc(doc, name: str):
     from . import matrep
     if not isinstance(doc, dict) or "spec" not in doc:
-        raise CliError(f"input '{name}': expected an object with a 'spec' "
-                       "field")
+        raise FormatError(f"input '{name}': expected an object with a 'spec' "
+                          "field")
     spec_obj = doc["spec"]
     try:
         spec = matrep.CircleSpec(int(spec_obj["a"]), int(spec_obj["b"]),
@@ -395,21 +381,21 @@ def _parse_circle_doc(doc, name: str):
                                  int(spec_obj["b_prime"]),
                                  phaseq_from_obj(spec_obj["q"]))
     except KeyError as exc:
-        raise CliError(f"field 'spec.{exc.args[0]}': missing") from exc
+        raise FormatError(f"field 'spec.{exc.args[0]}': missing") from exc
     except ValueError as exc:
-        raise CliError(f"field 'spec': {exc}") from exc
+        raise FormatError(f"field 'spec': {exc}") from exc
     coeffs = {}
     for i, term in enumerate(doc.get("coeffs", [])):
         try:
             key = (int(term["j"]), int(term["s"]), int(term["t"]))
             coeffs[key] = complex(float(term["re"]), float(term["im"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"field 'coeffs[{i}]': expected j, s, t, re, im "
-                           f"({exc})") from exc
+            raise FormatError(f"field 'coeffs[{i}]': expected j, s, t, re, im "
+                              f"({exc})") from exc
     return spec, coeffs
 
 
-def _cmd_circle_check(args) -> dict:
+def _cmd_circle_check(args) -> tuple[dict, bool]:
     from . import matrep
     spec, coeffs = _parse_circle_doc(_read_doc(args.input), args.input)
     off = (math.sqrt(5.0) - 1.0) / 2.0
@@ -421,25 +407,21 @@ def _cmd_circle_check(args) -> dict:
         try:
             mat = matrep.circle_eval(coeffs, spec, samples[0])
         except ValueError as exc:
-            raise CliError(f"field 'coeffs': {exc}") from exc
+            raise FormatError(f"field 'coeffs': {exc}") from exc
         out["sample_opnorm"] = matrep.opnorm(mat)
-    if res > args.tol:
-        raise ToleranceFailure(out)
-    return out
+    return out, out["ok"]
 
 
-def _cmd_weyl_check(args) -> dict:
+def _cmd_weyl_check(args) -> tuple[dict, bool]:
     from . import suite
     checks = suite.weyl_battery(args.grid_extent, args.grid_n, args.hbar)
     out = {"hbar": args.hbar, "grid_n": args.grid_n,
            "grid_extent": args.grid_extent, "checks": checks,
            "pass": all(c["pass"] for c in checks)}
-    if not out["pass"]:
-        raise ToleranceFailure(out)
-    return out
+    return out, out["pass"]
 
 
-def _cmd_rep_lattice(args) -> dict:
+def _cmd_rep_lattice(args) -> tuple[dict, bool]:
     from . import weyl
     from .grids import gaussian_1d, grid1d_from_obj, grid1d_to_obj
     doc = _read_doc(args.coeffs)
@@ -462,10 +444,10 @@ def _cmd_rep_lattice(args) -> dict:
         "closed_form_phase": complex(closed),
         "calibration_gap": abs(measured.q - closed),
         "result": grid1d_to_obj(result, pairs=np.asarray),
-    }
+    }, True
 
 
-def _cmd_solve_inner(args) -> dict:
+def _cmd_solve_inner(args) -> tuple[dict, bool]:
     from . import weyl
     from .grids import grid2d_from_obj, grid2d_to_obj
     a_q = grid2d_from_obj(_read_doc(args.a_q))
@@ -474,24 +456,24 @@ def _cmd_solve_inner(args) -> dict:
     try:
         result = weyl.solve_inner_generator(data, tol=args.tol)
     except ValueError as exc:
-        raise ToleranceFailure({"error": str(exc)}) from exc
+        return {"error": str(exc)}, False
     return {
         "compat_residual": result.compat_residual,
         "overlap_residual": result.overlap_residual,
         "b": grid2d_to_obj(result.b, pairs=np.asarray),
-    }
+    }, True
 
 
-def _cmd_twisted_conv(args) -> dict:
+def _cmd_twisted_conv(args) -> tuple[dict, bool]:
     from . import twisted
     from .grids import grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     if args.variant == "gauge":
         out = twisted.gauge_iso(a, args.hbar, args.direction)
         return {"variant": "gauge", "hbar": args.hbar,
-                "result": grid2d_to_obj(out, pairs=np.asarray)}
+                "result": grid2d_to_obj(out, pairs=np.asarray)}, True
     if len(args.inputs) != 2:
-        raise CliError("inputs: this variant needs two grid files")
+        raise FormatError("inputs: this variant needs two grid files")
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
     if args.variant == "ordered":
         out = twisted.twisted_conv(a, b, args.hbar)
@@ -502,39 +484,39 @@ def _cmd_twisted_conv(args) -> dict:
     else:
         out = twisted.plain_conv(a, b)
     return {"variant": args.variant, "hbar": args.hbar,
-            "result": grid2d_to_obj(out, pairs=np.asarray)}
+            "result": grid2d_to_obj(out, pairs=np.asarray)}, True
 
 
-def _cmd_moyal_star(args) -> dict:
+def _cmd_moyal_star(args) -> tuple[dict, bool]:
     from .symbols import (associativity_defect, half_moyal, moyal_star,
                           poisson_bracket, series_to_obj, star_commutator,
                           symbol_from_obj, symbol_to_obj)
     if args.mode == "assoc" and len(args.inputs) != 3:
-        raise CliError("inputs: mode 'assoc' needs three symbol files")
+        raise FormatError("inputs: mode 'assoc' needs three symbol files")
     if len(args.inputs) < 2:
-        raise CliError(f"inputs: mode '{args.mode}' needs two symbol files")
+        raise FormatError(f"inputs: mode '{args.mode}' needs two symbol files")
     count = 3 if args.mode == "assoc" else 2
     syms = [symbol_from_obj(_read_doc(path)) for path in args.inputs[:count]]
     nvars = syms[0].nvars
     for path, sym in zip(args.inputs[1:], syms[1:]):
         if sym.nvars != nvars:
-            raise CliError(f"field 'nvars': '{path}' has {sym.nvars}, "
-                           f"'{args.inputs[0]}' has {nvars}")
+            raise FormatError(f"field 'nvars': '{path}' has {sym.nvars}, "
+                              f"'{args.inputs[0]}' has {nvars}")
     if nvars % 2:
-        raise CliError("field 'nvars': phase-space symbols need an even "
-                       f"variable count, got {nvars}")
+        raise FormatError("field 'nvars': phase-space symbols need an even "
+                          f"variable count, got {nvars}")
     if args.mode == "half" and nvars != 2:
-        raise CliError("field 'nvars': mode 'half' needs one symplectic pair "
-                       f"(nvars 2), got {nvars}")
+        raise FormatError("field 'nvars': mode 'half' needs one symplectic pair "
+                          f"(nvars 2), got {nvars}")
     f, g = syms[:2]
     if args.mode == "assoc":
         defect = associativity_defect(*syms, args.order)
         return {"mode": "assoc", "order": args.order,
                 "defect": series_to_obj(defect),
-                "is_zero": defect.is_zero()}
+                "is_zero": defect.is_zero()}, True
     if args.mode == "poisson":
         return {"mode": "poisson",
-                "result": symbol_to_obj(poisson_bracket(f, g))}
+                "result": symbol_to_obj(poisson_bracket(f, g))}, True
     if args.mode == "commutator":
         series = star_commutator(f, g, args.order)
     elif args.mode == "half":
@@ -542,24 +524,23 @@ def _cmd_moyal_star(args) -> dict:
     else:
         series = moyal_star(f, g, args.order)
     return {"mode": args.mode, "order": args.order,
-            "result": series_to_obj(series)}
+            "result": series_to_obj(series)}, True
 
 
-def _cmd_fourier_bridge(args) -> dict:
+def _cmd_fourier_bridge(args) -> tuple[dict, bool]:
     from . import twisted
     from .grids import grid2d_from_obj
     f = grid2d_from_obj(_read_doc(args.inputs[0]))
     g = grid2d_from_obj(_read_doc(args.inputs[1]))
     err = twisted.fourier_bridge_error(f, g, args.hbar, args.order)
     out = {"hbar": args.hbar, "order": args.order, "relative_error": err}
-    if args.tol is not None:
-        out["tol"] = args.tol
-        if err > args.tol:
-            raise ToleranceFailure(out)
-    return out
+    if args.tol is None:
+        return out, True
+    out["tol"] = args.tol
+    return out, err <= args.tol
 
 
-def _cmd_hbar_probe(args) -> dict:
+def _cmd_hbar_probe(args) -> tuple[dict, bool]:
     from . import twisted
     from .grids import grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
@@ -571,15 +552,13 @@ def _cmd_hbar_probe(args) -> dict:
            "residual_fine": r.residual_fine,
            "ratio_band": [3.5, 4.5], "ok": ok,
            "derivative": grid2d_to_obj(r.derivative, pairs=np.asarray)}
-    if not ok:
-        raise ToleranceFailure(out)
-    return out
+    return out, ok
 
 
 def _parse_algebra(doc, name: str):
     from . import gns as gnsmod
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise CliError(f"input '{name}': expected an object with 'kind'")
+        raise FormatError(f"input '{name}': expected an object with 'kind'")
     kind = doc["kind"]
     try:
         if kind == "torus_quotient":
@@ -588,27 +567,27 @@ def _parse_algebra(doc, name: str):
             return gnsmod.truncated_box(doc["radius_k"], doc["radius_l"],
                                         phaseq_from_obj(doc["q"]))
     except KeyError as exc:
-        raise CliError(f"field '{exc.args[0]}': missing in '{name}'") from exc
+        raise FormatError(f"field '{exc.args[0]}': missing in '{name}'") from exc
     except ValueError as exc:
-        raise CliError(f"input '{name}': {exc}") from exc
-    raise CliError(f"field 'kind': unknown algebra kind '{kind}'")
+        raise FormatError(f"input '{name}': {exc}") from exc
+    raise FormatError(f"field 'kind': unknown algebra kind '{kind}'")
 
 
 def _parse_form(doc, a, name: str):
     from . import gns as gnsmod
     if not isinstance(doc, dict) or "values" not in doc:
-        raise CliError(f"input '{name}': expected an object with 'values'")
+        raise FormatError(f"input '{name}': expected an object with 'values'")
     return gnsmod.PositiveForm(values_from_list(doc["values"], a.dim, "values"))
 
 
-def _cmd_gns_build(args) -> dict:
+def _cmd_gns_build(args) -> tuple[dict, bool]:
     from . import gns as gnsmod
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
     try:
         trip = gnsmod.gns_build(phi, a, tol=args.tol)
     except ValueError as exc:
-        raise ToleranceFailure({"error": str(exc)}) from exc
+        return {"error": str(exc)}, False
     out = {
         "quotient_dim": trip.quotient_dim,
         "recon_residual": trip.recon_residual,
@@ -626,10 +605,10 @@ def _cmd_gns_build(args) -> dict:
                                  order=list(reversed(range(a.dim))))
         _, res = gnsmod.intertwiner(trip, other, a)
         out["uniqueness_residual"] = res
-    return out
+    return out, True
 
 
-def _cmd_gns_check(args) -> dict:
+def _cmd_gns_check(args) -> tuple[dict, bool]:
     from . import gns as gnsmod
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
@@ -653,17 +632,13 @@ def _cmd_gns_check(args) -> dict:
         out["separation_ranks"] = [rg, rp]
         transported = gnsmod.state_action(phi, a.basis_vector(a.unit_index), a)
         out["transported_positive"] = gnsmod.is_positive(transported, a).ok
-    if not rep.ok or schwarz > args.tol:
-        raise ToleranceFailure(out)
-    return out
+    return out, rep.ok and schwarz <= args.tol
 
 
-def _cmd_suite(args) -> dict:
+def _cmd_suite(args) -> tuple[dict, bool]:
     from . import suite
     report = suite.run_suite(args.seed)
-    if not report["pass"]:
-        raise ToleranceFailure(report)
-    return report
+    return report, report["pass"]
 
 
 def _check_number_flags(args) -> None:
@@ -676,17 +651,17 @@ def _check_number_flags(args) -> None:
             need = "finite"
         elif not (need == "positive" and value <= 0 or need == "non-negative" and value < 0):
             continue
-        raise CliError(f"flag '--{name.replace('_', '-')}': must be {need}, got {value}")
+        raise FormatError(f"flag '--{name.replace('_', '-')}': must be {need}, got {value}")
     order, top = getattr(args, "order", 0), _ORDER_LIMITS.get(args.command)
     if order < 0 or (top is not None and order > top):
         need = "non-negative" if top is None else f"from 0 to {top}"
-        raise CliError(f"flag '--order': must be {need}, got {order}")
+        raise FormatError(f"flag '--order': must be {need}, got {order}")
     n = getattr(args, "grid_n", None)
     if n is not None and not (8 <= n <= MAX_GRID_N and n & (n - 1) == 0):
-        raise CliError(f"flag '--grid-n': must be a power of two from 8 to "
-                       f"{MAX_GRID_N}, got {n}")
+        raise FormatError(f"flag '--grid-n': must be a power of two from 8 to "
+                          f"{MAX_GRID_N}, got {n}")
     if args.command in _NONZERO_HBAR and args.hbar == 0:
-        raise CliError(f"flag '--hbar': must be nonzero, got {args.hbar}")
+        raise FormatError(f"flag '--hbar': must be nonzero, got {args.hbar}")
 
 
 # -- parser --------------------------------------------------------------
@@ -843,15 +818,12 @@ def main(argv=None) -> int:
         _glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_number_flags(args)
-        try:
-            report, code = args.run(args), 0
-        except ToleranceFailure as exc:
-            report, code = exc.report, 1
+        report, ok = args.run(args)
         _emit(report, args.out)
-        return code
+        return 0 if ok else 1
     except MismatchError as exc:
         sys.stderr.write(f"error: inputs: {exc}\n")
-    except (CliError, FormatError) as exc:
+    except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
     return 2
 

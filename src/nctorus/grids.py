@@ -21,8 +21,6 @@ from .lattice import (FormatError, MismatchError, is_finite_number, is_number,
 __all__ = [
     "GridFunction1D",
     "GridFunction2D",
-    "GridMismatchError",
-    "GridFormatError",
     "require_same_grid",
     "gaussian_1d",
     "gaussian_2d",
@@ -37,14 +35,6 @@ __all__ = [
 
 
 _DECAY_EDGE = 1e-10  # relative edge magnitude above which check_decay warns
-
-
-class GridMismatchError(MismatchError):
-    """Operands sampled on different grids."""
-
-
-class GridFormatError(FormatError):
-    """Malformed serialized grid document."""
 
 
 def _freeze_values(grid, extents_positive: bool, extents: str,
@@ -151,7 +141,7 @@ class GridFunction2D:
 
 def require_same_grid(a: GridFunction2D, b: GridFunction2D) -> None:
     if not a.same_grid(b):
-        raise GridMismatchError(
+        raise MismatchError(
             f"grid mismatch: ({a.n_t}x{a.n_s}, L=({a.half_extent_t},{a.half_extent_s})) "
             f"vs ({b.n_t}x{b.n_s}, L=({b.half_extent_t},{b.half_extent_s}))")
 
@@ -250,19 +240,19 @@ def grid1d_to_obj(f: GridFunction1D, pairs=pairs_to_list) -> dict:
 
 def grid1d_from_obj(obj) -> GridFunction1D:
     if not isinstance(obj, dict):
-        raise GridFormatError("grid document must be an object")
+        raise FormatError("grid document must be an object")
     for key in ("half_extent", "n", "values"):
         if key not in obj:
-            raise GridFormatError(f'missing field "{key}"')
+            raise FormatError(f'missing field "{key}"')
     if not is_number(obj["n"], int):
-        raise GridFormatError('"n" must be an integer')
+        raise FormatError('"n" must be an integer')
     if not is_finite_number(obj["half_extent"]):
-        raise GridFormatError('"half_extent" must be a finite number')
-    vals = values_from_list(obj["values"], obj["n"], "values", GridFormatError)
+        raise FormatError('"half_extent" must be a finite number')
+    vals = values_from_list(obj["values"], obj["n"], "values")
     try:
         return GridFunction1D(float(obj["half_extent"]), obj["n"], vals)
     except ValueError as e:
-        raise GridFormatError(str(e)) from e
+        raise FormatError(str(e)) from e
 
 
 def grid2d_to_obj(f: GridFunction2D, pairs=pairs_to_list) -> dict:
@@ -278,21 +268,21 @@ def grid2d_to_obj(f: GridFunction2D, pairs=pairs_to_list) -> dict:
 
 def grid2d_from_obj(obj) -> GridFunction2D:
     if not isinstance(obj, dict):
-        raise GridFormatError("grid document must be an object")
+        raise FormatError("grid document must be an object")
     for key in ("n_t", "n_s", "half_extent_t", "half_extent_s", "values"):
         if key not in obj:
-            raise GridFormatError(f'missing field "{key}"')
+            raise FormatError(f'missing field "{key}"')
     for key in ("n_t", "n_s"):
         if not is_number(obj[key], int):
-            raise GridFormatError(f'"{key}" must be an integer')
+            raise FormatError(f'"{key}" must be an integer')
     for key in ("half_extent_t", "half_extent_s"):
         if not is_finite_number(obj[key]):
-            raise GridFormatError(f'"{key}" must be a finite number')
+            raise FormatError(f'"{key}" must be a finite number')
     count = obj["n_t"] * obj["n_s"]
-    vals = values_from_list(obj["values"], count, "values", GridFormatError)
+    vals = values_from_list(obj["values"], count, "values")
     try:
         return GridFunction2D(float(obj["half_extent_t"]), float(obj["half_extent_s"]),
                               obj["n_t"], obj["n_s"],
                               vals.reshape(obj["n_t"], obj["n_s"]))
     except ValueError as e:
-        raise GridFormatError(str(e)) from e
+        raise FormatError(str(e)) from e

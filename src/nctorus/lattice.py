@@ -37,7 +37,6 @@ __all__ = [
     "pairs_to_list",
     "values_from_list",
     "FormatError",
-    "LatticeFormatError",
     "MismatchError",
 ]
 
@@ -45,11 +44,12 @@ _TAU = 2.0 * math.pi
 
 
 class FormatError(ValueError):
-    """Malformed input document; the message names the offending field."""
+    """Bad input: a malformed document, field or command line flag.
 
-
-class LatticeFormatError(FormatError):
-    """Malformed serialized lattice or phase document."""
+    The message names the offending field, file or flag.  The command line
+    also raises it for an --out path it cannot write and for a report that
+    JSON cannot spell; each exits with code 2.
+    """
 
 
 class MismatchError(ValueError):
@@ -144,24 +144,24 @@ def is_finite_number(x) -> bool:
 
 def phaseq_from_obj(obj) -> PhaseQ:
     if not isinstance(obj, dict):
-        raise LatticeFormatError(f"phase must be an object, got {type(obj).__name__}")
+        raise FormatError(f"phase must be an object, got {type(obj).__name__}")
     if "rational" in obj:
         pair = obj["rational"]
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise LatticeFormatError('field "rational" must be a pair [p, N]')
+            raise FormatError('field "rational" must be a pair [p, N]')
         p, n = pair
         if not (is_number(p, int) and is_number(n, int)):
-            raise LatticeFormatError('field "rational" entries must be integers')
+            raise FormatError('field "rational" entries must be integers')
         try:
             return PhaseQ.rational(p, n)
         except OverflowError:  # theta = 2 pi p / N needs N in the float range
-            raise LatticeFormatError('field "rational" modulus is past the float range') from None
+            raise FormatError('field "rational" modulus is past the float range') from None
     if "theta" in obj:
         t = obj["theta"]
         if not is_finite_number(t):
-            raise LatticeFormatError('field "theta" must be a finite number')
+            raise FormatError('field "theta" must be a finite number')
         return PhaseQ.irrational(float(t))
-    raise LatticeFormatError('phase object needs a "rational" or "theta" field')
+    raise FormatError('phase object needs a "rational" or "theta" field')
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,11 @@ def seminorm(f: CoeffLattice2, m: int) -> float:
         raise ValueError("seminorm order must be non-negative")
     kk = np.abs(f.k_range())[:, None]
     ll = np.abs(f.l_range())[None, :]
-    w = (1.0 + kk + ll) ** m
-    return float(np.max(np.abs(f.coeffs) * w))
+    a = np.abs(f.coeffs)
+    # a weight past the float range is inf, and so is then the seminorm of
+    # any coefficient it meets; a zero coefficient adds nothing to the sup
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(a * (1.0 + kk + ll) ** m, where=a > 0, initial=0.0))
 
 
 def to_primed(f: CoeffLattice2, q: PhaseQ) -> CoeffLattice2:
@@ -342,16 +345,16 @@ def pairs_from_list(raw: list, bad) -> np.ndarray:
     return arr.view(np.complex128).reshape(-1)
 
 
-def values_from_list(raw, count: int, what: str, error=FormatError) -> np.ndarray:
-    """count [re, im] pairs from the field named what, else raise error."""
+def values_from_list(raw, count: int, what: str) -> np.ndarray:
+    """count [re, im] pairs from the field named what, else raise FormatError."""
     if not isinstance(raw, list):
-        raise error(f'"{what}" must be a list')
+        raise FormatError(f'"{what}" must be a list')
     if len(raw) != count:
-        raise error(f'"{what}" has {len(raw)} entries, expected {count}')
+        raise FormatError(f'"{what}" has {len(raw)} entries, expected {count}')
     problems = {"pair": "must be a [re, im] pair",
                 "number": "must be a [re, im] pair of numbers",
                 "finite": "is not finite"}
-    return pairs_from_list(raw, lambda i, problem: error(f"{what}[{i}] {problems[problem]}"))
+    return pairs_from_list(raw, lambda i, problem: FormatError(f"{what}[{i}] {problems[problem]}"))
 
 
 # {"radius_k": int, "radius_l": int, "coeffs": [[re, im], ...]}
@@ -368,25 +371,25 @@ def lattice_to_obj(f: CoeffLattice2, pairs=pairs_to_list) -> dict:
 
 def lattice_from_obj(obj) -> CoeffLattice2:
     if not isinstance(obj, dict):
-        raise LatticeFormatError(f"lattice must be an object, got {type(obj).__name__}")
+        raise FormatError(f"lattice must be an object, got {type(obj).__name__}")
     for key in ("radius_k", "radius_l", "coeffs"):
         if key not in obj:
-            raise LatticeFormatError(f'missing field "{key}"')
+            raise FormatError(f'missing field "{key}"')
     rk, rl = obj["radius_k"], obj["radius_l"]
     if not (is_number(rk, int) and is_number(rl, int)) or rk < 0 or rl < 0:
-        raise LatticeFormatError('"radius_k" and "radius_l" must be non-negative integers')
+        raise FormatError('"radius_k" and "radius_l" must be non-negative integers')
     rows, cols = 2 * rk + 1, 2 * rl + 1
     raw = obj["coeffs"]
     if not isinstance(raw, list):
-        raise LatticeFormatError('"coeffs" must be a list')
+        raise FormatError('"coeffs" must be a list')
     if len(raw) != rows * cols:
-        raise LatticeFormatError(
+        raise FormatError(
             f'"coeffs" has {len(raw)} entries, box ({rk},{rl}) expects {rows * cols}')
 
     def bad(i, problem):
         if problem != "finite":
-            return LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
+            return FormatError(f"coeffs[{i}] must be a [re, im] pair")
         k, l = divmod(i, cols)
-        return LatticeFormatError(f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
+        return FormatError(f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
     return CoeffLattice2(rk, rl, pairs_from_list(raw, bad).reshape(rows, cols))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PhaseQ
+from .lattice import CoeffLattice2, PhaseQ
 from .torus import TorusElement
 
 __all__ = [
@@ -54,9 +54,7 @@ def _require_rational(q: PhaseQ) -> int:
 def clock_shift(q: PhaseQ) -> tuple[np.ndarray, np.ndarray]:
     """Shift U0 (ones on the superdiagonal wrap) and clock V0 = diag(q^j)."""
     n = _require_rational(q)
-    u0 = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        u0[i, (i + 1) % n] = 1.0
+    u0 = np.roll(np.eye(n, dtype=np.complex128), 1, axis=1)
     v0 = np.diag(q.pow_array(np.arange(n)))
     return u0, v0
 
@@ -218,21 +216,21 @@ class CircleSpec:
 
 def circle_eval(coeffs: dict[tuple[int, int, int], complex], spec: CircleSpec,
                 z: complex) -> np.ndarray:
-    """Sum c_{j,s,t} Z^j U^s V^t at the fiber z, with Z = z^N, U = z^a U0, V = z^b V0."""
+    """Sum c_{j,s,t} Z^j U^s V^t at the fiber z, with Z = z^N, U = z^a U0, V = z^b V0.
+
+    That is the torus section of f_{s,t} = Sum_j c_{j,s,t} z^{jN} at the
+    fiber (u, v) = (z^a, z^b).
+    """
     n = spec.q.modulus
-    u0, v0 = clock_shift(spec.q)
-    out = np.zeros((n, n), dtype=np.complex128)
-    upow = [np.linalg.matrix_power(u0, s) for s in range(n)]
-    vpow = [np.linalg.matrix_power(v0, t) for t in range(n)]
+    _require_unit("z", np.array([z], dtype=np.complex128))
+    f = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.complex128)
     for key in sorted(coeffs):
         j, s, t = key
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError(f"exponents (s,t) must lie in [0,{n - 1}], got {key}")
-        c = coeffs[key]
-        if c == 0:
-            continue
-        out += c * (z ** (j * n + spec.a * s + spec.b * t)) * (upow[s] @ vpow[t])
-    return out
+        f[n - 1 + s, n - 1 + t] += coeffs[key] * z ** (j * n)
+    section = TorusElement(CoeffLattice2(n - 1, n - 1, f), spec.q)
+    return eval_section(section, z ** spec.a, z ** spec.b)
 
 
 def _int_matrix_power(m: np.ndarray, k: int) -> np.ndarray:

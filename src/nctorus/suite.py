@@ -609,7 +609,11 @@ CRITERIA = [
 def run_criterion(index: int, seed: int) -> dict:
     for idx, name, fn in CRITERIA:
         if idx == index:
-            checks, logs = fn(seed)
+            try:
+                checks, logs = fn(seed)
+            except Exception as exc:  # the other criteria still run and report
+                kind = type(exc).__name__
+                checks, logs = [_flag(kind, False)], [{"name": kind, "value": str(exc)}]
             out = {"index": idx, "name": name, "checks": checks,
                    "pass": all(c["pass"] for c in checks)}
             if logs:

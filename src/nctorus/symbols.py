@@ -28,12 +28,7 @@ __all__ = [
     "symbol_to_obj",
     "symbol_from_obj",
     "series_to_obj",
-    "SymbolFormatError",
 ]
-
-
-class SymbolFormatError(FormatError):
-    """Malformed serialized symbol document."""
 
 
 _MINUS_I_POW = [(1, 0), (0, -1), (-1, 0), (0, 1)]  # (-i)^k as (re, im) units
@@ -347,24 +342,24 @@ def symbol_to_obj(f: PolySymbol) -> dict:
 
 def symbol_from_obj(obj) -> PolySymbol:
     if not isinstance(obj, dict) or "nvars" not in obj or "terms" not in obj:
-        raise SymbolFormatError('symbol document needs "nvars" and "terms"')
+        raise FormatError('symbol document needs "nvars" and "terms"')
     nvars = obj["nvars"]
     if not is_number(nvars, int) or nvars < 1:
-        raise SymbolFormatError('"nvars" must be a positive integer')
+        raise FormatError('"nvars" must be a positive integer')
     terms: dict = {}
     raw = obj["terms"]
     if not isinstance(raw, list):
-        raise SymbolFormatError('"terms" must be a list')
+        raise FormatError('"terms" must be a list')
     for i, t in enumerate(raw):
         if not (isinstance(t, dict) and "exps" in t and "re" in t and "im" in t):
-            raise SymbolFormatError(f'terms[{i}] needs "exps", "re", "im"')
+            raise FormatError(f'terms[{i}] needs "exps", "re", "im"')
         exps = t["exps"]
         if not (isinstance(exps, list) and len(exps) == nvars
                 and all(is_number(e, int) and e >= 0 for e in exps)):
-            raise SymbolFormatError(f"terms[{i}].exps must be {nvars} non-negative integers")
+            raise FormatError(f"terms[{i}].exps must be {nvars} non-negative integers")
         for part in ("re", "im"):
             if not is_finite_number(t[part]):
-                raise SymbolFormatError(f"terms[{i}].{part} must be a finite number")
+                raise FormatError(f"terms[{i}].{part} must be a finite number")
         # Fraction(float) is exact, so reading floats loses nothing
         c = CRat(Fraction(float(t["re"])), Fraction(float(t["im"])))
         key = tuple(exps)

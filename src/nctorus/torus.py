@@ -21,7 +21,6 @@ __all__ = [
     "TorusElement",
     "DerivationSpec",
     "DerivationCheck",
-    "PhaseMismatchError",
     "unit",
     "monomial",
     "q_mul",
@@ -37,10 +36,6 @@ __all__ = [
 ]
 
 _CHUNK_BYTES = 4 << 20  # bound on each Toeplitz chunk of _toeplitz_rows
-
-
-class PhaseMismatchError(MismatchError):
-    """Operands carry different twist parameters."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class TorusElement:
 
 def _require_same_q(a: PhaseQ, b: PhaseQ) -> None:
     if a != b:
-        raise PhaseMismatchError(f"q mismatch: {a} vs {b}")
+        raise MismatchError(f"q mismatch: {a} vs {b}")
 
 
 def unit(q: PhaseQ) -> TorusElement:
@@ -274,28 +269,20 @@ def reorder_phase(word: Sequence[int], q: PhaseQ) -> tuple[np.ndarray, complex]:
     word entries are signed indices: +i for S_i, -i for S_i^{-1}, and n is
     the largest index in word (1 for an empty word).  Returns the exponent
     vector of S_1^{k_1}..S_n^{k_n} and the accumulated phase.
-    Uses stable adjacent transpositions only, so the two relations (twist
-    for neighbours, commute for |i-j| >= 2) are the single source of truth.
+    A stable sort by index swaps each pair of letters S_a^s before S_b^t
+    with a > b exactly once.  Only neighbours twist, S_{b+1}^s S_b^t =
+    q^{-st} S_b^t S_{b+1}^s, and the rest commute, so the phase is q to the
+    -Sum s t over the pairs with a = b + 1.
     """
-    letters = []
+    phase_exp = 0
+    seen = {}  # index -> sum of the signs of the letters read so far
     for w in word:
         if not isinstance(w, int) or w == 0:
             raise ValueError(f"word entries are nonzero signed integers, got {w!r}")
-        letters.append((abs(w), 1 if w > 0 else -1))
-    n = max((idx for idx, _ in letters), default=1)
-    phase_exp = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            (ia, sa), (ib, sb) = letters[i], letters[i + 1]
-            if ia > ib:
-                # S_a^sa S_b^sb = q^{-sa*sb} S_b^sb S_a^sa when a = b+1
-                if ia == ib + 1:
-                    phase_exp -= sa * sb
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-                changed = True
-    exps = np.zeros(n, dtype=np.int64)
-    for idx, s in letters:
-        exps[idx - 1] += s
+        b, t = abs(w), 1 if w > 0 else -1
+        phase_exp -= t * seen.get(b + 1, 0)
+        seen[b] = seen.get(b, 0) + t
+    signed = np.array(word, dtype=np.int64).reshape(-1)
+    exps = np.zeros(np.abs(signed).max(initial=1), dtype=np.int64)
+    np.add.at(exps, np.abs(signed) - 1, np.sign(signed))
     return exps, q.pow(phase_exp)

@@ -341,6 +341,72 @@ class TestSuiteCommand:
         assert len(doc["criteria"]) == 13
         assert json.loads(out.read_text()) == doc
 
+    def test_raising_criterion_is_a_failed_check(self, run, monkeypatch):
+        # a negated Gram matrix makes criterion 11's gns_build raise; the
+        # exception is that criterion's one failing check, and the other
+        # twelve still run and pass
+        from nctorus import gns
+        gram = gns.gram_matrix
+        monkeypatch.setattr(gns, "gram_matrix", lambda *args: -gram(*args))
+        rc, doc, err = run("suite")
+        assert (rc, err) == (1, "")
+        failed = [c for c in doc["criteria"] if not c["pass"]]
+        assert len(doc["criteria"]) == 13 and [c["index"] for c in failed] == [11]
+        assert failed[0]["checks"] == [{"name": "ValueError", "residual": 1.0,
+                                        "tol": 0.5, "pass": False}]
+        assert failed[0]["logs"] == [{"name": "ValueError", "value":
+                                      "form is not positive: min eigenvalue -1.000e+00"}]
+
+
+@pytest.fixture
+def failing_inputs(write, u_file, v_file, zero_file):
+    # documents on which a subcommand runs to the end and then fails a check
+    indefinite = [[0.0, 0.0]] * 9
+    indefinite[1] = [1.0, 0.0]  # phi(U) = 1 with phi(1) = 0
+    return {
+        "@u": u_file, "@v": v_file, "@zero": zero_file,
+        "@f": write("f.json", {"radius_k": 1, "radius_l": 1, "coeffs": [
+            [0.3, -0.7], [1.1, 0.2], [0.5, 0.5], [-0.4, 0.9], [0.25, -1.3],
+            [0.6, 0.1], [0.8, -0.2], [-1.2, 0.35], [0.15, 0.45]]}),
+        "@circle": write("circle.json", {
+            "spec": {"a": 2, "b": 3, "a_prime": -1, "b_prime": 1,
+                     "q": {"rational": [1, 5]}},
+            "coeffs": [{"j": 1, "s": 2, "t": 4, "re": 0.7, "im": -0.3}]}),
+        "@ga": grid2d_file(write, "a.json", width=(1.0, 1.2)),
+        "@gb": grid2d_file(write, "b.json", width=(1.1, 0.9)),
+        "@gp": grid2d_file(write, "p.json", center=(0.4, 0.1)),
+        "@alg": write("alg.json", {"kind": "torus_quotient", "q": {"rational": [1, 3]}}),
+        "@indefinite": write("indefinite.json", {"values": indefinite}),
+    }
+
+
+@pytest.mark.parametrize("argv,failed", [
+    (["torus-derive", "@u", "--q", Q14, "--du", "@v", "--dv", "@zero"],
+     lambda doc: doc["error"].startswith("derivation relation violated")),
+    (["matrep-eval", "@f", "@f", "--q", Q14, "--tol=0"],
+     lambda doc: doc["homomorphism_residual"] == doc["failures"]["homomorphism_residual"] > 0),
+    (["circle-check", "@circle", "--tol=0"],
+     lambda doc: doc["ok"] is False and doc["max_residual"] > 0),
+    (["fourier-bridge", "@ga", "@gb", "--order", "4", "--tol=1e-12"],
+     lambda doc: doc["relative_error"] > doc["tol"]),
+    (["weyl-check", "--grid-n", "8"], lambda doc: doc["pass"] is False),
+    (["hbar-probe", "@ga", "@gp", "--delta", "0.5"],
+     lambda doc: doc["ok"] is False and not 3.5 <= doc["ratio"] <= 4.5),
+    (["gns-build", "@alg", "@indefinite"],
+     lambda doc: doc["error"].startswith("form is not positive")),
+    (["suite"], lambda doc: doc["pass"] is False
+     and doc["criteria"][0]["checks"][0]["name"] == "planted"),
+], ids=["torus-derive", "matrep-eval", "circle-check", "fourier-bridge", "weyl-check",
+        "hbar-probe", "gns-build", "suite"])
+def test_failed_check_exits_1(run, failing_inputs, monkeypatch, argv, failed):
+    # exit 1: the command ran, and its report on stdout says what failed
+    if argv == ["suite"]:
+        monkeypatch.setattr(suite, "CRITERIA", [
+            (1, "planted_failure", lambda seed: ([suite._flag("planted", False)], []))])
+    rc, doc, err = run(*[failing_inputs.get(arg, arg) for arg in argv])
+    assert (rc, err) == (1, "")
+    assert failed(doc)
+
 
 class TestErrorDiscipline:
     def test_missing_file(self, run, tmp_path):
@@ -673,16 +739,17 @@ class TestErrorDiscipline:
         assert out is None
         assert "--hbar" in err
 
-    def test_nonfinite_seminorm_refused(self, run, write, tmp_path):
-        # (1 + |k| + |l|)^m overflows on a radius-(1, 1) box
+    def test_nonfinite_seminorm_refused(self, write, tmp_path):
+        # (1 + |k| + |l|)^m overflows on a radius-(1, 1) box; in a process of
+        # its own, so that a NumPy warning would reach the real stderr
         f = write("f.json", {"radius_k": 1, "radius_l": 1, "coeffs": [[1, 0]] * 9})
         target = tmp_path / "res.json"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rc, out, err = run("torus-seminorm", f, "--q", Q14, "--order", "100000",
-                               "--out", str(target))
-        assert rc == 2
-        assert out is None
-        assert err == "error: report field 'seminorm': not a finite number\n"
+        proc = subprocess.run([sys.executable, "-m", "nctorus.cli", "torus-seminorm", f,
+                               "--q", Q14, "--order", "100000", "--out", str(target)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: report field 'seminorm': not a finite number\n"
         assert not target.exists()
 
     def test_nonfinite_probe_ratio_refused(self, run, write):
@@ -758,8 +825,8 @@ def _emit_documents(tmp_path):
     alg.write_text(json.dumps({"kind": "torus_quotient",
                                "q": {"rational": [1, 3]}}))
     form.write_text(json.dumps({"values": [[1.0, 0.0]] + [[0.0, 0.0]] * 8}))
-    gns = cli._cmd_gns_build(argparse.Namespace(algebra=str(alg),
-                                                form=str(form), tol=None))
+    gns, _ = cli._cmd_gns_build(argparse.Namespace(algebra=str(alg),
+                                                   form=str(form), tol=None))
     return {"grid": grid, "lattice": lattice, "gns": gns}
 
 
@@ -771,7 +838,7 @@ def test_emit_refuses_nonfinite(report, field, tmp_path, capsys):
     # JSON has no spelling for NaN or an infinity, in a complex number's
     # parts either: nothing is written, to stdout or to the --out file
     target = tmp_path / "out.json"
-    with pytest.raises(cli.CliError, match=rf"report field '{re.escape(field)}'"):
+    with pytest.raises(cli.FormatError, match=rf"report field '{re.escape(field)}'"):
         cli._emit(report, str(target))
     assert capsys.readouterr().out == ""
     assert not target.exists()

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from nctorus import cli
-from nctorus.grids import GridFormatError, gaussian_2d, grid2d_from_obj, grid2d_to_obj
-from nctorus.lattice import (FormatError, LatticeFormatError, is_number,
-                             lattice_from_obj, pairs_to_list, values_from_list)
+from nctorus.grids import gaussian_2d, grid2d_from_obj, grid2d_to_obj
+from nctorus.lattice import (FormatError, is_number, lattice_from_obj, pairs_to_list,
+                             values_from_list)
 
 
 # -- oracles: the decoding loops of the parent tree, messages included --
@@ -23,11 +23,11 @@ def lattice_loop(obj) -> np.ndarray:
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2
                 and is_number(pair[0]) and is_number(pair[1])):
-            raise LatticeFormatError(f"coeffs[{i}] must be a [re, im] pair")
+            raise FormatError(f"coeffs[{i}] must be a [re, im] pair")
         re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             k, l = divmod(i, cols)
-            raise LatticeFormatError(
+            raise FormatError(
                 f"coeffs[{i}] (k={k - rk}, l={l - rl}) is not finite")
         arr[i] = complex(re, im)
     return arr
@@ -37,14 +37,14 @@ def values_loop(raw, what="values") -> np.ndarray:
     out = np.empty(len(raw), dtype=np.complex128)
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise GridFormatError(f"{what}[{i}] must be a [re, im] pair")
+            raise FormatError(f"{what}[{i}] must be a [re, im] pair")
         re, im = pair
         if (type(re) is bool or type(im) is bool
                 or not (isinstance(re, (int, float)) and isinstance(im, (int, float)))):
-            raise GridFormatError(f"{what}[{i}] must be a [re, im] pair of numbers")
+            raise FormatError(f"{what}[{i}] must be a [re, im] pair of numbers")
         re, im = float(re), float(im)
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise GridFormatError(f"{what}[{i}] is not finite")
+            raise FormatError(f"{what}[{i}] is not finite")
         out[i] = complex(re, im)
     return out
 
@@ -122,8 +122,8 @@ def test_refusals_keep_the_loops_messages(entry, index):
     else:
         assert got == message(lattice_loop, obj)
         assert message(values_from_list, raw, 15, "values") == message(values_loop, raw)
-    with pytest.raises(GridFormatError, match=rf"^values\[{index}\] "):
-        values_from_list(raw, 15, "values", GridFormatError)
+    with pytest.raises(FormatError, match=rf"^values\[{index}\] "):
+        values_from_list(raw, 15, "values")
 
 
 def test_decoder_takes_numpy_scalars():
@@ -187,7 +187,7 @@ def test_writer_equals_json_dumps(kind, depth, capsys):
         # json.dumps would write NaN, which is not JSON: the writer refuses,
         # naming the first bad entry, before it writes anything
         where = ["[0]", "[1][0]", "inner[1][0]", "[1].inner[1][0]"][depth]
-        with pytest.raises(cli.CliError, match=rf"^report field '{re.escape(where)}'"):
+        with pytest.raises(cli.FormatError, match=rf"^report field '{re.escape(where)}'"):
             written(obj, capsys)
         assert capsys.readouterr().out == ""
         return

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nctorus.grids import (GridFormatError, GridFunction1D, GridFunction2D,
-                           GridMismatchError, check_decay,
+from nctorus.grids import (GridFunction1D, GridFunction2D, check_decay,
                            fourier_2d, gaussian_1d, gaussian_2d,
                            grid1d_from_obj, grid1d_to_obj, grid2d_from_obj,
                            grid2d_to_obj, inverse_fourier_2d,
                            require_same_grid)
-from nctorus.lattice import CoeffLattice2, PhaseQ
+from nctorus.lattice import CoeffLattice2, FormatError, MismatchError
 from nctorus.weyl import (DerivationData, _simpson, apply_P, apply_Q,
                           calibrate_q, composition_phase, rep_lattice_measure,
                           solve_inner_generator, weyl_P, weyl_Q)
@@ -56,7 +55,7 @@ class TestGridFunctions:
         assert a.same_grid(b)
         assert not a.same_grid(c)
         require_same_grid(a, b)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(MismatchError):
             require_same_grid(a, c)
 
 
@@ -133,9 +132,9 @@ class TestGridSerialization:
         assert np.max(np.abs(g.values - f.values)) == 0.0
 
     def test_bad_docs_name_the_field(self):
-        with pytest.raises(GridFormatError, match="values"):
+        with pytest.raises(FormatError, match="values"):
             grid1d_from_obj({"half_extent": 1.0, "n": 8, "values": [[1.0, 0.0]]})
-        with pytest.raises(GridFormatError, match="half_extent_s"):
+        with pytest.raises(FormatError, match="half_extent_s"):
             grid2d_from_obj({"n_t": 8, "n_s": 8, "half_extent_t": 1.0,
                              "values": []})
 
@@ -280,7 +279,7 @@ class TestSolveInner:
     def test_grid_mismatch_rejected(self):
         a = gaussian_2d(8.0, 8.0, 32, 32)
         b = gaussian_2d(8.0, 9.0, 32, 32)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(MismatchError):
             DerivationData(a, b, 0.5)
 
     def test_simpson_exact_on_cubics(self):

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nctorus.lattice import (CoeffLattice2, LatticeFormatError, PhaseQ,
+from nctorus.lattice import (CoeffLattice2, FormatError, PhaseQ,
                              lattice_from_obj, lattice_to_obj, phaseq_from_obj,
                              phaseq_to_obj, retruncate, seminorm, to_primed)
 
@@ -104,6 +105,16 @@ class TestSeminorm:
         f = CoeffLattice2.from_entries({(1, 1): 1.0, (2, 0): -1.0})
         assert seminorm(f.scaled(3.0), 2) == pytest.approx(3.0 * seminorm(f, 2))
 
+    def test_zero_coefficient_under_overflowing_weight(self):
+        # the corner weights 3^100000 are inf, but their coefficients are 0,
+        # so the sup is the centre's; no warning reaches the caller
+        f = CoeffLattice2(1, 1, np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seminorm(f, 100000) == 0.0
+            assert seminorm(f + CoeffLattice2.delta(0, 0).scaled(2.0), 100000) == 2.0
+            assert seminorm(f + CoeffLattice2.delta(1, 0), 100000) == math.inf
+
 
 class TestPrimedConvention:
     def test_round_trip(self):
@@ -155,20 +166,20 @@ class TestSerialization:
 
     def test_wrong_count_names_position(self):
         obj = {"radius_k": 1, "radius_l": 0, "coeffs": [[1.0, 0.0]]}
-        with pytest.raises(LatticeFormatError, match="coeffs"):
+        with pytest.raises(FormatError, match="coeffs"):
             lattice_from_obj(obj)
 
     def test_bad_pair_names_index(self):
         obj = {"radius_k": 0, "radius_l": 0, "coeffs": [[1.0]]}
-        with pytest.raises(LatticeFormatError, match=r"coeffs\[0\]"):
+        with pytest.raises(FormatError, match=r"coeffs\[0\]"):
             lattice_from_obj(obj)
 
     def test_missing_field_named(self):
-        with pytest.raises(LatticeFormatError, match="radius_l"):
+        with pytest.raises(FormatError, match="radius_l"):
             lattice_from_obj({"radius_k": 0, "coeffs": [[0.0, 0.0]]})
 
     def test_bad_phase_named(self):
-        with pytest.raises(LatticeFormatError, match="rational"):
+        with pytest.raises(FormatError, match="rational"):
             phaseq_from_obj({"rational": [1]})
-        with pytest.raises(LatticeFormatError):
+        with pytest.raises(FormatError):
             phaseq_from_obj({"something": 1})

@@ -193,6 +193,19 @@ class TestFiberGrid:
         assert fiber_grid(5) == fiber_grid(5)
 
 
+def loop_circle_eval(coeffs, spec: CircleSpec, z: complex) -> np.ndarray:
+    """circle_eval as a sum over the terms, each with its product of tabled
+    matrix powers U0^s V0^t and one power of z."""
+    n = spec.q.modulus
+    u0, v0 = clock_shift(spec.q)
+    out = np.zeros((n, n), dtype=np.complex128)
+    upow = [np.linalg.matrix_power(u0, s) for s in range(n)]
+    vpow = [np.linalg.matrix_power(v0, t) for t in range(n)]
+    for (j, s, t), c in sorted(coeffs.items()):
+        out += c * (z ** (j * n + spec.a * s + spec.b * t)) * (upow[s] @ vpow[t])
+    return out
+
+
 class TestCircle:
     SAMPLES = [complex(np.exp(2j * np.pi * (j + 0.61803) / 16)) for j in range(16)]
 
@@ -228,6 +241,30 @@ class TestCircle:
             CircleSpec(2, 4, 1, 0, PhaseQ.rational(1, 3))
         with pytest.raises(ValueError, match="a'"):
             CircleSpec(2, 1, 1, 0, PhaseQ.rational(1, 3))
+
+    def test_equals_term_loop(self):
+        rng = np.random.default_rng(21)
+        windings = [(1, 0, 1, 0), (1, 1, 1, 0), (1, 2, 1, 0), (2, 3, -1, 1),
+                    (3, 2, 1, -1), (-1, 4, -1, 0), (5, -3, 2, 3)]
+        for _ in range(200):
+            a, b, ap, bp = windings[rng.integers(len(windings))]
+            spec = CircleSpec(a, b, ap, bp, PhaseQ.rational(1, int(rng.integers(1, 9))))
+            n = spec.q.modulus
+            coeffs = {(int(j), int(s), int(t)): complex(*rng.standard_normal(2))
+                      for j, s, t in zip(rng.integers(-3, 4, 6), rng.integers(0, n, 6),
+                                         rng.integers(0, n, 6))}
+            z = complex(np.exp(2j * np.pi * rng.uniform()))
+            got, want = circle_eval(coeffs, spec, z), loop_circle_eval(coeffs, spec, z)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_off_circle_rejected_as_in_relations(self):
+        spec = CircleSpec(2, 3, -1, 1, PhaseQ.rational(1, 5))
+        for z in (1.5 + 0j, 0j):
+            with pytest.raises(ValueError) as relations:
+                circle_check_relations(spec, [z])
+            with pytest.raises(ValueError, match=r"^z must be unit modulus") as info:
+                circle_eval({(0, 1, 0): 1.0}, spec, z)
+            assert str(info.value) == str(relations.value)
 
     def test_out_of_range_word_rejected(self):
         spec = CircleSpec(1, 2, 1, 0, PhaseQ.rational(1, 3))

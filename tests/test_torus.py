@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nctorus import torus
 from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.torus import (DerivationCheck, DerivationSpec, PhaseMismatchError, TorusElement,
+from nctorus.lattice import MismatchError
+from nctorus.torus import (DerivationCheck, DerivationSpec, TorusElement,
                            adjoint, apply_derivation, check_derivation_relation,
                            d_power, inner_derivation, l2_state, monomial,
                            q_mul, reorder_phase, smooth_seminorm, trace, unit)
@@ -147,7 +148,7 @@ class TestProduct:
             assert q_mul(adjoint(v), v).max_abs_diff(unit(q)) < 1e-15
 
     def test_mixed_phases_rejected(self):
-        with pytest.raises(PhaseMismatchError):
+        with pytest.raises(MismatchError):
             q_mul(monomial(1, 0, Q4), monomial(0, 1, QI))
 
 
@@ -457,7 +458,43 @@ class TestSmoothSeminorm:
         assert abs(smooth_seminorm(f, [(1, 1)]) - 6.0) < 1e-14
 
 
+def bubble_reorder_phase(word, q: PhaseQ) -> tuple[np.ndarray, complex]:
+    """reorder_phase by stable adjacent transpositions, so the two relations
+    (twist for neighbours, commute for |i-j| >= 2) are applied one swap at
+    a time."""
+    letters = [(abs(w), 1 if w > 0 else -1) for w in word]
+    n = max((idx for idx, _ in letters), default=1)
+    phase_exp = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters) - 1):
+            (ia, sa), (ib, sb) = letters[i], letters[i + 1]
+            if ia > ib:
+                # S_a^sa S_b^sb = q^{-sa*sb} S_b^sb S_a^sa when a = b+1
+                if ia == ib + 1:
+                    phase_exp -= sa * sb
+                letters[i], letters[i + 1] = letters[i + 1], letters[i]
+                changed = True
+    exps = np.zeros(n, dtype=np.int64)
+    for idx, s in letters:
+        exps[idx - 1] += s
+    return exps, q.pow(phase_exp)
+
+
 class TestReorderPhase:
+    @pytest.mark.parametrize("q", [PhaseQ.rational(3, 7), PhaseQ.irrational(math.sqrt(3.0))],
+                             ids=["rational", "irrational"])
+    def test_equals_bubble_sort(self, q):
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            word = [int(i) * int(s) for i, s in zip(rng.integers(1, 5, rng.integers(0, 9)),
+                                                    rng.choice([-1, 1], 8))]
+            exps, phase = reorder_phase(word, q)
+            want_exps, want_phase = bubble_reorder_phase(word, q)
+            assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps), word
+            assert phase == want_phase, word
+
     def test_adjacent_twist(self):
         exps, phase = reorder_phase([2, 1], Q4)
         assert list(exps) == [1, 1]
