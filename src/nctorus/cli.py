@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
-from .lattice import (FormatError, MismatchError, PhaseQ, lattice_from_obj,
-                      lattice_to_obj, pairs_to_list, phaseq_from_obj, phaseq_to_obj,
-                      retruncate, seminorm, to_primed, values_from_list)
+from .lattice import (CoeffLattice2, FormatError, MismatchError, PhaseQ, is_finite_number,
+                      is_number, lattice_from_obj, lattice_to_obj, pairs_to_list,
+                      phaseq_from_obj, phaseq_to_obj, retruncate, seminorm, to_primed,
+                      values_from_list)
 from .torus import (DerivationSpec, TorusElement, adjoint, apply_derivation,
                     check_derivation_relation, d_power, inner_derivation, l2_state,
                     q_mul, reorder_phase, smooth_seminorm, trace)
@@ -45,17 +46,113 @@ MAX_MOYAL_ORDER = 1024
 # Gaussians at hbar 0.3 to 1.0 the error at order 20 was above that at 16
 MAX_BRIDGE_ORDER = 16
 
-# what each float flag must be; all must be finite, as argparse's float
-# accepts nan and inf
-_FLOAT_FLAGS = {"hbar": "finite", "sigma": "finite", "delta": "positive",
-                "grid_extent": "positive", "tol": "non-negative"}
+# torus-mul --word generator index; the report holds one exponent per
+# generator, and at the limit a one-letter word took 0.36 s and wrote 29 kB
+# (0.32 s at index 1, 0.89 s and 459 kB at 65536) on a 2-core host
+MAX_WORD_INDEX = 4096
 
-# --order limit per subcommand; torus-seminorm's weight has none
-_ORDER_LIMITS = {"moyal-star": MAX_MOYAL_ORDER, "fourier-bridge": MAX_BRIDGE_ORDER}
+# |exponent| in --power, --deriv-word, torus-seminorm --order and a
+# circle-check document (a, b, N a', N b', j N).  Past 2^53 an exponent is
+# not exact as a float.  At the limit the circle relations stay finite
+# (residuals up to 3e26 at N = 64, a failed check); they first overflowed
+# into a LinAlgError at 2^57 (N = 64) and 2^61 (N = 5)
+MAX_EXPONENT = 1 << 53
 
-# subcommands whose --hbar must be nonzero: weyl-check checks [Q, P] = i hbar
-# relative to hbar, and solve-inner divides by it
-_NONZERO_HBAR = {"weyl-check", "solve-inner"}
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are FormatErrors: one error line, exit 2."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
+def _checked(convert, ok, need: str):
+    """A flag's type=: convert's value, refused unless ok(value) holds.
+
+    argparse names the flag: 'argument --x: must be <need>, got <value>',
+    or for text convert cannot read, 'invalid <convert> value: ...'.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# float flags; argparse's float accepts nan and inf, so each is finite first
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(_FINITE, lambda x: x > 0, "positive")
+_NON_NEGATIVE = _checked(_FINITE, lambda x: x >= 0, "non-negative")
+# weyl-check checks [Q, P] = i hbar relative to hbar, and solve-inner
+# divides by it
+_NONZERO = _checked(_FINITE, lambda x: x != 0, "nonzero")
+
+_GRID_N = _checked(int, lambda n: 8 <= n <= MAX_GRID_N and n & (n - 1) == 0,
+                   f"a power of two from 8 to {MAX_GRID_N}")
+
+
+def _order(top: int):
+    return _checked(int, lambda n: 0 <= n <= top, f"from 0 to {top}")
+
+
+def _phase(text: str) -> PhaseQ:
+    """--q: a phase document, such as '{"rational": [1, 4]}'."""
+    try:
+        return phaseq_from_obj(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON ({exc})") from exc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, "
+                                         f"got '{text}'") from exc
+
+
+def _word(text: str) -> list[int]:
+    """--word: signed generator indices, nonzero and at most MAX_WORD_INDEX."""
+    word = _int_list(text)
+    if 0 in word:
+        raise argparse.ArgumentTypeError(f"entries must be nonzero, got '{text}'")
+    if max(map(abs, word), default=0) > MAX_WORD_INDEX:
+        raise argparse.ArgumentTypeError(f"entries must be from -{MAX_WORD_INDEX} to "
+                                         f"{MAX_WORD_INDEX}, got '{text}'")
+    return word
+
+
+def _pair(form: str):
+    """A flag type: two non-negative integers written as form, such as 'm,n',
+    each at most MAX_EXPONENT."""
+    def parse(text: str) -> tuple[int, int]:
+        pair = _int_list(text)
+        if len(pair) != 2 or min(pair) < 0:
+            raise argparse.ArgumentTypeError(f"expected '{form}', two non-negative "
+                                             f"integers, got '{text}'")
+        if max(pair) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"entries must be at most {MAX_EXPONENT}, "
+                                             f"got '{text}'")
+        return pair[0], pair[1]
+    return parse
+
+
+def _deriv_word(text: str) -> list[tuple[int, int]]:
+    """--deriv-word: 'm,n' pairs separated by ';'."""
+    return [_pair("m,n")(pair) for pair in text.split(";")]
+
+
+def _point(text: str) -> complex:
+    """--u, --v: a complex number 're,im'."""
+    try:
+        re_part, im_part = map(float, text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected 're,im', got '{text}'") from exc
+    return complex(re_part, im_part)
 
 
 def _read_doc(path: str):
@@ -72,35 +169,41 @@ def _read_doc(path: str):
         raise FormatError(f"input '{path}': invalid JSON ({exc})") from exc
 
 
-def _parse_q_flag(text: str | None) -> PhaseQ | None:
-    if text is None:
-        return None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"flag '--q': invalid JSON ({exc})") from exc
-    return phaseq_from_obj(obj)
-
-
-def _element_from_doc(doc, q_flag: PhaseQ | None, name: str) -> TorusElement:
+def _lattice_from_doc(doc, name: str) -> tuple[CoeffLattice2, dict | None]:
+    """The lattice of a bare lattice or element document, and the element
+    document (None for a bare lattice, whose phase comes from --q)."""
     if not isinstance(doc, dict):
         raise FormatError(f"input '{name}': expected a JSON object")
-    if "radius_k" in doc:  # bare lattice; phase comes from --q
-        coeffs = lattice_from_obj(doc)
-        q_doc = None
-    elif "coeffs" in doc:
-        coeffs = lattice_from_obj(doc["coeffs"])
-        q_doc = phaseq_from_obj(doc.get("q")) if "q" in doc else None
-    else:
-        raise FormatError(f"input '{name}': expected 'radius_k' (bare lattice) "
-                          "or 'coeffs' (element with embedded phase)")
-    q = q_doc if q_doc is not None else q_flag
-    if q is None:
-        raise FormatError(f"field 'q': missing for '{name}' (no --q flag and "
-                          "no embedded phase)")
-    if q_doc is not None and q_flag is not None and q_doc != q_flag:
-        raise FormatError(f"field 'q': '{name}' embeds a phase that differs "
+    if "radius_k" in doc:
+        return lattice_from_obj(doc), None
+    if "coeffs" in doc:
+        return lattice_from_obj(doc["coeffs"]), doc
+    raise FormatError(f"input '{name}': expected 'radius_k' (bare lattice) "
+                      "or 'coeffs' (element with embedded phase)")
+
+
+def _read_element(path: str, q_flag: PhaseQ | None,
+                  first: TorusElement | None = None) -> TorusElement:
+    """The element in the document at path.
+
+    Its phase is the embedded one, else --q's, else that of first, the
+    operand it is combined with.  An embedded phase that differs from --q
+    is a FormatError, and one that differs from first's a MismatchError.
+    """
+    coeffs, element = _lattice_from_doc(_read_doc(path), path)
+    q = phaseq_from_obj(element["q"]) if element is not None and "q" in element else None
+    if q is not None and q_flag is not None and q != q_flag:
+        raise FormatError(f"field 'q': '{path}' embeds a phase that differs "
                           "from --q")
+    if q is None:
+        q = q_flag
+    if q is None and first is not None:
+        q = first.q
+    if q is None:
+        raise FormatError(f"field 'q': missing for '{path}' (no --q flag and "
+                          "no embedded phase)")
+    if first is not None and q != first.q:
+        raise MismatchError(f"q mismatch: {first.q} vs {q}")
     return TorusElement(coeffs, q)
 
 
@@ -206,63 +309,30 @@ def _emit(obj: dict, out: str | None) -> None:
             fh.write("\n")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise FormatError(f"flag '{flag}': expected comma separated integers, "
-                          f"got '{text}'") from exc
-
-
-def _parse_pair(text: str, flag: str, form: str) -> tuple[int, int]:
-    """Two non-negative integers written as form, such as 'm,n'."""
-    pair = _parse_int_list(text, flag)
-    if len(pair) != 2 or min(pair) < 0:
-        raise FormatError(f"flag '{flag}': expected '{form}', two non-negative "
-                          f"integers, got '{text}'")
-    return pair[0], pair[1]
-
-
-def _parse_complex(text: str, flag: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"flag '{flag}': expected 're,im', got '{text}'")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise FormatError(f"flag '{flag}': expected 're,im', got '{text}'") from exc
-
-
 # -- subcommand bodies ---------------------------------------------------
 # Each returns (report, ok); ok False, a failed tolerance or condition, is exit 1.
 
 def _cmd_torus_mul(args) -> tuple[dict, bool]:
-    q = _parse_q_flag(args.q)
     if args.word is not None:
-        if q is None:
+        if args.q is None:
             raise FormatError("field 'q': --word needs --q")
-        word = _parse_int_list(args.word, "--word")
-        if 0 in word:
-            raise FormatError(f"flag '--word': entries must be nonzero, got '{args.word}'")
-        exps, phase = reorder_phase(word, q)
+        exps, phase = reorder_phase(args.word, args.q)
         return {"exponents": [int(e) for e in exps], "phase": complex(phase)}, True
     if len(args.inputs) != 2:
         raise FormatError("inputs: torus-mul needs two element files "
                           "(or --word)")
-    f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
-    g = _element_from_doc(_read_doc(args.inputs[1]), q, args.inputs[1])
+    f = _read_element(args.inputs[0], args.q)
+    g = _read_element(args.inputs[1], args.q)
     return _element_obj(q_mul(f, g)), True
 
 
 def _cmd_torus_adjoint(args) -> tuple[dict, bool]:
-    q = _parse_q_flag(args.q)
-    f = _element_from_doc(_read_doc(args.input), q, args.input)
+    f = _read_element(args.input, args.q)
     return _element_obj(adjoint(f)), True
 
 
 def _cmd_torus_seminorm(args) -> tuple[dict, bool]:
-    q = _parse_q_flag(args.q)
-    f = _element_from_doc(_read_doc(args.input), q, args.input)
+    f = _read_element(args.input, args.q)
     out = {
         "order": args.order,
         "seminorm": seminorm(f.coeffs, args.order),
@@ -271,33 +341,29 @@ def _cmd_torus_seminorm(args) -> tuple[dict, bool]:
         "primed_coeffs": lattice_to_obj(to_primed(f.coeffs, f.q), pairs=np.asarray),
     }
     if args.deriv_word is not None:
-        word = [_parse_pair(pair, "--deriv-word", "m,n")
-                for pair in args.deriv_word.split(";")]
-        out["smooth_seminorm"] = smooth_seminorm(f, word)
+        out["smooth_seminorm"] = smooth_seminorm(f, args.deriv_word)
     if args.truncate is not None:
-        cut, tail = retruncate(f.coeffs, *_parse_pair(args.truncate, "--truncate",
-                                                       "radius_k,radius_l"))
+        cut, tail = retruncate(f.coeffs, *args.truncate)
         out["truncated_coeffs"] = lattice_to_obj(cut, pairs=np.asarray)
         out["truncation_tail"] = tail
     return out, True
 
 
 def _cmd_torus_derive(args) -> tuple[dict, bool]:
-    q = _parse_q_flag(args.q)
-    f = _element_from_doc(_read_doc(args.input), q, args.input)
+    f = _read_element(args.input, args.q)
     modes = sum(x is not None for x in (args.power, args.inner, args.du))
     if modes != 1:
         raise FormatError("flags: pick exactly one of --power, --inner, "
                           "or --du/--dv")
     if args.power is not None:
-        return _element_obj(d_power(f, *_parse_pair(args.power, "--power", "m,n"))), True
+        return _element_obj(d_power(f, *args.power)), True
     if args.inner is not None:
-        a = _element_from_doc(_read_doc(args.inner), f.q, args.inner)
+        a = _read_element(args.inner, args.q, f)
         return _element_obj(inner_derivation(a, f)), True
     if args.dv is None:
         raise FormatError("flag '--dv': required when --du is given")
-    du = _element_from_doc(_read_doc(args.du), f.q, args.du)
-    dv = _element_from_doc(_read_doc(args.dv), f.q, args.dv)
+    du = _read_element(args.du, args.q, f)
+    dv = _read_element(args.dv, args.q, f)
     spec = DerivationSpec(du.coeffs, dv.coeffs, f.q)
     try:
         result = apply_derivation(spec, f, tol=args.tol)
@@ -307,9 +373,8 @@ def _cmd_torus_derive(args) -> tuple[dict, bool]:
 
 
 def _cmd_torus_check_derivation(args) -> tuple[dict, bool]:
-    q = _parse_q_flag(args.q)
-    du = _element_from_doc(_read_doc(args.du), q, args.du)
-    dv = _element_from_doc(_read_doc(args.dv), du.q, args.dv)
+    du = _read_element(args.du, args.q)
+    dv = _read_element(args.dv, args.q, du)
     rep = check_derivation_relation(DerivationSpec(du.coeffs, dv.coeffs, du.q),
                                     tol=args.tol)
     out = {"ok": rep.ok, "max_residual": rep.max_residual,
@@ -321,27 +386,24 @@ def _cmd_torus_check_derivation(args) -> tuple[dict, bool]:
 
 def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     from . import matrep
-    q = _parse_q_flag(args.q)
-    f = _element_from_doc(_read_doc(args.inputs[0]), q, args.inputs[0])
+    f = _read_element(args.inputs[0], args.q)
     try:
         # checks q (rational, modulus within the limit) before allocating
         family = matrep.section_family(f)
     except ValueError as exc:
         raise FormatError(f"field 'q': {exc}") from exc
-    u = _parse_complex(args.u, "--u")
-    v = _parse_complex(args.v, "--v")
     try:
-        mat = matrep.eval_section(f, u, v)
+        mat = matrep.eval_section(f, args.u, args.v)
     except ValueError as exc:
         raise FormatError(f"flags '--u/--v': {exc}") from exc
     eq_ok, eq_bad = matrep.equivariance_check(family, f.q)
     grid = matrep.fiber_grid(16)
-    cov = max(matrep.covariance_residual(f, u, v, 1, 1),
-              matrep.covariance_residual(f, u, v, 0, 1))
+    cov = max(matrep.covariance_residual(f, args.u, args.v, 1, 1),
+              matrep.covariance_residual(f, args.u, args.v, 0, 1))
     out = {
         "n": f.q.modulus,
-        "u": u,
-        "v": v,
+        "u": args.u,
+        "v": args.v,
         "matrix": mat,
         "opnorm": matrep.opnorm(mat),
         "equivariance_ok": eq_ok,
@@ -351,7 +413,7 @@ def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     }
     failures = {}
     if len(args.inputs) > 1:
-        g = _element_from_doc(_read_doc(args.inputs[1]), f.q, args.inputs[1])
+        g = _read_element(args.inputs[1], args.q, f)
         hom = matrep.homomorphism_residual(f, g, q_mul(f, g), grid)
         star = matrep.star_residual(f, adjoint(f), grid)
         out["homomorphism_residual"] = hom
@@ -369,37 +431,55 @@ def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     return out, not failures
 
 
+def _circle_field(obj, key: str, where: str, ok=lambda x: is_number(x, int),
+                  need: str = "an integer"):
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"field '{where}.{key}': missing")
+    if not ok(obj[key]):
+        raise FormatError(f"field '{where}.{key}': must be {need}")
+    return obj[key]
+
+
+def _circle_exponent(exponent: int, field: str) -> None:
+    if abs(exponent) > MAX_EXPONENT:
+        raise FormatError(f"field '{field}': gives an exponent past the limit "
+                          f"{MAX_EXPONENT} (2^53) in size")
+
+
 def _parse_circle_doc(doc, name: str):
     from . import matrep
-    if not isinstance(doc, dict) or "spec" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
         raise FormatError(f"input '{name}': expected an object with a 'spec' "
                           "field")
     spec_obj = doc["spec"]
+    windings = [_circle_field(spec_obj, key, "spec") for key in ("a", "b", "a_prime", "b_prime")]
+    if "q" not in spec_obj:
+        raise FormatError("field 'spec.q': missing")
     try:
-        spec = matrep.CircleSpec(int(spec_obj["a"]), int(spec_obj["b"]),
-                                 int(spec_obj["a_prime"]),
-                                 int(spec_obj["b_prime"]),
-                                 phaseq_from_obj(spec_obj["q"]))
-    except KeyError as exc:
-        raise FormatError(f"field 'spec.{exc.args[0]}': missing") from exc
+        spec = matrep.CircleSpec(*windings, phaseq_from_obj(spec_obj["q"]))
     except ValueError as exc:
         raise FormatError(f"field 'spec': {exc}") from exc
+    n = spec.q.modulus
+    for key, exponent in (("a", spec.a), ("b", spec.b), ("a_prime", n * spec.a_prime),
+                          ("b_prime", n * spec.b_prime)):
+        _circle_exponent(exponent, f"spec.{key}")
+    terms = doc.get("coeffs", [])
+    if not isinstance(terms, list):
+        raise FormatError("field 'coeffs': must be a list")
     coeffs = {}
-    for i, term in enumerate(doc.get("coeffs", [])):
-        try:
-            key = (int(term["j"]), int(term["s"]), int(term["t"]))
-            coeffs[key] = complex(float(term["re"]), float(term["im"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"field 'coeffs[{i}]': expected j, s, t, re, im "
-                              f"({exc})") from exc
+    for i, term in enumerate(terms):
+        j, s, t = (_circle_field(term, key, f"coeffs[{i}]") for key in "jst")
+        _circle_exponent(j * n, f"coeffs[{i}].j")
+        re_part, im_part = (_circle_field(term, key, f"coeffs[{i}]", is_finite_number,
+                                          "a finite number") for key in ("re", "im"))
+        coeffs[(j, s, t)] = complex(re_part, im_part)
     return spec, coeffs
 
 
 def _cmd_circle_check(args) -> tuple[dict, bool]:
     from . import matrep
     spec, coeffs = _parse_circle_doc(_read_doc(args.input), args.input)
-    off = (math.sqrt(5.0) - 1.0) / 2.0
-    samples = [complex(np.exp(2j * np.pi * (j + off) / 16)) for j in range(16)]
+    samples = matrep.CIRCLE_SAMPLES
     res = matrep.circle_check_relations(spec, samples)
     out = {"max_residual": res, "tol": args.tol,
            "samples": len(samples), "ok": res <= args.tol}
@@ -424,11 +504,7 @@ def _cmd_weyl_check(args) -> tuple[dict, bool]:
 def _cmd_rep_lattice(args) -> tuple[dict, bool]:
     from . import weyl
     from .grids import gaussian_1d, grid1d_from_obj, grid1d_to_obj
-    doc = _read_doc(args.coeffs)
-    if isinstance(doc, dict) and "coeffs" in doc and "radius_k" not in doc:
-        c = lattice_from_obj(doc["coeffs"])
-    else:
-        c = lattice_from_obj(doc)
+    c, _ = _lattice_from_doc(_read_doc(args.coeffs), args.coeffs)
     if args.state is not None:
         f = grid1d_from_obj(_read_doc(args.state))
     else:
@@ -641,33 +717,10 @@ def _cmd_suite(args) -> tuple[dict, bool]:
     return report, report["pass"]
 
 
-def _check_number_flags(args) -> None:
-    """Refuse bad float flags, --order, --hbar and --grid-n before any work."""
-    for name, need in _FLOAT_FLAGS.items():
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if not math.isfinite(value):
-            need = "finite"
-        elif not (need == "positive" and value <= 0 or need == "non-negative" and value < 0):
-            continue
-        raise FormatError(f"flag '--{name.replace('_', '-')}': must be {need}, got {value}")
-    order, top = getattr(args, "order", 0), _ORDER_LIMITS.get(args.command)
-    if order < 0 or (top is not None and order > top):
-        need = "non-negative" if top is None else f"from 0 to {top}"
-        raise FormatError(f"flag '--order': must be {need}, got {order}")
-    n = getattr(args, "grid_n", None)
-    if n is not None and not (8 <= n <= MAX_GRID_N and n & (n - 1) == 0):
-        raise FormatError(f"flag '--grid-n': must be a power of two from 8 to "
-                          f"{MAX_GRID_N}, got {n}")
-    if args.command in _NONZERO_HBAR and args.hbar == 0:
-        raise FormatError(f"flag '--hbar': must be nonzero, got {args.hbar}")
-
-
 # -- parser --------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="nctorus",
         description="exact q-twisted torus arithmetic, twisted convolutions, "
                     "Weyl calculus, and finite GNS constructions")
@@ -683,81 +736,83 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("torus-mul", "multiply two torus elements, or normal order a "
              "generator word with --word", _cmd_torus_mul)
     sp.add_argument("inputs", nargs="*", help="element JSON files")
-    sp.add_argument("--q", default=None, help="phase JSON, e.g. "
+    sp.add_argument("--q", type=_phase, default=None, help="phase JSON, e.g. "
                     '\'{"rational":[1,4]}\'')
-    sp.add_argument("--word", default=None, help="signed generator indices, "
-                    "e.g. '2,1,-2'")
+    sp.add_argument("--word", type=_word, default=None, help="signed generator "
+                    f"indices up to {MAX_WORD_INDEX}, e.g. '2,1,-2'")
 
     sp = add("torus-adjoint", "adjoint of a torus element", _cmd_torus_adjoint)
     sp.add_argument("input")
-    sp.add_argument("--q", default=None)
+    sp.add_argument("--q", type=_phase, default=None)
 
     sp = add("torus-seminorm", "seminorms, trace, and convention views of an "
              "element", _cmd_torus_seminorm)
     sp.add_argument("input")
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--order", type=int, default=0, help="seminorm weight m")
-    sp.add_argument("--deriv-word", default=None,
+    sp.add_argument("--q", type=_phase, default=None)
+    sp.add_argument("--order", type=_order(MAX_EXPONENT), default=0,
+                    help="seminorm weight m")
+    sp.add_argument("--deriv-word", type=_deriv_word, default=None,
                     help="derivative word 'm,n;m,n;...' for the smooth "
                     "seminorm")
-    sp.add_argument("--truncate", default=None,
+    sp.add_argument("--truncate", type=_pair("radius_k,radius_l"), default=None,
                     help="'radius_k,radius_l' box to truncate to")
 
     sp = add("torus-derive", "apply a derivation to an element", _cmd_torus_derive)
     sp.add_argument("input")
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--power", default=None, help="'m,n' coordinate powers")
+    sp.add_argument("--q", type=_phase, default=None)
+    sp.add_argument("--power", type=_pair("m,n"), default=None,
+                    help="'m,n' coordinate powers")
     sp.add_argument("--inner", default=None, help="element file a for ad(a)")
     sp.add_argument("--du", default=None, help="element file with D(U)")
     sp.add_argument("--dv", default=None, help="element file with D(V)")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10)
 
     sp = add("torus-check-derivation", "test whether (D(U), D(V)) extends to "
              "a derivation", _cmd_torus_check_derivation)
     sp.add_argument("du")
     sp.add_argument("dv")
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--q", type=_phase, default=None)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10)
 
     sp = add("matrep-eval", "evaluate an element in the clock and shift "
              "fiber at (u, v)", _cmd_matrep_eval)
     sp.add_argument("inputs", nargs="+", help="element file, optionally a "
                     "second element for homomorphism checks")
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--u", default="1,0", help="fiber point 're,im'")
-    sp.add_argument("--v", default="1,0", help="fiber point 're,im'")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--q", type=_phase, default=None)
+    sp.add_argument("--u", type=_point, default="1,0", help="fiber point 're,im'")
+    sp.add_argument("--v", type=_point, default="1,0", help="fiber point 're,im'")
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10)
 
     sp = add("circle-check", "verify the circle-fibered relations for a spec", _cmd_circle_check)
     sp.add_argument("input")
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-12)
 
     sp = add("weyl-check", "run the Weyl relation battery on a 1d grid", _cmd_weyl_check)
-    sp.add_argument("--hbar", type=float, default=0.7)
-    sp.add_argument("--grid-n", type=int, default=512)
-    sp.add_argument("--grid-extent", type=float, default=16.0)
+    sp.add_argument("--hbar", type=_NONZERO, default=0.7)
+    sp.add_argument("--grid-n", type=_GRID_N, default=512)
+    sp.add_argument("--grid-extent", type=_POSITIVE, default=16.0)
 
     sp = add("rep-lattice", "apply the lattice measure representation and "
              "calibrate its composition phase", _cmd_rep_lattice)
     sp.add_argument("coeffs", help="lattice JSON file")
     sp.add_argument("state", nargs="?", default=None,
                     help="1d grid JSON (default: a fixed gaussian)")
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--grid-n", type=int, default=512)
-    sp.add_argument("--grid-extent", type=float, default=16.0)
+    sp.add_argument("--sigma", type=_FINITE, default=1.0)
+    sp.add_argument("--hbar", type=_FINITE, default=1.0)
+    sp.add_argument("--grid-n", type=_GRID_N, default=512)
+    sp.add_argument("--grid-extent", type=_POSITIVE, default=16.0)
 
     sp = add("solve-inner", "recover the generator of an inner derivation "
              "from its component data", _cmd_solve_inner)
     sp.add_argument("a_q")
     sp.add_argument("a_p")
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--hbar", type=_NONZERO, default=1.0)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-6)
 
     sp = add("twisted-conv", "twisted convolutions and the gauge transport "
              "on 2d grids", _cmd_twisted_conv)
     sp.add_argument("inputs", nargs="+", help="grid JSON files")
-    sp.add_argument("--hbar", type=float, default=1.0)
+    sp.add_argument("--hbar", type=_FINITE, default=1.0)
     sp.add_argument("--variant", default="ordered",
                     choices=["ordered", "symplectic", "group", "plain",
                              "gauge"])
@@ -767,7 +822,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("moyal-star", "formal star products of polynomial symbols", _cmd_moyal_star)
     sp.add_argument("inputs", nargs="+", help="symbol JSON files")
-    sp.add_argument("--order", type=int, default=4)
+    sp.add_argument("--order", type=_order(MAX_MOYAL_ORDER), default=4)
     sp.add_argument("--mode", default="full",
                     choices=["full", "half", "commutator", "poisson",
                              "assoc"])
@@ -775,26 +830,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("fourier-bridge", "compare the convolution route with the "
              "truncated star expansion", _cmd_fourier_bridge)
     sp.add_argument("inputs", nargs=2, help="grid JSON files")
-    sp.add_argument("--hbar", type=float, default=0.05)
-    sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--hbar", type=_FINITE, default=0.05)
+    sp.add_argument("--order", type=_order(MAX_BRIDGE_ORDER), default=8)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=None)
 
     sp = add("hbar-probe", "Richardson probe of hbar smoothness of the "
              "twisted product", _cmd_hbar_probe)
     sp.add_argument("inputs", nargs=2, help="grid JSON files")
-    sp.add_argument("--hbar", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=1e-2)
+    sp.add_argument("--hbar", type=_FINITE, default=0.5)
+    sp.add_argument("--delta", type=_POSITIVE, default=1e-2)
 
     sp = add("gns-build", "build the GNS triplet of a positive form", _cmd_gns_build)
     sp.add_argument("algebra")
     sp.add_argument("form")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=None)
 
     sp = add("gns-check", "positivity, Schwarz, and separation diagnostics "
              "for a form", _cmd_gns_check)
     sp.add_argument("algebra")
     sp.add_argument("form")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10)
 
     sp = add("suite", "run the full deterministic acceptance battery", _cmd_suite)
     sp.add_argument("--seed", type=int, default=42)
@@ -814,10 +869,9 @@ def _glue_point_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(
-        _glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
-        _check_number_flags(args)
+        args = _build_parser().parse_args(
+            _glue_point_flags(sys.argv[1:] if argv is None else list(argv)))
         report, ok = args.run(args)
         _emit(report, args.out)
         return 0 if ok else 1

@@ -238,21 +238,33 @@ def grid1d_to_obj(f: GridFunction1D, pairs=pairs_to_list) -> dict:
     return {"half_extent": f.half_extent, "n": f.n, "values": pairs(f.values)}
 
 
-def grid1d_from_obj(obj) -> GridFunction1D:
+def _grid_from_obj(obj, fields: tuple[str, ...], grid_type):
+    """The grid_type in obj, whose fields besides "values" are sample counts
+    (named n...) and half extents (named half_extent...), checked in the
+    order given; grid_type takes the extents, the counts and the values."""
     if not isinstance(obj, dict):
         raise FormatError("grid document must be an object")
-    for key in ("half_extent", "n", "values"):
+    for key in fields + ("values",):
         if key not in obj:
             raise FormatError(f'missing field "{key}"')
-    if not is_number(obj["n"], int):
-        raise FormatError('"n" must be an integer')
-    if not is_finite_number(obj["half_extent"]):
-        raise FormatError('"half_extent" must be a finite number')
-    vals = values_from_list(obj["values"], obj["n"], "values")
+    counts = [key for key in fields if key.startswith("n")]
+    extents = [key for key in fields if key.startswith("half_extent")]
+    for key in counts:
+        if not is_number(obj[key], int):
+            raise FormatError(f'"{key}" must be an integer')
+    for key in extents:
+        if not is_finite_number(obj[key]):
+            raise FormatError(f'"{key}" must be a finite number')
+    shape = [obj[key] for key in counts]
+    vals = values_from_list(obj["values"], math.prod(shape), "values")
     try:
-        return GridFunction1D(float(obj["half_extent"]), obj["n"], vals)
+        return grid_type(*(float(obj[key]) for key in extents), *shape, vals.reshape(shape))
     except ValueError as e:
         raise FormatError(str(e)) from e
+
+
+def grid1d_from_obj(obj) -> GridFunction1D:
+    return _grid_from_obj(obj, ("half_extent", "n"), GridFunction1D)
 
 
 def grid2d_to_obj(f: GridFunction2D, pairs=pairs_to_list) -> dict:
@@ -267,22 +279,5 @@ def grid2d_to_obj(f: GridFunction2D, pairs=pairs_to_list) -> dict:
 
 
 def grid2d_from_obj(obj) -> GridFunction2D:
-    if not isinstance(obj, dict):
-        raise FormatError("grid document must be an object")
-    for key in ("n_t", "n_s", "half_extent_t", "half_extent_s", "values"):
-        if key not in obj:
-            raise FormatError(f'missing field "{key}"')
-    for key in ("n_t", "n_s"):
-        if not is_number(obj[key], int):
-            raise FormatError(f'"{key}" must be an integer')
-    for key in ("half_extent_t", "half_extent_s"):
-        if not is_finite_number(obj[key]):
-            raise FormatError(f'"{key}" must be a finite number')
-    count = obj["n_t"] * obj["n_s"]
-    vals = values_from_list(obj["values"], count, "values")
-    try:
-        return GridFunction2D(float(obj["half_extent_t"]), float(obj["half_extent_s"]),
-                              obj["n_t"], obj["n_s"],
-                              vals.reshape(obj["n_t"], obj["n_s"]))
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return _grid_from_obj(obj, ("n_t", "n_s", "half_extent_t", "half_extent_s"),
+                          GridFunction2D)

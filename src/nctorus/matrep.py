@@ -167,6 +167,11 @@ def fiber_grid(count: int = 16) -> list[tuple[complex, complex]]:
     return [(u, v) for u in us for v in vs]
 
 
+# the points z where circle-check and the suite sample the circle: the u
+# axis of fiber_grid(16)
+CIRCLE_SAMPLES = tuple(u for u, _ in fiber_grid(16)[::16])
+
+
 def homomorphism_residual(f: TorusElement, g: TorusElement, fg: TorusElement,
                           grid: list[tuple[complex, complex]]) -> float:
     """max over fibers of ||eval(fg) - eval(f) eval(g)||."""

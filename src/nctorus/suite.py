@@ -145,12 +145,10 @@ def _c4_matrix_realization(seed: int) -> tuple[list[dict], list[dict]]:
     cov_worst = 0.0
     for n in (1, 2, 3, 4, 5, 7):
         q = PhaseQ.rational(1, n)
-        u0, v0 = matrep.clock_shift(q)
-        eye = np.eye(n)
-        rel_worst = max(rel_worst,
-                        matrep.opnorm(u0 @ v0 - q.q * (v0 @ u0)),
-                        matrep.opnorm(np.linalg.matrix_power(u0, n) - eye),
-                        matrep.opnorm(np.linalg.matrix_power(v0, n) - eye))
+        # at z = 1 the circle of slope 0/1 is the clock/shift pair: U0 V0 =
+        # q V0 U0 and U0^N = V0^N = I
+        rel_worst = max(rel_worst, matrep.circle_check_relations(
+            matrep.CircleSpec(1, 0, 1, 0, q), [1.0]))
         f = _random_element(rng, q, max_radius=2)
         g = _random_element(rng, q, max_radius=2)
         hom_worst = max(hom_worst,
@@ -178,8 +176,7 @@ def _c4_matrix_realization(seed: int) -> tuple[list[dict], list[dict]]:
 # -- criterion 5 ---------------------------------------------------------
 
 def _c5_circle(seed: int) -> tuple[list[dict], list[dict]]:
-    off = (math.sqrt(5.0) - 1.0) / 2.0
-    samples = [cmath.exp(2j * math.pi * (j + off) / 16) for j in range(16)]
+    samples = matrep.CIRCLE_SAMPLES
     cases = [
         (1, 1, 0, 1, 0),
         (2, 1, 1, 1, 0),

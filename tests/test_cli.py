@@ -138,6 +138,28 @@ class TestPhasePrecedence:
         assert "q" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["torus-mul", "@f", "@g"], "error: inputs: q mismatch"),
+    (["torus-derive", "@f", "--inner", "@g"], "error: inputs: q mismatch"),
+    (["torus-derive", "@f", "--du", "@g", "--dv", "@z"], "error: inputs: q mismatch"),
+    (["torus-check-derivation", "@f", "@z"], "error: inputs: q mismatch"),
+    (["matrep-eval", "@f", "@g"], "error: inputs: q mismatch"),
+    (["torus-derive", "@f", "--inner", "@g", "--q", Q14],
+     "error: field 'q': '@g' embeds a phase that differs from --q"),
+], ids=["torus-mul", "inner", "du-dv", "check-derivation", "matrep-eval", "with-q"])
+def test_embedded_phase_conflict(run, write, argv, message):
+    # f embeds 1/4 and g and z embed 1/3: two operands that cannot be
+    # combined, unless --q was given, which g then contradicts
+    coeffs = {"radius_k": 1, "radius_l": 0, "coeffs": [[0, 0], [0.5, 0], [1, 0]]}
+    files = {"@f": write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}}),
+             "@g": write("g.json", {"coeffs": coeffs, "q": {"rational": [1, 3]}}),
+             "@z": write("z.json", {"coeffs": coeffs, "q": {"rational": [1, 3]}})}
+    rc, out, err = run(*[files.get(arg, arg) for arg in argv])
+    assert (rc, out) == (2, None)
+    assert err.startswith(message.replace("@g", files["@g"]))
+    assert err.count("\n") == 1
+
+
 class TestMatrixCommands:
     def test_matrep_eval_reports_fiber(self, run, u_file):
         rc, doc, _ = run("matrep-eval", u_file, "--q", Q14)
@@ -178,6 +200,54 @@ class TestMatrixCommands:
         assert doc["max_residual"] < 1e-12
 
 
+CIRCLE = {"spec": {"a": 2, "b": 3, "a_prime": -1, "b_prime": 1, "q": {"rational": [1, 5]}},
+          "coeffs": [{"j": 1, "s": 0, "t": 1, "re": 1.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize("spec,term,named", [
+    ({"a": 1.9}, {}, "spec.a"),
+    ({"b": "0"}, {}, "spec.b"),
+    ({"a_prime": True}, {}, "spec.a_prime"),
+    ({}, {"s": 0.7}, "coeffs[0].s"),
+    ({}, {"re": "1.5"}, "coeffs[0].re"),
+    ({}, {"im": True}, "coeffs[0].im"),
+    ({}, {"j": 10 ** 400}, "coeffs[0].j"),
+    ({"a": 10 ** 400, "b": 1, "a_prime": 0, "b_prime": 1}, {}, "spec.a"),
+    ({"a": 1, "b": 0, "a_prime": 1, "b_prime": 10 ** 400}, {}, "spec.b_prime"),
+], ids=["float-a", "string-b", "boolean-a_prime", "float-s", "string-re", "boolean-im",
+        "huge-j", "huge-a", "huge-b_prime"])
+def test_circle_fields_are_numbers(run, write, spec, term, named):
+    # the same number rules as every other document: no float or string for
+    # an integer, no boolean, and no exponent past the limit
+    doc = {"spec": {**CIRCLE["spec"], **spec}, "coeffs": [{**CIRCLE["coeffs"][0], **term}]}
+    rc, out, err = run("circle-check", write("c.json", doc))
+    assert (rc, out) == (2, None)
+    assert err.startswith(f"error: field '{named}': ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["coeffs[0].j", "spec.a_prime", "spec.b_prime"])
+@pytest.mark.parametrize("past", [0, 1])
+def test_circle_exponent_limit(run, write, field, past):
+    # N = 4 divides the limit 2^53, so |j N|, |N a'| and |N b'| reach it
+    # exactly: at the limit the document is read (its relations may fail
+    # their tolerance, exit 1), one past it is refused
+    value = -(cli.MAX_EXPONENT // 4 + past)
+    spec = {"a": 1, "b": 0, "a_prime": 1, "b_prime": 0, "q": {"rational": [1, 4]}}
+    term = {"j": 0, "s": 1, "t": 0, "re": 1.0, "im": 0.0}
+    if field == "coeffs[0].j":
+        term["j"] = value
+    elif field == "spec.a_prime":  # 0 a' + 1 b' = 1 for any a'
+        spec.update(a=0, b=1, a_prime=value, b_prime=1)
+    else:
+        spec["b_prime"] = value
+    rc, out, err = run("circle-check", write("c.json", {"spec": spec, "coeffs": [term]}))
+    if past:
+        assert (rc, out) == (2, None) and err.startswith(f"error: field '{field}': ")
+    else:
+        assert rc in (0, 1) and out is not None and err == ""
+
+
 class TestAnalyticCommands:
     def test_weyl_check_all_green(self, run):
         rc, doc, _ = run("weyl-check", "--hbar", "0.7",
@@ -197,6 +267,18 @@ class TestAnalyticCommands:
         # measured twist matches e^{-i sigma^2 hbar}
         assert doc["calibrated_q"]["theta"] == pytest.approx(-0.6, abs=1e-9)
         assert doc["calibration_gap"] < 1e-9
+
+    def test_rep_lattice_reads_element_documents(self, run, write):
+        # the lattice rule of every element document: a bare lattice, or an
+        # element's coeffs, whose embedded phase rep-lattice does not use
+        coeffs = {"radius_k": 1, "radius_l": 0, "coeffs": [[0, 0], [1, 0], [0, 0]]}
+        rc, bare, _ = run("rep-lattice", write("c.json", coeffs), "--grid-n", "64")
+        assert rc == 0
+        element = write("e.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}})
+        assert run("rep-lattice", element, "--grid-n", "64") == (0, bare, "")
+        listed = write("l.json", [coeffs])
+        rc, out, err = run("rep-lattice", listed)
+        assert (rc, out, err) == (2, None, f"error: input '{listed}': expected a JSON object\n")
 
     def test_solve_inner_round_trip(self, run, write):
         hbar = 0.8
@@ -612,6 +694,13 @@ class TestErrorDiscipline:
         ("torus-derive", ["--power=0,-1"], "--power"),
         ("torus-check-derivation", ["--tol=-1e-10"], "--tol"),
         ("torus-mul", ["--word", "2,0"], "--word"),
+        # an exponent vector as long as the largest index is never allocated
+        ("torus-mul", [f"--word={cli.MAX_WORD_INDEX + 1}"], "--word"),
+        ("torus-mul", [f"--word=1,-{cli.MAX_WORD_INDEX + 1}"], "--word"),
+        ("torus-mul", ["--word", str(10 ** 20)], "--word"),
+        ("torus-derive", [f"--power={2 ** 53 + 1},0"], "--power"),
+        ("torus-seminorm", [f"--deriv-word=1,0;0,{10 ** 400}"], "--deriv-word"),
+        ("torus-seminorm", ["--order", str(10 ** 400)], "--order"),
     ])
     def test_bad_torus_flags_exit_2(self, run, u_file, zero_file, command, args, named):
         files = [u_file, zero_file] if command == "torus-check-derivation" else [u_file]
@@ -790,6 +879,18 @@ class TestErrorDiscipline:
         assert rc == 2
         assert "--q" in err
 
+    def test_exponent_flag_limit(self, run, u_file):
+        # U's coefficients sit at k = 1, so k^m stays finite at any power
+        top = str(cli.MAX_EXPONENT)
+        rc, doc, _ = run("torus-derive", u_file, "--q", Q14, f"--power={top},0")
+        assert rc == 0 and doc["coeffs"]["coeffs"][-1] == [1.0, 0.0]
+        rc, doc, _ = run("torus-seminorm", u_file, "--q", Q14, f"--deriv-word={top},0")
+        assert rc == 0 and doc["smooth_seminorm"] == 1.0
+
+    def test_word_index_limit(self, run):
+        rc, doc, _ = run("torus-mul", "--word", f"1,-{cli.MAX_WORD_INDEX}", "--q", Q14)
+        assert rc == 0 and doc["exponents"] == [1] + [0] * (cli.MAX_WORD_INDEX - 2) + [-1]
+
     def test_bad_word_flag(self, run):
         rc, _, err = run("torus-mul", "--word", "2,x", "--q", Q14)
         assert rc == 2
@@ -812,6 +913,24 @@ class TestErrorDiscipline:
         assert out is None
         assert "--out" in err and str(target) in err
         assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-check", "--grid-n", "abc"],
+    ["twisted-conv", "a.json", "--variant", "nope"],
+    ["weyl-check", "--no-such-flag"],
+    ["torus-adjoint"],
+    ["no-such-command"],
+    [],
+], ids=["bad-int", "bad-choice", "unknown-flag", "missing-input", "unknown-subcommand",
+        "no-subcommand"])
+def test_refused_command_line_is_one_error_line(argv, capsys):
+    # argparse's refusals take the path of every other bad input: exit 2
+    # returned, not raised as SystemExit, and one error line, no usage block
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def _emit_documents(tmp_path):

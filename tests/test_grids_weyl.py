@@ -138,6 +138,37 @@ class TestGridSerialization:
             grid2d_from_obj({"n_t": 8, "n_s": 8, "half_extent_t": 1.0,
                              "values": []})
 
+    @pytest.mark.parametrize("reader,change,message", [
+        (grid1d_from_obj, {"n": None}, 'missing field "n"'),
+        (grid1d_from_obj, {"half_extent": None, "n": None}, 'missing field "half_extent"'),
+        (grid1d_from_obj, {"n": 8.0, "half_extent": "x"}, '"n" must be an integer'),
+        (grid1d_from_obj, {"half_extent": True}, '"half_extent" must be a finite number'),
+        (grid1d_from_obj, {"n": 4}, '"values" has 8 entries, expected 4'),
+        (grid1d_from_obj, {"half_extent": -1.0}, "half_extent must be positive"),
+        (grid1d_from_obj, {"n": 12, "values": [[0.0, 0.0]] * 12}, "n must be a power of two"),
+        (grid2d_from_obj, {"n_s": None, "half_extent_t": None}, 'missing field "n_s"'),
+        (grid2d_from_obj, {"values": None}, 'missing field "values"'),
+        (grid2d_from_obj, {"n_s": True, "half_extent_t": "x"}, '"n_s" must be an integer'),
+        (grid2d_from_obj, {"half_extent_s": 10 ** 400}, '"half_extent_s" must be a finite number'),
+        (grid2d_from_obj, {"n_t": 4}, '"values" has 128 entries, expected 64'),
+        (grid2d_from_obj, {"n_t": -8, "n_s": -16}, "can only specify one unknown dimension"),
+        (grid2d_from_obj, {"half_extent_t": 0}, "half extents must be positive"),
+    ])
+    def test_readers_check_fields_in_order(self, reader, change, message):
+        # each reader checks presence, then the counts, then the extents,
+        # then the values; the first failing check names its field
+        one = grid1d_to_obj(gaussian_1d(6.0, 8))
+        two = grid2d_to_obj(gaussian_2d(6.0, 7.0, 8, 16))
+        doc = dict(one if reader is grid1d_from_obj else two)
+        for key, value in change.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with pytest.raises(FormatError) as info:
+            reader(doc)
+        assert str(info.value).startswith(message)
+
 
 class TestWeylOperators:
     F = gaussian_1d(16.0, 512, center=0.4, width=1.3, momentum=0.6)

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.matrep import (MAX_MODULUS, CircleSpec, center_scalar_residual,
+from nctorus.matrep import (CIRCLE_SAMPLES, MAX_MODULUS, CircleSpec, center_scalar_residual,
                             circle_check_relations, circle_eval, clock_shift,
                             covariance_residual, equivariance_check,
                             eval_section, fiber_grid, homomorphism_residual,
@@ -38,6 +39,18 @@ class TestClockShift:
         assert opnorm(np.linalg.matrix_power(v0, n) - eye) < 1e-14
         assert opnorm(u0 @ u0.conj().T - eye) < 1e-14
         assert opnorm(v0 @ v0.conj().T - eye) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    def test_relations_are_the_slope_zero_circle(self, n):
+        # the suite's criterion 4 reads the clock/shift relations as the
+        # circle of slope 0/1 at z = 1; the three norms it used to take
+        q = PhaseQ.rational(1, n)
+        u0, v0 = clock_shift(q)
+        eye = np.eye(n)
+        old = max(opnorm(u0 @ v0 - q.q * (v0 @ u0)),
+                  opnorm(np.linalg.matrix_power(u0, n) - eye),
+                  opnorm(np.linalg.matrix_power(v0, n) - eye))
+        assert circle_check_relations(CircleSpec(1, 0, 1, 0, q), [1.0]) == old
 
     def test_irrational_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +204,14 @@ class TestFiberGrid:
 
     def test_deterministic(self):
         assert fiber_grid(5) == fiber_grid(5)
+
+    def test_circle_samples_are_the_u_axis(self):
+        # circle-check and criterion 5 sample the circle here; the suite
+        # used to spell the points with cmath, which agrees bit for bit
+        off = (math.sqrt(5.0) - 1.0) / 2.0
+        assert CIRCLE_SAMPLES == tuple(u for u, _ in fiber_grid(16)[::16])
+        assert CIRCLE_SAMPLES == tuple(cmath.exp(2j * math.pi * (j + off) / 16)
+                                       for j in range(16))
 
 
 def loop_circle_eval(coeffs, spec: CircleSpec, z: complex) -> np.ndarray:
