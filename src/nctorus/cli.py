@@ -23,9 +23,9 @@ from .lattice import (CoeffLattice2, FormatError, MismatchError, PhaseQ, is_fini
                       is_number, lattice_from_obj, lattice_to_obj, pairs_to_list,
                       phaseq_from_obj, phaseq_to_obj, retruncate, seminorm, to_primed,
                       values_from_list)
-from .torus import (DerivationSpec, TorusElement, adjoint, apply_derivation,
-                    check_derivation_relation, d_power, inner_derivation, l2_state,
-                    q_mul, reorder_phase, smooth_seminorm, trace)
+from .torus import (DerivationSpec, TorusElement, _require_same_q, adjoint,
+                    apply_derivation, check_derivation_relation, d_power, inner_derivation,
+                    l2_state, q_mul, reorder_phase, smooth_seminorm, trace)
 
 __all__ = ["main"]
 
@@ -202,8 +202,8 @@ def _read_element(path: str, q_flag: PhaseQ | None,
     if q is None:
         raise FormatError(f"field 'q': missing for '{path}' (no --q flag and "
                           "no embedded phase)")
-    if first is not None and q != first.q:
-        raise MismatchError(f"q mismatch: {first.q} vs {q}")
+    if first is not None:
+        _require_same_q(first.q, q)
     return TorusElement(coeffs, q)
 
 
@@ -220,6 +220,8 @@ def _element_obj(f: TorusElement) -> dict:
 # the peak memory; each write is still large, so that a process reading the
 # output through a pipe gets full reads, not one short read per write.
 _EMIT_BATCH = 6144
+_NUMBER_TEXT = {bool: lambda b: "true" if b else "false", int: int.__repr__,
+                float: float.__repr__}
 
 
 def _encode(obj, level: int = 0):
@@ -253,6 +255,9 @@ def _encode(obj, level: int = 0):
             yield from _encode(value, level + 1)
             head = "," + nl
         yield nl[:-2] + "}"
+    elif isinstance(obj, (list, tuple)) and obj and all(type(v) in _NUMBER_TEXT for v in obj):
+        # a flat list of numbers, in json.dumps's spelling, by one join
+        yield "[" + nl + ("," + nl).join(_NUMBER_TEXT[type(v)](v) for v in obj) + nl[:-2] + "]"
     elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
         head = "[" + nl
         for value in obj:

@@ -7,9 +7,9 @@ associative; the discarded tail is measured and every GNS tolerance is
 loosened by ten times that tail so the report stays honest.
 
 A form phi produces the Gram matrix G_ij = phi(e_i* e_j); its kernel is
-the null ideal, the quotient gets a modified Gram-Schmidt basis in
-declared order (determinism), and generators become compressed
-left-multiplication matrices.
+the null ideal, the quotient gets a twice-projected classical
+Gram-Schmidt basis in declared order (determinism), and basis elements
+become compressed left-multiplication matrices.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ __all__ = [
     "separation_rank",
 ]
 
-# Dense dim^3 tables and a dim^5 homomorphism check: at this limit (quotient
-# N = 9, box radii 4, 4) a trace-form gns_build takes 1.5 s on a 2-core host.
+# Dense dim^3 tables (8.5 MB at the limit) and, on the box, a dim^5
+# homomorphism check: a trace-form gns_build takes 0.10 s on the quotient
+# at N = 9 and 1.3 s on the box of radii 4, 4 (one thread, 2-core host).
 MAX_ALGEBRA_DIM = 81
 
 # Gram-Schmidt drops a vector whose remaining Gram norm is at most this
 # fraction of the largest diagonal Gram entry
 _RANK_CUT = 1e-9
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,12 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
 
 @dataclass(frozen=True)
 class GnsTriplet:
+    """pi(e_m) on the quotient of the algebra by the null ideal, the cyclic
+    vector omega and three residuals.  hom_residual is, on torus_quotient,
+    a certificate upper bound on max |pi(e_m e_j) - pi(e_m) pi(e_j)| built
+    from the generators (see _hom_bound); on truncated_box it is that
+    maximum itself."""
+
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
     pi_mats: np.ndarray = field(repr=False)  # (dim, r, r); pi_mats[m] = pi(e_m)
@@ -204,6 +213,14 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
 
     order permutes the basis fed to Gram-Schmidt (the default is the
     declared order); any two orders give unitarily equivalent triplets.
+    Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
+    v -= C (G C)^H v per pass, so the loop makes dim steps.  On the
+    quotient the homomorphism field is _hom_bound's certificate, an upper
+    bound on the full residual, and the build costs O(dim r^3 + dim^2 r)
+    beyond the Gram matrix (r the quotient dimension): 0.10 s for the
+    trace form at N = 9 (one thread, 2-core host).  On the box it is the
+    full residual, which costs dim^2 r^3.
     """
     rep = is_positive(phi, a)
     if not rep.ok:
@@ -213,57 +230,170 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     g = (rep.gram + rep.gram.conj().T) / 2.0
     gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
 
-    cols: list[np.ndarray] = []
     seq = list(range(a.dim)) if order is None else list(order)
     if sorted(seq) != list(range(a.dim)):
         raise ValueError("order must be a permutation of the basis indices")
+    c = np.zeros((a.dim, a.dim), dtype=np.complex128)  # the kept columns
+    gc = np.zeros_like(c)  # g @ c, updated alongside
+    r = 0
     for i in seq:
         v = a.basis_vector(i)
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for u in cols:
-                v = v - u * np.dot(np.conj(u), g @ v)
-        n2 = float(np.real(np.dot(np.conj(v), g @ v)))
+        gv = g[:, i].copy()
+        for _ in range(2):
+            coef = gc[:, :r].conj().T @ v
+            v -= c[:, :r] @ coef
+            gv -= gc[:, :r] @ coef
+        n2 = float(np.real(np.vdot(v, gv)))
         if n2 <= _RANK_CUT * gmax:
             continue
-        cols.append(v / math.sqrt(n2))
-    if not cols:
+        c[:, r], gc[:, r] = v / math.sqrt(n2), gv / math.sqrt(n2)
+        r += 1
+    if r == 0:
         e = np.zeros((a.dim, 0), dtype=np.complex128)
         return GnsTriplet(0, e, np.zeros((a.dim, 0, 0), dtype=np.complex128),
                           np.zeros(0, dtype=np.complex128), 0.0, 0.0, 0.0)
-    e = np.stack(cols, axis=1)
+    e = c[:, :r].copy()
 
+    target, phase = _monomial_form(a.lmats)
+    star_target, star_phase = _monomial_form(a.starmat)
     eg = e.conj().T @ g  # (r, dim), the quotient-side pairing
-    pi = eg @ a.lmats @ e
+    # pi(e_m) = eg L_m e, and column j of eg L_m is phase[m, j] eg[:, target[m, j]]
+    pi = (eg[:, target] * phase).transpose(1, 0, 2) @ e
     omega = eg[:, a.unit_index]
 
     recon = float(np.max(np.abs(phi.values - (pi @ omega) @ np.conj(omega))))
-    pi_star = (a.starmat @ pi.reshape(a.dim, -1)).reshape(pi.shape)
-    star = float(np.max(np.abs(pi_star - pi.conj().transpose(0, 2, 1))))
-    hom = _hom_residual(a.lmats, pi)
+    # pi(e_i*) = star_phase[i] pi(e_star_target[i]) against pi(e_i)^H
+    star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
+                               - pi.conj().transpose(0, 2, 1))))
+    if a.kind == "torus_quotient":
+        hom = _hom_bound(a, target, phase, pi)
+    else:
+        hom = _hom_residual(target, phase, pi)
     if max(recon, hom, star) > tol:
         raise ValueError(
             f"GNS invariants violated: reconstruction {recon:.3e}, "
             f"homomorphism {hom:.3e}, star {star:.3e} exceed {tol:.1e}")
-    return GnsTriplet(e.shape[1], e, pi, omega, recon, hom, star)
+    return GnsTriplet(r, e, pi, omega, recon, hom, star)
 
 
-def _hom_residual(lmats: np.ndarray, pi: np.ndarray) -> float:
-    """max over (m, j) of |pi(e_m e_j) - pi(e_m) pi(e_j)|, one m at a time so
-    that only a (dim, r, r) slab is live.  The tables are monomial, so each
-    pi(e_m e_j) is a multiple of one pi matrix."""
-    dim, r = pi.shape[0], pi.shape[1]
-    nonzero = lmats != 0
+def _monomial_form(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(target, phase) of a table whose axis 1 is the basis: lmats[m, :, j]
+    is phase[m, j] at target[m, j] and zero elsewhere, starmat[i, :] is
+    phase[i] at target[i]; a zero line gets target 0 and phase 0."""
+    nonzero = table != 0
     if np.any(nonzero.sum(axis=1) > 1):
         raise ValueError("structure tables are not monomial")
-    target = nonzero.argmax(axis=1)  # (m, j) -> the one index r with e_m e_j ~ e_r
-    phase = np.take_along_axis(lmats, target[:, None, :], axis=1)[:, 0, :]
+    target = nonzero.argmax(axis=1)
+    return target, np.take_along_axis(table, np.expand_dims(target, 1), axis=1).squeeze(1)
+
+
+def _product_defects(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
+    """For each m in ms, pi(e_m e_j) - pi(e_m) pi(e_j) over every j as a
+    (dim, r, r) slab, one m at a time so that only one slab is live."""
+    dim, r = pi.shape[0], pi.shape[1]
     row = pi.transpose(1, 0, 2).reshape(r, dim * r)  # [pi_0 | pi_1 | ...]
-    res = 0.0
-    for m in range(dim):
-        want = pi[target[m]] * phase[m][:, None, None]
+    for m in ms:
         got = (pi[m] @ row).reshape(r, dim, r).transpose(1, 0, 2)
-        res = max(res, float(np.max(np.abs(want - got))))
-    return res
+        # the contiguous operand first: the result takes its layout
+        yield phase[m][:, None, None] * pi[target[m]] - got
+
+
+def _hom_residual(target: np.ndarray, phase: np.ndarray, pi: np.ndarray) -> float:
+    """max over (m, j) of |pi(e_m e_j) - pi(e_m) pi(e_j)|."""
+    return max(float(np.max(np.abs(d)))
+               for d in _product_defects(target, phase, pi, range(pi.shape[0])))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the float64 unit round-off."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _hom_bound(a: FiniteAlgebra, target: np.ndarray, phase: np.ndarray,
+               pi: np.ndarray) -> float:
+    """Upper bound on _hom_residual of the quotient, from the generators.
+
+    Write P_m = pi(e_m), e_m e_j = f_mj e_mj (f the phase table) and
+    R_mj = P_m P_j - f_mj P_mj; _hom_residual is max |R_mj| over entries,
+    at most max ||R_mj||_F.  Every e_m = U^s V^t is x e_m' with x = U
+    (s > 0) or x = V (s = 0, t > 0) and m' one step shorter, so e_m has a
+    word of length L = s + t <= 2(N - 1) from the unit.  Measured:
+
+      D_xj  = P_x P_j - f_xj P_xj for x in {U, V} and every j: 2 dim
+              products.  delta >= max ||D_xj||_F.  Left multiplication by
+              U permutes the basis, so every P_m enters some D_Uj.
+      eps   = max |f_m'j f_x,m'j - f_xm' f_mj| over every step (m', x, m)
+              and every j, the associativity defect of the phases along
+              the words; eps0 = max_j |1 - f_1j|.  Where the targets of
+              the two sides differ the tables are not associative and the
+              bound is infinite.
+      a     >= max ||P_U||_2, ||P_V||_2;  rho >= max_j ||P_j||_F;
+      sigma = min(rho, kappa) >= max_j ||P_j||_2, with
+              kappa = max_m sqrt(||P_m||_1 ||P_m||_inf) >= ||P_m||_2;
+      nu, mu = max and min |f| of the phase table and of the steps.
+
+    Multiply R_m'j on the left by P_x and insert D twice:
+    P_x P_m' P_j = f_m'j f_x,m'j P_mj + f_m'j D_x,m'j + P_x R_m'j, and also
+    = f_xm' P_m P_j + D_xm' P_j.  Subtracting f_xm' f_mj P_mj from both,
+
+      f_xm' R_mj = (f_m'j f_x,m'j - f_xm' f_mj) P_mj + f_m'j D_x,m'j
+                   + P_x R_m'j - D_xm' P_j,
+
+    so with ||A B||_F <= ||A||_2 ||B||_F every R of a length-L word obeys
+    ||R_mj||_F <= B_L, where
+
+      B_0 = ||I - P_1||_F sigma + eps0 rho   (R_1j = (P_1 - I) P_j + (1 - f_1j) P_j)
+      B_L = (a B_{L-1} + delta (nu + sigma) + eps rho) / mu.
+
+    Rounding: a computed product carries at most gamma_{r+4} (kappa + nu)
+    rho = tau in Frobenius norm (|fl(AB) - AB| <= gamma_{r+2} |A||B| and
+    || |A| ||_2 <= sqrt(||A||_1 ||A||_inf), Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, sections 3.5-3.6), so delta is
+    the measured maximum plus tau, and the full check's own products may
+    read tau above the exact R: the bound is max_L B_L + tau.  Every
+    measured norm is raised by gamma_{r^2+4} of itself for its own
+    rounding, eps by 8 u nu^2 and eps0 by 2 u nu.  Cost: 2 dim r^3 for
+    the D's and O(dim r^2 + dim^2) for the rest.
+    """
+    dim, r = pi.shape[0], pi.shape[1]
+    n = a.q.modulus
+    u = _UNIT_ROUNDOFF
+    grow = 1.0 + _gamma(r * r + 4)
+    gamma = _gamma(r + 4)
+    gens = [a.index_of((1 % n, 0)), a.index_of((0, 1 % n))]
+    absp = np.abs(pi)
+    rho = float(np.sqrt(np.max(np.sum(absp * absp, axis=(1, 2))))) * grow
+    kappa = float(np.sqrt(np.max(absp.sum(axis=1).max(axis=1)
+                                 * absp.sum(axis=2).max(axis=1)))) * grow
+    sigma = min(rho, kappa)
+    nu = float(np.max(np.abs(phase)))
+    tau = gamma * (kappa + nu) * rho
+    delta = max(float(np.sqrt(np.max(np.sum(np.abs(d) ** 2, axis=(1, 2)))))
+                for d in _product_defects(target, phase, pi, gens)) * grow + tau
+    a_norm = max(float(np.linalg.norm(pi[gen], 2)) for gen in gens) * grow
+
+    # the steps e_m = x e_m' of every word but the unit's
+    s, t = np.divmod(np.arange(dim), n)
+    m = np.flatnonzero(s + t > 0)
+    x = np.where(s[m] > 0, gens[0], gens[1])
+    prev = np.where(s[m] > 0, m - n, m - 1)
+    step = phase[x, prev]
+    unit = a.unit_index
+    if (np.any(target[x, prev] != m) or np.any(target[unit] != np.arange(dim))
+            or np.any(target[x[:, None], target[prev]] != target[m])):
+        return math.inf
+    eps = float(np.max(np.abs(phase[prev] * phase[x[:, None], target[prev]]
+                              - step[:, None] * phase[m]), initial=0.0))
+    eps = eps * grow + 8.0 * u * nu * nu
+    eps0 = float(np.max(np.abs(1.0 - phase[unit]))) * grow + 2.0 * u * nu
+    mu = float(np.min(np.abs(step), initial=1.0))
+
+    eye_gap = float(np.linalg.norm(np.eye(r) - pi[unit])) * grow
+    bound = b = eye_gap * sigma + eps0 * rho
+    for _ in range(2 * (n - 1)):
+        b = (a_norm * b + delta * (nu + sigma) + eps * rho) / mu
+        bound = max(bound, b)
+    return (bound + tau) * (1.0 + u)
 
 
 def state_action(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> PositiveForm:

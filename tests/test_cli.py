@@ -762,6 +762,15 @@ class TestErrorDiscipline:
         assert out is None
         assert err.startswith("error: inputs: grid mismatch")
 
+    def test_phase_mismatch_names_both_phases_as_documents_do(self, run, write):
+        coeffs = {"radius_k": 0, "radius_l": 0, "coeffs": [[1, 0]]}
+        f = write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}})
+        g = write("g.json", {"coeffs": coeffs, "q": {"rational": [1, 3]}})
+        rc, out, err = run("torus-mul", f, g)
+        assert (rc, out) == (2, None)
+        assert err == ('error: inputs: q mismatch: {"rational": [1, 4]} '
+                       'vs {"rational": [1, 3]}\n')
+
     def test_phase_mismatch_is_an_input_error(self, run, write):
         coeffs = {"radius_k": 1, "radius_l": 0, "coeffs": [[0, 0], [0, 0], [1, 0]]}
         f = write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}})
@@ -983,6 +992,16 @@ def test_emit_writes_indented_dump(kind, to_file, tmp_path, capsys,
         assert target.read_text() == want
     else:
         assert not target.exists()
+
+
+@pytest.mark.parametrize("obj", [
+    [], [3, -7, 2 ** 70], [0.1, -2.5e-300, 1e22, 3.0], [True, False],
+    [1, 2.5, True, -0.0], {"word": [1, 2], "flags": [False], "nested": [[1, 2.0], [], [[True]]]},
+    [[1, 2], 3, "x", None],
+], ids=["empty", "int", "float", "bool", "mixed", "nested", "with-text"])
+def test_encode_flat_numbers_as_json_dumps(obj):
+    # flat number lists take one join; the text must stay json.dumps's
+    assert "".join(cli._encode(obj)) == json.dumps(obj, indent=2)
 
 
 class TestOperationCoverage:

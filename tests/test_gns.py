@@ -113,10 +113,16 @@ class TestVectorisedCore:
         assert np.max(np.abs(gram_matrix(phi, a) - loop_gram(phi, a))) < 1e-14
 
     def test_residuals_match_loop_oracle(self, name, a, phi):
+        # on the quotient the homomorphism field is a certificate bound,
+        # at least the full residual; on the box it is the full residual
         t = gns_build(phi, a, tol=10.0)
-        want = loop_residuals(phi, a, t)
-        got = (t.recon_residual, t.hom_residual, t.star_residual)
-        assert got == pytest.approx(want, rel=0, abs=1e-14)
+        recon, hom, star = loop_residuals(phi, a, t)
+        assert (t.recon_residual, t.star_residual) == pytest.approx((recon, star),
+                                                                    rel=0, abs=1e-14)
+        if a.kind == "torus_quotient":
+            assert hom <= t.hom_residual < 1e-12
+        else:
+            assert t.hom_residual == pytest.approx(hom, rel=0, abs=1e-14)
 
     def test_pi_and_state_action_match_loops(self, name, a, phi):
         t = gns_build(phi, a, tol=10.0)
@@ -128,6 +134,69 @@ class TestVectorisedCore:
         shifted = np.array([phi(a.mul(a.mul(fs, a.basis_vector(j)), f))
                             for j in range(a.dim)])
         assert np.max(np.abs(state_action(phi, f, a).values - shifted)) < 1e-12
+
+
+def two_vector_form(a: FiniteAlgebra) -> PositiveForm:
+    """Criterion 11's degenerate form: two vector states of N = 3 added."""
+    w1 = np.array([1.0, 0.0, 0.0])
+    w2 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+    return PositiveForm(vector_form(a, w1).values + vector_form(a, w2).values)
+
+
+def quotient_cases():
+    """(name, algebra, form, quotient dim): trace and vector states at
+    N = 1..5 and the two-vector form at N = 3."""
+    rng = np.random.default_rng(13)
+    for n in range(1, 6):
+        a = torus_quotient(PhaseQ.rational(1, n))
+        w = random_vector(rng, n)
+        yield f"N={n} trace", a, trace_form(a), n * n
+        yield f"N={n} vector", a, vector_form(a, w / np.linalg.norm(w)), n
+    a = torus_quotient(Q3)
+    yield "N=3 two vectors", a, two_vector_form(a), 6
+
+
+QUOTIENT_CASES = list(quotient_cases())
+
+
+@pytest.mark.parametrize("name,a,phi,dim", QUOTIENT_CASES,
+                         ids=[c[0] for c in QUOTIENT_CASES])
+class TestQuotientCertificate:
+    def test_bound_covers_loop_oracle(self, name, a, phi, dim):
+        t = gns_build(phi, a)
+        _, hom, _ = loop_residuals(phi, a, t)
+        assert hom <= t.hom_residual < 1e-12
+
+    def test_any_changed_pi_fails_the_bound(self, name, a, phi, dim):
+        # every pi(e_m) enters the generator residuals, since U permutes
+        # the basis: a 1e-6 change to one entry of any of them is caught
+        t = gns_build(phi, a)
+        target, phase = gns._monomial_form(a.lmats)
+        for m in range(a.dim):
+            pi = t.pi_mats.copy()
+            pi[m, 0, 0] += 1e-6
+            assert gns._hom_bound(a, target, phase, pi) > 1e-10
+
+    def test_cgs2_basis_is_orthonormal(self, name, a, phi, dim):
+        t = gns_build(phi, a)
+        g = gram_matrix(phi, a)
+        e = t.basis
+        assert t.quotient_dim == dim
+        assert np.max(np.abs(e.conj().T @ g @ e - np.eye(dim))) < 1e-12
+
+
+def test_inconsistent_quotient_table_has_no_certificate():
+    # send e_U e_(0,1) to the wrong basis element: the table stays monomial
+    # but is no longer associative, so the certificate is infinite even
+    # where the full residual would pass the tol
+    a = torus_quotient(Q3)
+    lm = a.lmats.copy()
+    i_u, j = a.index_of((1, 0)), a.index_of((0, 1))
+    col = lm[i_u, :, j].copy()
+    lm[i_u, :, j] = np.roll(col, 1)
+    bad = dataclasses.replace(a, lmats=lm)
+    with pytest.raises(ValueError, match="homomorphism inf"):
+        gns_build(trace_form(bad), bad, tol=10.0)
 
 
 class TestTorusQuotient:
