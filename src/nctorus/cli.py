@@ -220,8 +220,6 @@ def _element_obj(f: TorusElement) -> dict:
 # the peak memory; each write is still large, so that a process reading the
 # output through a pipe gets full reads, not one short read per write.
 _EMIT_BATCH = 6144
-_NUMBER_TEXT = {bool: lambda b: "true" if b else "false", int: int.__repr__,
-                float: float.__repr__}
 
 
 def _encode(obj, level: int = 0):
@@ -255,9 +253,6 @@ def _encode(obj, level: int = 0):
             yield from _encode(value, level + 1)
             head = "," + nl
         yield nl[:-2] + "}"
-    elif isinstance(obj, (list, tuple)) and obj and all(type(v) in _NUMBER_TEXT for v in obj):
-        # a flat list of numbers, in json.dumps's spelling, by one join
-        yield "[" + nl + ("," + nl).join(_NUMBER_TEXT[type(v)](v) for v in obj) + nl[:-2] + "]"
     elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
         head = "[" + nl
         for value in obj:

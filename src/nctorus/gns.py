@@ -37,9 +37,11 @@ __all__ = [
     "separation_rank",
 ]
 
-# Dense dim^3 tables (8.5 MB at the limit) and, on the box, a dim^5
-# homomorphism check: a trace-form gns_build takes 0.10 s on the quotient
-# at N = 9 and 1.3 s on the box of radii 4, 4 (one thread, 2-core host).
+# Dense dim^3 tables (8.5 MB at the limit) and, where the quotient's
+# certificate does not accept and on the box, a dim^5 homomorphism check:
+# gns_build at dim 81 takes 0.1 s when the certificate accepts (trace form,
+# N = 9) and 1.3 s when the full check runs, on the quotient or on the box
+# of radii 4, 4 (one thread, 2-core host).
 MAX_ALGEBRA_DIM = 81
 
 # Gram-Schmidt drops a vector whose remaining Gram norm is at most this
@@ -190,10 +192,10 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
 @dataclass(frozen=True)
 class GnsTriplet:
     """pi(e_m) on the quotient of the algebra by the null ideal, the cyclic
-    vector omega and three residuals.  hom_residual is, on torus_quotient,
-    a certificate upper bound on max |pi(e_m e_j) - pi(e_m) pi(e_j)| built
-    from the generators (see _hom_bound); on truncated_box it is that
-    maximum itself."""
+    vector omega and three residuals.  hom_residual is an upper bound on
+    max |pi(e_m e_j) - pi(e_m) pi(e_j)|: on torus_quotient the certificate
+    built from the generators (see _hom_bound) when that is within the
+    tol, and otherwise, and on truncated_box, that maximum itself."""
 
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
@@ -216,11 +218,13 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
     Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
     v -= C (G C)^H v per pass, so the loop makes dim steps.  On the
-    quotient the homomorphism field is _hom_bound's certificate, an upper
-    bound on the full residual, and the build costs O(dim r^3 + dim^2 r)
-    beyond the Gram matrix (r the quotient dimension): 0.10 s for the
-    trace form at N = 9 (one thread, 2-core host).  On the box it is the
-    full residual, which costs dim^2 r^3.
+    quotient _hom_bound's certificate, an upper bound on the full
+    homomorphism residual, accepts where it is within tol, and the build
+    then costs O(dim r^3 + dim^2 r) beyond the Gram matrix (r the quotient
+    dimension): 0.1 s for the trace form at N = 9 (one thread, 2-core
+    host).  Where it is not, and on the box, the full residual, which costs
+    dim^2 r^3 (1.3 s at dim 81), decides, so the homomorphism verdict is
+    the full check's in every case.
     """
     rep = is_positive(phi, a)
     if not rep.ok:
@@ -265,9 +269,10 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     # pi(e_i*) = star_phase[i] pi(e_star_target[i]) against pi(e_i)^H
     star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
                                - pi.conj().transpose(0, 2, 1))))
-    if a.kind == "torus_quotient":
-        hom = _hom_bound(a, target, phase, pi)
-    else:
+    # the quotient's certificate only accepts: above the tol, or on the box,
+    # the full residual decides
+    hom = _hom_bound(a, target, phase, pi) if a.kind == "torus_quotient" else math.inf
+    if hom > tol:
         hom = _hom_residual(target, phase, pi)
     if max(recon, hom, star) > tol:
         raise ValueError(
@@ -372,11 +377,13 @@ def _hom_bound(a: FiniteAlgebra, target: np.ndarray, phase: np.ndarray,
                 for d in _product_defects(target, phase, pi, gens)) * grow + tau
     a_norm = max(float(np.linalg.norm(pi[gen], 2)) for gen in gens) * grow
 
-    # the steps e_m = x e_m' of every word but the unit's
-    s, t = np.divmod(np.arange(dim), n)
+    # the steps e_m = x e_m' of every word but the unit's, found by label
+    index = {label: i for i, label in enumerate(a.labels)}
+    s, t = np.array(a.labels).T
     m = np.flatnonzero(s + t > 0)
     x = np.where(s[m] > 0, gens[0], gens[1])
-    prev = np.where(s[m] > 0, m - n, m - 1)
+    prev = np.array([index[(k - 1, l) if k > 0 else (k, l - 1)]
+                     for k, l in zip(s[m].tolist(), t[m].tolist())], dtype=int)
     step = phase[x, prev]
     unit = a.unit_index
     if (np.any(target[x, prev] != m) or np.any(target[unit] != np.arange(dim))
@@ -390,7 +397,7 @@ def _hom_bound(a: FiniteAlgebra, target: np.ndarray, phase: np.ndarray,
 
     eye_gap = float(np.linalg.norm(np.eye(r) - pi[unit])) * grow
     bound = b = eye_gap * sigma + eps0 * rho
-    for _ in range(2 * (n - 1)):
+    for _ in range(int(np.max(s + t))):
         b = (a_norm * b + delta * (nu + sigma) + eps * rho) / mu
         bound = max(bound, b)
     return (bound + tau) * (1.0 + u)

@@ -194,18 +194,6 @@ def check_derivation_relation(d: DerivationSpec, tol: float = 1e-10) -> Derivati
     return DerivationCheck(worst <= tol, worst, first, tol)
 
 
-def _relation_check(d: DerivationSpec, tol: float) -> DerivationCheck:
-    """check_derivation_relation(d, tol), run once per spec and tol.
-
-    The spec and its coefficient arrays are read-only, so each verdict is
-    kept in the spec's __dict__, as functools.cached_property keeps its.
-    """
-    checks = vars(d).setdefault("_relation_checks", {})
-    if tol not in checks:
-        checks[tol] = check_derivation_relation(d, tol)
-    return checks[tol]
-
-
 def _leibniz_weights(q: PhaseQ, powers: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """sgn(p) Sum_m q^{-e m} over m in [0, p) or [p, 0), for each power p and each e."""
     p = powers[:, None]
@@ -242,7 +230,7 @@ def apply_derivation(d: DerivationSpec, f: TorusElement,
     Negative powers follow from D(g^{-1}) = -g^{-1} D(g) g^{-1}.  The box
     is the smallest symmetric one holding f's support and every term.
     """
-    chk = _relation_check(d, tol)
+    chk = check_derivation_relation(d, tol)
     if not chk.ok:
         raise ValueError(
             f"derivation relation violated at {chk.first_violation} "

@@ -999,8 +999,8 @@ def test_emit_writes_indented_dump(kind, to_file, tmp_path, capsys,
     [1, 2.5, True, -0.0], {"word": [1, 2], "flags": [False], "nested": [[1, 2.0], [], [[True]]]},
     [[1, 2], 3, "x", None],
 ], ids=["empty", "int", "float", "bool", "mixed", "nested", "with-text"])
-def test_encode_flat_numbers_as_json_dumps(obj):
-    # flat number lists take one join; the text must stay json.dumps's
+def test_encode_lists_as_json_dumps(obj):
+    # every kind of list, flat or nested, is spelled as json.dumps spells it
     assert "".join(cli._encode(obj)) == json.dumps(obj, indent=2)
 
 

@@ -185,18 +185,57 @@ class TestQuotientCertificate:
         assert np.max(np.abs(e.conj().T @ g @ e - np.eye(dim))) < 1e-12
 
 
-def test_inconsistent_quotient_table_has_no_certificate():
+def test_inconsistent_quotient_table_falls_back_to_the_full_check():
     # send e_U e_(0,1) to the wrong basis element: the table stays monomial
-    # but is no longer associative, so the certificate is infinite even
-    # where the full residual would pass the tol
+    # but is no longer associative, so the certificate is infinite and the
+    # full residual decides, as it does on the box
     a = torus_quotient(Q3)
     lm = a.lmats.copy()
     i_u, j = a.index_of((1, 0)), a.index_of((0, 1))
     col = lm[i_u, :, j].copy()
     lm[i_u, :, j] = np.roll(col, 1)
     bad = dataclasses.replace(a, lmats=lm)
-    with pytest.raises(ValueError, match="homomorphism inf"):
-        gns_build(trace_form(bad), bad, tol=10.0)
+    phi = trace_form(bad)
+    t = gns_build(phi, bad, tol=10.0)
+    target, phase = gns._monomial_form(bad.lmats)
+    assert gns._hom_bound(bad, target, phase, t.pi_mats) == math.inf
+    _, hom, _ = loop_residuals(phi, bad, t)
+    assert t.hom_residual == pytest.approx(hom, rel=0, abs=1e-14)
+    with pytest.raises(ValueError, match="homomorphism 1.000e[+]00"):
+        gns_build(phi, bad)
+
+
+def density_form(a: FiniteAlgebra, d: np.ndarray) -> PositiveForm:
+    """phi(U^s V^t) = tr(d U0^s V0^t) on the clock and shift matrices."""
+    u0, v0 = clock_shift(a.q)
+    return PositiveForm(np.array([np.trace(d @ np.linalg.matrix_power(u0, s)
+                                           @ np.linalg.matrix_power(v0, t))
+                                  for (s, t) in a.labels]))
+
+
+def test_certificate_above_tol_falls_back_to_the_full_check():
+    # a full-rank density with eigenvalues from 1 to 1e-3 at N = 9: its
+    # pi(e_m) are dense and the certificate reads 1.3e-10, above the
+    # default tol, while the full residual is 2e-14; the build must
+    # accept it, as the full check alone does
+    a = torus_quotient(PhaseQ.rational(1, 9))
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    d = u @ np.diag(np.geomspace(1.0, 1e-3, 9)) @ u.conj().T
+    t = gns_build(density_form(a, d / np.trace(d).real), a)
+    target, phase = gns._monomial_form(a.lmats)
+    assert t.quotient_dim == 81
+    assert gns._hom_bound(a, target, phase, t.pi_mats) > 1e-10
+    assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-12
+
+
+def test_tight_tol_falls_back_to_the_full_check():
+    # the trace form at N = 6: certificate 1.3e-12, full residual 1e-15
+    a = torus_quotient(PhaseQ.rational(1, 6))
+    t = gns_build(trace_form(a), a, tol=1e-12)
+    target, phase = gns._monomial_form(a.lmats)
+    assert gns._hom_bound(a, target, phase, t.pi_mats) > 1e-12
+    assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-14
 
 
 class TestTorusQuotient:

@@ -343,25 +343,6 @@ class TestDerivationClassification:
         with pytest.raises(ValueError):
             apply_derivation(spec, monomial(1, 0, Q4))
 
-    def test_relation_checked_once_per_spec_and_tol(self, monkeypatch):
-        calls = []
-        check = torus.check_derivation_relation
-        monkeypatch.setattr(torus, "check_derivation_relation",
-                            lambda d, tol=1e-10: calls.append(tol) or check(d, tol))
-        spec = DerivationSpec.from_inner(elem({(1, 1): 1.0, (0, -1): 0.5j}))
-        f = monomial(2, -1, Q4)
-        first = apply_derivation(spec, f)
-        for _ in range(3):
-            assert np.array_equal(apply_derivation(spec, f).coeffs.coeffs, first.coeffs.coeffs)
-        assert calls == [1e-10]
-        apply_derivation(spec, f, tol=1e-8)
-        assert calls == [1e-10, 1e-8]
-        bad = DerivationSpec(CoeffLattice2.delta(0, 1), CoeffLattice2.zeros(0, 0), Q4)
-        for _ in range(3):
-            with pytest.raises(ValueError, match="derivation relation violated"):
-                apply_derivation(bad, monomial(1, 0, Q4))
-        assert calls == [1e-10, 1e-8, 1e-10]
-
     def test_apply_leibniz_on_negative_powers(self):
         # D(U^{-1}) = -U^{-1} D(U) U^{-1} follows from D(U U^{-1}) = 0
         zero = CoeffLattice2.zeros(0, 0)
