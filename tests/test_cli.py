@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1056,6 +1057,27 @@ class TestOperationCoverage:
             assert callable(sp.get_default("run")), name
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_twisted_conv_bytes_do_not_depend_on_cpu_affinity(write):
+    # the unmatched routes run one worker thread per CPU at 256^2; a
+    # process held to one CPU must print the same bytes
+    n = 256
+    ga = write("a.json", grid2d_to_obj(gaussian_2d(16.0, 16.0, n, n, center=(0.4, -0.2),
+                                                   momentum=(0.5, -0.3))))
+    gb = write("b.json", grid2d_to_obj(gaussian_2d(16.0, 16.0, n, n, center=(-0.3, 0.5),
+                                                   width=(1.2, 0.9))))
+    argv = [sys.executable, "-m", "nctorus.cli", "twisted-conv", ga, gb,
+            "--variant", "ordered", "--hbar", "0.7"]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pinned = subprocess.run(argv, capture_output=True, timeout=120, check=True,
+                            preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+    free = subprocess.run(argv, capture_output=True, timeout=120, check=True)
+    assert json.loads(free.stdout)["result"]["n_t"] == n
+    assert pinned.stdout == free.stdout
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, nctorus; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1074,6 +1096,14 @@ def test_cli_import_loads_only_lattice_and_torus():
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('nctorus'))))")
     assert _python(code).split() == ["nctorus", "nctorus.cli", "nctorus.lattice",
                                      "nctorus.torus"]
+
+
+def test_twisted_import_loads_no_logging():
+    # worker threads come from threading, which NumPy imports anyway;
+    # concurrent.futures would import logging into every grid process
+    code = ("import sys, nctorus.twisted; "
+            "print(any(m in sys.modules for m in ('logging', 'concurrent.futures')))")
+    assert _python(code) == "False"
 
 
 def test_package_import_is_lazy():

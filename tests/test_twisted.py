@@ -1,13 +1,17 @@
 import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from nctorus import twisted
 from nctorus.grids import (GridFunction2D, fourier_2d, gaussian_2d,
                            inverse_fourier_2d)
 from nctorus.twisted import (_MATCH_TOL, _heisenberg_group_conv_fft,
-                             _matched_twist, _other_twisted_conv_fft,
+                             _flush_tiny, _matched_twist,
+                             _other_twisted_conv_fft,
                              _signed_class, _twisted_conv_fft,
                              fourier_bridge_error,
                              gauge_iso, heisenberg_group_conv,
@@ -486,6 +490,48 @@ class TestFftRoutesAgainstLoops:
         slow = LOOPS[kind](a, b, hbar).values
         assert rel_max(fast, slow) < 1e-15
 
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_subnormal_tails_are_flushed(self, kind):
+        # at half-extent 40 the Gaussians' tails fall below 2^-500 of the
+        # peak (e^-800 is not even a double), so the routes run on flushed
+        # copies; the flush must not show against the unflushed loops
+        n, hbar = 64, 0.7
+        a = gaussian_2d(40.0, 40.0, n, n, center=(0.4, -0.2), momentum=(0.5, -0.3))
+        b = gaussian_2d(40.0, 40.0, n, n, center=(-0.3, 0.5), width=(1.2, 0.9))
+        assert kernel_twist(kind, a, hbar) is None
+        assert _flush_tiny(a.values) is not a.values
+        assert _flush_tiny(b.values) is not b.values
+        fast = VARIANTS[kind][0](a, b, hbar).values
+        assert rel_max(fast, LOOPS[kind](a, b, hbar).values) < 1e-14
+
+    def test_flush_copies_only_when_some_part_is_below_the_cut(self):
+        # the benchmark's unmatched grids (half-extent 16) keep their bytes;
+        # exact zeros (a real Gaussian's imaginary parts) are no tail
+        for momentum in ((0.0, 0.0), (0.5, -0.3)):
+            a = gaussian_2d(16.0, 16.0, 128, 128, momentum=momentum)
+            assert _flush_tiny(a.values) is a.values
+        x = np.array([1.0 + 1e-160j, 2.0 ** -501, 3.0j])
+        y = _flush_tiny(x)
+        assert np.array_equal(x, [1.0 + 1e-160j, 2.0 ** -501, 3.0j])
+        assert np.array_equal(y, [1.0, 0.0, 3.0j])
+        assert _flush_tiny(y) is y
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (64, 64)])
+    @pytest.mark.parametrize("hbar", [0.37, 1.3])
+    def test_bit_identical_for_any_worker_count(self, kind, shape, hbar, monkeypatch):
+        n_t, n_s = shape
+        a, b = rough(80 + n_t + n_s, 6.0, n_t, 2, n_s=n_s)
+        monkeypatch.setattr(twisted, "_MIN_BLOCK", 1)
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(twisted, "_cores", lambda: workers)
+            assert len(twisted._row_blocks(min(shape), 1)) == workers
+            outs.append(VARIANTS[kind][1](a, b, hbar).values)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+        assert rel_max(outs[0], LOOPS[kind](a, b, hbar).values) < 1e-14
+
     def test_decay_warning_fires_on_unmatched_grid(self):
         n, hbar, half = 32, 0.5, 6.0
         good = gaussian_2d(half, half, n, n)
@@ -496,3 +542,61 @@ class TestFftRoutesAgainstLoops:
                 conv(good, clipped, hbar)
             with pytest.warns(RuntimeWarning, match="boundary decay"):
                 conv(clipped, good, hbar)
+
+
+class TestWorkerFailures:
+    """Floating-point errors in a worker thread reach the caller as the
+    serial loop's would, under the caller's np.errstate and warning
+    filters, and no thread outlives the call."""
+
+    HBAR = 0.37
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(twisted, "_cores", lambda: 2)
+        monkeypatch.setattr(twisted, "_MIN_BLOCK", 1)
+
+    def huge(self, kind):
+        # products of 1e300-scaled operands overflow in every route
+        a, b = (gaussian_2d(10.0, 10.0, 32, 32, center=c, amplitude=1e300)
+                for c in ((0.4, -0.2), (-0.3, 0.5)))
+        assert kernel_twist(kind, a, self.HBAR) is None
+        assert len(twisted._row_blocks(32, 32)) == 2
+        return a, b
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_errstate_raise_reaches_the_caller(self, kind):
+        a, b = self.huge(kind)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            VARIANTS[kind][0](a, b, self.HBAR)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_error_in_the_other_worker_reaches_the_caller(self, kind):
+        # the calling thread runs the first block itself and would raise on
+        # its own, so here only the other worker's errstate handler raises
+        a, b = self.huge(kind)
+        caller = threading.get_ident()
+
+        class WorkerError(Exception):
+            pass
+
+        def handler(err: str, flag: int) -> None:
+            if threading.get_ident() != caller:
+                raise WorkerError(err)
+
+        before = threading.active_count()
+        with np.errstate(all="call", call=handler), pytest.raises(WorkerError, match="overflow"):
+            VARIANTS[kind][0](a, b, self.HBAR)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_warning_filter_reaches_the_caller(self, kind):
+        a, b = self.huge(kind)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                VARIANTS[kind][0](a, b, self.HBAR)
+        assert threading.active_count() == before
