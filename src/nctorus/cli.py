@@ -183,12 +183,13 @@ def _lattice_from_doc(doc, name: str) -> tuple[CoeffLattice2, dict | None]:
 
 
 def _read_element(path: str, q_flag: PhaseQ | None,
-                  first: TorusElement | None = None) -> TorusElement:
+                  first: tuple[str, TorusElement] | None = None) -> TorusElement:
     """The element in the document at path.
 
-    Its phase is the embedded one, else --q's, else that of first, the
-    operand it is combined with.  An embedded phase that differs from --q
-    is a FormatError, and one that differs from first's a MismatchError.
+    first is the path and element of the operand it is combined with.  Its
+    phase is the embedded one, else --q's, else first's.  An embedded phase
+    that differs from --q is a FormatError, and one that differs from
+    first's a MismatchError that names both files.
     """
     coeffs, element = _lattice_from_doc(_read_doc(path), path)
     q = phaseq_from_obj(element["q"]) if element is not None and "q" in element else None
@@ -198,12 +199,12 @@ def _read_element(path: str, q_flag: PhaseQ | None,
     if q is None:
         q = q_flag
     if q is None and first is not None:
-        q = first.q
+        q = first[1].q
     if q is None:
         raise FormatError(f"field 'q': missing for '{path}' (no --q flag and "
                           "no embedded phase)")
     if first is not None:
-        _require_same_q(first.q, q)
+        _require_same_q(first[1].q, q, (first[0], path))
     return TorusElement(coeffs, q)
 
 
@@ -323,6 +324,7 @@ def _cmd_torus_mul(args) -> tuple[dict, bool]:
                           "(or --word)")
     f = _read_element(args.inputs[0], args.q)
     g = _read_element(args.inputs[1], args.q)
+    _require_same_q(f.q, g.q, (args.inputs[0], args.inputs[1]))
     return _element_obj(q_mul(f, g)), True
 
 
@@ -358,12 +360,12 @@ def _cmd_torus_derive(args) -> tuple[dict, bool]:
     if args.power is not None:
         return _element_obj(d_power(f, *args.power)), True
     if args.inner is not None:
-        a = _read_element(args.inner, args.q, f)
+        a = _read_element(args.inner, args.q, (args.input, f))
         return _element_obj(inner_derivation(a, f)), True
     if args.dv is None:
         raise FormatError("flag '--dv': required when --du is given")
-    du = _read_element(args.du, args.q, f)
-    dv = _read_element(args.dv, args.q, f)
+    du = _read_element(args.du, args.q, (args.input, f))
+    dv = _read_element(args.dv, args.q, (args.input, f))
     spec = DerivationSpec(du.coeffs, dv.coeffs, f.q)
     try:
         result = apply_derivation(spec, f, tol=args.tol)
@@ -374,7 +376,7 @@ def _cmd_torus_derive(args) -> tuple[dict, bool]:
 
 def _cmd_torus_check_derivation(args) -> tuple[dict, bool]:
     du = _read_element(args.du, args.q)
-    dv = _read_element(args.dv, args.q, du)
+    dv = _read_element(args.dv, args.q, (args.du, du))
     rep = check_derivation_relation(DerivationSpec(du.coeffs, dv.coeffs, du.q),
                                     tol=args.tol)
     out = {"ok": rep.ok, "max_residual": rep.max_residual,
@@ -413,7 +415,7 @@ def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     }
     failures = {}
     if len(args.inputs) > 1:
-        g = _read_element(args.inputs[1], args.q, f)
+        g = _read_element(args.inputs[1], args.q, (args.inputs[0], f))
         hom = matrep.homomorphism_residual(f, g, q_mul(f, g), grid)
         star = matrep.star_residual(f, adjoint(f), grid)
         out["homomorphism_residual"] = hom

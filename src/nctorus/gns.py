@@ -3,8 +3,10 @@
 Two carrier algebras: the N^2-dimensional quotient with U^N = V^N = 1
 (associative on the nose, isomorphic to Mat_N for rational q), and a
 truncated coefficient box whose products are re-truncated, which is not
-associative; the discarded tail is measured and every GNS tolerance is
-loosened by ten times that tail so the report stays honest.
+associative.  The box records the discarded tail; its reconstruction is
+still exact and is gated as on the quotient, its star is gated at ten
+times the tail, and its homomorphism residual, which measures the
+truncation, is reported but not gated.
 
 A form phi produces the Gram matrix G_ij = phi(e_i* e_j); its kernel is
 the null ideal, the quotient gets a twice-projected classical
@@ -37,11 +39,12 @@ __all__ = [
     "separation_rank",
 ]
 
-# Dense dim^3 tables (8.5 MB at the limit) and, where the quotient's
-# certificate does not accept and on the box, a dim^5 homomorphism check:
-# gns_build at dim 81 takes 0.1 s when the certificate accepts (trace form,
-# N = 9) and 1.3 s when the full check runs, on the quotient or on the box
-# of radii 4, 4 (one thread, 2-core host).
+# Dense dim^3 tables (8.5 MB at the limit) and, where the quotient's Mat_N
+# certificate does not accept, a dim^5 homomorphism check: gns_build at dim
+# 81 takes 0.07-0.08 s when the certificate accepts (trace and 3- or
+# 4-decade density forms, N = 9), 0.11-0.13 s on the box of radii 4, 4,
+# which never runs the full check, and 1.2-1.5 s when the full check runs
+# (one thread, 2-core host).
 MAX_ALGEBRA_DIM = 81
 
 # Gram-Schmidt drops a vector whose remaining Gram norm is at most this
@@ -87,10 +90,10 @@ def _algebra(kind: str, q: PhaseQ, k: np.ndarray, l: np.ndarray, target: np.ndar
              phase: np.ndarray, star_target: np.ndarray, star_phase: np.ndarray,
              tail: float) -> FiniteAlgebra:
     """Dense tables of a monomial algebra: e_i e_j = phase[i, j] e_target[i, j]
-    (0 where target < 0) and e_i* = star_phase[i] e_star_target[i]."""
+    (0 where the phase is 0) and e_i* = star_phase[i] e_star_target[i]."""
     dim = len(k)
     lmats = np.zeros((dim, dim, dim), dtype=np.complex128)
-    i, j = np.nonzero(target >= 0)
+    i, j = np.nonzero(phase)
     lmats[i, target[i, j], j] = phase[i, j]
     starmat = np.zeros((dim, dim), dtype=np.complex128)
     starmat[np.arange(dim), star_target] = star_phase
@@ -104,17 +107,45 @@ def _check_dim(dim: int, what: str) -> None:
                          f"{MAX_ALGEBRA_DIM} of the dense tables")
 
 
+def _pows(q: PhaseQ) -> np.ndarray:
+    """q^e for e = 0 .. N-1; for rational q, q^e depends on e mod N only."""
+    return np.array([q.pow(e) for e in range(q.modulus)])
+
+
+def _quotient_tables(q: PhaseQ) -> tuple:
+    """The _algebra arguments of torus_quotient(q) after the kind and q;
+    target and phase as _monomial_form reads them from the dense tables."""
+    n = q.modulus
+    s, t = np.divmod(np.arange(n * n), n)
+    target = (s[:, None] + s[None, :]) % n * n + (t[:, None] + t[None, :]) % n
+    pows = _pows(q)
+    return (s, t, target, pows[-t[:, None] * s[None, :] % n],
+            (-s) % n * n + (-t) % n, pows[-s * t % n], 0.0)
+
+
+def _box_tables(radius_k: int, radius_l: int, q: PhaseQ) -> tuple:
+    """The _algebra arguments of truncated_box(radius_k, radius_l, q) after
+    the kind and q, as _quotient_tables gives them: a truncated product has
+    target 0 and phase 0."""
+    width = 2 * radius_l + 1
+    k, l = np.divmod(np.arange((2 * radius_k + 1) * width), width)
+    k, l = k - radius_k, l - radius_l
+    kk, ll = k[:, None] + k[None, :], l[:, None] + l[None, :]
+    kept = (np.abs(kk) <= radius_k) & (np.abs(ll) <= radius_l)
+    phase = q.pow_array(-l[:, None] * k[None, :])
+    tail = float(np.max(np.abs(phase[~kept]), initial=0.0))
+    target = np.where(kept, (kk + radius_k) * width + ll + radius_l, 0)
+    phase[~kept] = 0.0
+    # the mirrored box equals the box, so e_i* = q^{-kl} e_{-k,-l} never truncates
+    return k, l, target, phase, len(k) - 1 - np.arange(len(k)), q.pow_array(-k * l), tail
+
+
 def torus_quotient(q: PhaseQ) -> FiniteAlgebra:
     """Basis U^s V^t, 0 <= s,t < N, with U^N = V^N = 1; exact structure phases."""
     if q.kind != "rational":
         raise ValueError("the finite quotient needs rational q")
-    n = q.modulus
-    _check_dim(n * n, f'field "q": modulus {n}')
-    s, t = np.divmod(np.arange(n * n), n)
-    target = (s[:, None] + s[None, :]) % n * n + (t[:, None] + t[None, :]) % n
-    pows = np.array([q.pow(e) for e in range(n)])  # q^e depends on e mod N only
-    return _algebra("torus_quotient", q, s, t, target, pows[-t[:, None] * s[None, :] % n],
-                    (-s) % n * n + (-t) % n, pows[-s * t % n], 0.0)
+    _check_dim(q.modulus ** 2, f'field "q": modulus {q.modulus}')
+    return _algebra("torus_quotient", q, *_quotient_tables(q))
 
 
 def truncated_box(radius_k: int, radius_l: int, q: PhaseQ) -> FiniteAlgebra:
@@ -126,19 +157,18 @@ def truncated_box(radius_k: int, radius_l: int, q: PhaseQ) -> FiniteAlgebra:
     for name, radius in (("radius_k", radius_k), ("radius_l", radius_l)):
         if not is_number(radius, int) or radius < 0:
             raise ValueError(f'field "{name}" must be a non-negative integer')
-    width = 2 * radius_l + 1
-    dim = (2 * radius_k + 1) * width
-    _check_dim(dim, 'fields "radius_k", "radius_l": the box')
-    k, l = np.divmod(np.arange(dim), width)
-    k, l = k - radius_k, l - radius_l
-    kk, ll = k[:, None] + k[None, :], l[:, None] + l[None, :]
-    kept = (np.abs(kk) <= radius_k) & (np.abs(ll) <= radius_l)
-    phase = q.pow_array(-l[:, None] * k[None, :])
-    tail = float(np.max(np.abs(phase[~kept]), initial=0.0))
-    target = np.where(kept, (kk + radius_k) * width + ll + radius_l, -1)
-    # the mirrored box equals the box, so e_i* = q^{-kl} e_{-k,-l} never truncates
-    return _algebra("truncated_box", q, k, l, target, phase,
-                    dim - 1 - np.arange(dim), q.pow_array(-k * l), tail)
+    _check_dim((2 * radius_k + 1) * (2 * radius_l + 1),
+               'fields "radius_k", "radius_l": the box')
+    return _algebra("truncated_box", q, *_box_tables(radius_k, radius_l, q))
+
+
+def _has_closed_form_tables(a: FiniteAlgebra, *tables: np.ndarray) -> bool:
+    """Whether _monomial_form's target, phase, star target and star phase of
+    a are, bit for bit, those that torus_quotient or truncated_box build
+    for a's kind, q and radii."""
+    want = (_quotient_tables(a.q) if a.kind == "torus_quotient"
+            else _box_tables(*np.max(a.labels, axis=0).tolist(), a.q))
+    return all(np.array_equal(x, y) for x, y in zip(want[2:6], tables))
 
 
 @dataclass(frozen=True)
@@ -148,8 +178,7 @@ class PositiveForm:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        v = v.copy()
+        v = np.array(np.ravel(self.values), dtype=np.complex128)  # an owned copy
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -192,10 +221,12 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
 @dataclass(frozen=True)
 class GnsTriplet:
     """pi(e_m) on the quotient of the algebra by the null ideal, the cyclic
-    vector omega and three residuals.  hom_residual is an upper bound on
-    max |pi(e_m e_j) - pi(e_m) pi(e_j)|: on torus_quotient the certificate
-    built from the generators (see _hom_bound) when that is within the
-    tol, and otherwise, and on truncated_box, that maximum itself."""
+    vector omega and three residuals.  On torus_quotient hom_residual is an
+    upper bound on max |pi(e_m e_j) - pi(e_m) pi(e_j)| over every basis
+    pair: the Mat_N certificate (see _mat_n_bound) when that is within the
+    tol, and otherwise that maximum itself.  On truncated_box, whose
+    products are cut back to the box, it is that maximum over the left
+    factors U^{+-1}, V^{+-1} only, a measurement of the truncation."""
 
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
@@ -217,20 +248,29 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     declared order); any two orders give unitarily equivalent triplets.
     Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
     Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
-    v -= C (G C)^H v per pass, so the loop makes dim steps.  On the
-    quotient _hom_bound's certificate, an upper bound on the full
-    homomorphism residual, accepts where it is within tol, and the build
-    then costs O(dim r^3 + dim^2 r) beyond the Gram matrix (r the quotient
-    dimension): 0.1 s for the trace form at N = 9 (one thread, 2-core
-    host).  Where it is not, and on the box, the full residual, which costs
-    dim^2 r^3 (1.3 s at dim 81), decides, so the homomorphism verdict is
-    the full check's in every case.
+    v -= C (G C)^H v per pass, so the loop makes dim steps.
+
+    Every check costs O(dim r^3) at most (r the quotient dimension).  tol
+    gates reconstruction, star and the quotient's homomorphism residual;
+    by default it is 1e-10, and the box's star gate, which the truncation
+    breaks, max(1e-10, 10 tail).  On the quotient the Mat_N certificate
+    accepts where it is within tol; where it is not, or where the tables
+    are not the closed-form ones, the full residual (dim^2 r^3, 1.2-1.5 s
+    at dim 81, one thread, 2-core host) decides, so the verdict is the
+    full check's.  On the box, whose tables are refused unless they are
+    truncated_box's, the homomorphism field is only reported.
     """
     rep = is_positive(phi, a)
     if not rep.ok:
         raise ValueError(f"form is not positive: min eigenvalue {rep.min_eigenvalue:.3e}")
-    if tol is None:
-        tol = max(1e-10, 10.0 * a.tail)
+    star_tol = max(1e-10, 10.0 * a.tail) if tol is None else tol
+    tol = 1e-10 if tol is None else tol
+    target, phase = _monomial_form(a.lmats)
+    star_target, star_phase = _monomial_form(a.starmat)
+    closed_form = _has_closed_form_tables(a, target, phase, star_target, star_phase)
+    quotient = a.kind == "torus_quotient"
+    if not (quotient or closed_form):
+        raise ValueError("structure tables differ from those of truncated_box")
     g = (rep.gram + rep.gram.conj().T) / 2.0
     gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
 
@@ -253,13 +293,10 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
         c[:, r], gc[:, r] = v / math.sqrt(n2), gv / math.sqrt(n2)
         r += 1
     if r == 0:
-        e = np.zeros((a.dim, 0), dtype=np.complex128)
-        return GnsTriplet(0, e, np.zeros((a.dim, 0, 0), dtype=np.complex128),
+        return GnsTriplet(0, c[:, :0], np.zeros((a.dim, 0, 0), dtype=np.complex128),
                           np.zeros(0, dtype=np.complex128), 0.0, 0.0, 0.0)
     e = c[:, :r].copy()
 
-    target, phase = _monomial_form(a.lmats)
-    star_target, star_phase = _monomial_form(a.starmat)
     eg = e.conj().T @ g  # (r, dim), the quotient-side pairing
     # pi(e_m) = eg L_m e, and column j of eg L_m is phase[m, j] eg[:, target[m, j]]
     pi = (eg[:, target] * phase).transpose(1, 0, 2) @ e
@@ -269,15 +306,19 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     # pi(e_i*) = star_phase[i] pi(e_star_target[i]) against pi(e_i)^H
     star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
                                - pi.conj().transpose(0, 2, 1))))
-    # the quotient's certificate only accepts: above the tol, or on the box,
-    # the full residual decides
-    hom = _hom_bound(a, target, phase, pi) if a.kind == "torus_quotient" else math.inf
-    if hom > tol:
-        hom = _hom_residual(target, phase, pi)
-    if max(recon, hom, star) > tol:
-        raise ValueError(
-            f"GNS invariants violated: reconstruction {recon:.3e}, "
-            f"homomorphism {hom:.3e}, star {star:.3e} exceed {tol:.1e}")
+    gates = [("reconstruction", recon, tol), ("star", star, star_tol)]
+    if quotient:
+        # the certificate only accepts: above the tol the full residual decides
+        hom = _mat_n_bound(a.q, phi.values, pi, omega) if closed_form else math.inf
+        if not hom <= tol:  # NaN included
+            hom = _hom_residual(target, phase, pi)
+        gates.insert(1, ("homomorphism", hom, tol))
+    else:
+        gens = [a.index_of(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1)) if x in a.labels]
+        hom = max(_defect_maxima(target, phase, pi, gens), default=0.0)
+    if not all(value <= gate for _, value, gate in gates):
+        raise ValueError("GNS invariants violated: " + ", ".join(
+            f"{name} {value:.3e} (tol {gate:.1e})" for name, value, gate in gates))
     return GnsTriplet(r, e, pi, omega, recon, hom, star)
 
 
@@ -292,21 +333,20 @@ def _monomial_form(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return target, np.take_along_axis(table, np.expand_dims(target, 1), axis=1).squeeze(1)
 
 
-def _product_defects(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
-    """For each m in ms, pi(e_m e_j) - pi(e_m) pi(e_j) over every j as a
-    (dim, r, r) slab, one m at a time so that only one slab is live."""
+def _defect_maxima(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
+    """For each m in ms, max over j of |pi(e_m e_j) - pi(e_m) pi(e_j)|, from
+    one (dim, r, r) slab at a time."""
     dim, r = pi.shape[0], pi.shape[1]
     row = pi.transpose(1, 0, 2).reshape(r, dim * r)  # [pi_0 | pi_1 | ...]
     for m in ms:
         got = (pi[m] @ row).reshape(r, dim, r).transpose(1, 0, 2)
         # the contiguous operand first: the result takes its layout
-        yield phase[m][:, None, None] * pi[target[m]] - got
+        yield float(np.max(np.abs(phase[m][:, None, None] * pi[target[m]] - got)))
 
 
 def _hom_residual(target: np.ndarray, phase: np.ndarray, pi: np.ndarray) -> float:
     """max over (m, j) of |pi(e_m e_j) - pi(e_m) pi(e_j)|."""
-    return max(float(np.max(np.abs(d)))
-               for d in _product_defects(target, phase, pi, range(pi.shape[0])))
+    return max(_defect_maxima(target, phase, pi, range(pi.shape[0])))
 
 
 def _gamma(k: int) -> float:
@@ -314,93 +354,87 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _hom_bound(a: FiniteAlgebra, target: np.ndarray, phase: np.ndarray,
-               pi: np.ndarray) -> float:
-    """Upper bound on _hom_residual of the quotient, from the generators.
+def _abs_norm(x: np.ndarray) -> np.ndarray:
+    """sqrt(||x||_1 ||x||_inf) of the stacked matrices x[..., :, :], at least
+    the 2-norm of x and of |x|, raised for the rounding of the sums."""
+    ax = np.abs(x)
+    return (np.sqrt(ax.sum(axis=-2).max(axis=-1) * ax.sum(axis=-1).max(axis=-1))
+            * (1.0 + _gamma(x.shape[-1] + 4)))
 
-    Write P_m = pi(e_m), e_m e_j = f_mj e_mj (f the phase table) and
-    R_mj = P_m P_j - f_mj P_mj; _hom_residual is max |R_mj| over entries,
-    at most max ||R_mj||_F.  Every e_m = U^s V^t is x e_m' with x = U
-    (s > 0) or x = V (s = 0, t > 0) and m' one step shorter, so e_m has a
-    word of length L = s + t <= 2(N - 1) from the unit.  Measured:
 
-      D_xj  = P_x P_j - f_xj P_xj for x in {U, V} and every j: 2 dim
-              products.  delta >= max ||D_xj||_F.  Left multiplication by
-              U permutes the basis, so every P_m enters some D_Uj.
-      eps   = max |f_m'j f_x,m'j - f_xm' f_mj| over every step (m', x, m)
-              and every j, the associativity defect of the phases along
-              the words; eps0 = max_j |1 - f_1j|.  Where the targets of
-              the two sides differ the tables are not associative and the
-              bound is infinite.
-      a     >= max ||P_U||_2, ||P_V||_2;  rho >= max_j ||P_j||_F;
-      sigma = min(rho, kappa) >= max_j ||P_j||_2, with
-              kappa = max_m sqrt(||P_m||_1 ||P_m||_inf) >= ||P_m||_2;
-      nu, mu = max and min |f| of the phase table and of the steps.
+def _mat_n_bound(q: PhaseQ, values: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> float:
+    """Upper bound on _hom_residual of a torus_quotient triplet whose tables
+    are the closed-form ones, from the quotient's Mat_N picture.
 
-    Multiply R_m'j on the left by P_x and insert D twice:
-    P_x P_m' P_j = f_m'j f_x,m'j P_mj + f_m'j D_x,m'j + P_x R_m'j, and also
-    = f_xm' P_m P_j + D_xm' P_j.  Subtracting f_xm' f_mj P_mj from both,
+    U^s V^t -> M_m = U0^s V0^t (U0 the cyclic shift, V0 = diag(q^i)) maps
+    the quotient onto Mat_N (Schwinger, PNAS 46, 1960; Davidson,
+    C*-Algebras by Example, 1996, ch. VI), and M_m M_j = f_mj M_mj with
+    the quotient's phase table f, mj the target of (m, j).  A form is
+    phi(x) = tr(rho M(x)), rho = (1/N) sum_m phi(e_m) M_m^H, and its GNS
+    representation is left multiplication on Mat_N rho^{1/2}: on vec(Y),
+    Y = rho^{1/2} W (N x k, W the top k = r/N eigenvectors of rho), e_m
+    acts as Q_m = M_m (x) I_k, a monomial matrix.
 
-      f_xm' R_mj = (f_m'j f_x,m'j - f_xm' f_mj) P_mj + f_m'j D_x,m'j
-                   + P_x R_m'j - D_xm' P_j,
+    Write P_m = pi(e_m).  T is the Procrustes unitary taking the orbit
+    P_m Omega onto vec(M_m Y), and E_m = T P_m - Q_m T.  With
+    D_mj = Q_m Q_j - f_mj Q_mj and R_mj = P_m P_j - f_mj P_mj:
 
-    so with ||A B||_F <= ||A||_2 ||B||_F every R of a length-L word obeys
-    ||R_mj||_F <= B_L, where
+        T P_m P_j = (Q_m T + E_m) P_j = Q_m Q_j T + Q_m E_j + E_m P_j,
+        T R_mj    = D_mj T + Q_m E_j + E_m P_j - f_mj E_mj.
 
-      B_0 = ||I - P_1||_F sigma + eps0 rho   (R_1j = (P_1 - I) P_j + (1 - f_1j) P_j)
-      B_L = (a B_{L-1} + delta (nu + sigma) + eps rho) / mu.
+    Let eps >= max ||E_m||_2, eta >= ||T^H T - I||_2 (then, for eta < 1,
+    ||T^-1||_2 <= s = (1 - eta)^-1/2 and ||T||_2 <= t = (1 + eta)^1/2),
+    nu >= every |q^e| (the entries of M_m and f) and d >= max ||D_mj||_2.
+    Then
 
-    Rounding: a computed product carries at most gamma_{r+4} (kappa + nu)
-    rho = tau in Frobenius norm (|fl(AB) - AB| <= gamma_{r+2} |A||B| and
-    || |A| ||_2 <= sqrt(||A||_1 ||A||_inf), Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 2002, sections 3.5-3.6), so delta is
-    the measured maximum plus tau, and the full check's own products may
-    read tau above the exact R: the bound is max_L B_L + tau.  Every
-    measured norm is raised by gamma_{r^2+4} of itself for its own
-    rounding, eps by 8 u nu^2 and eps0 by 2 u nu.  Cost: 2 dim r^3 for
-    the D's and O(dim r^2 + dim^2) for the rest.
+        ||P_j||_2  <= s (nu t + eps) = p,
+        ||R_mj||_2 <= s (d t + eps (2 nu + p)),
+
+    which is 3 eps + eps^2 + d to first order in eta and u.  Nothing here
+    asks T, rho or k to be accurate: a poor T only makes eps large.  D_mj
+    is monomial, its entries q^x q^y - q^z q^w with x + y = z + w mod N,
+    so d is at most twice the largest |q^x q^y - q^(x+y)|.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sections 3.1 and 3.6): a computed complex product is within
+    sqrt(2) gamma_2 of the exact one, and a complex inner product of length
+    r within sqrt(2) gamma_{r+2} of the inner product of the moduli; c =
+    2 gamma_{r+4} covers both.  With kT, kP >= || |T| ||_2, || |P_m| ||_2,
+    the computed E_m is within c kT (kP + nu) of the exact one in 2-norm,
+    fl(T^H T) within c kT^2, and the full check's own products read at most
+    tau = c kP (kP + nu) above the exact |R_mj| entrywise, so the bound is
+    that of R plus tau.  Cost: dim r^3 for T P_m and O(dim r^2 + r^3 + N^3)
+    for the rest.
     """
-    dim, r = pi.shape[0], pi.shape[1]
-    n = a.q.modulus
-    u = _UNIT_ROUNDOFF
-    grow = 1.0 + _gamma(r * r + 4)
-    gamma = _gamma(r + 4)
-    gens = [a.index_of((1 % n, 0)), a.index_of((0, 1 % n))]
-    absp = np.abs(pi)
-    rho = float(np.sqrt(np.max(np.sum(absp * absp, axis=(1, 2))))) * grow
-    kappa = float(np.sqrt(np.max(absp.sum(axis=1).max(axis=1)
-                                 * absp.sum(axis=2).max(axis=1)))) * grow
-    sigma = min(rho, kappa)
-    nu = float(np.max(np.abs(phase)))
-    tau = gamma * (kappa + nu) * rho
-    delta = max(float(np.sqrt(np.max(np.sum(np.abs(d) ** 2, axis=(1, 2)))))
-                for d in _product_defects(target, phase, pi, gens)) * grow + tau
-    a_norm = max(float(np.linalg.norm(pi[gen], 2)) for gen in gens) * grow
-
-    # the steps e_m = x e_m' of every word but the unit's, found by label
-    index = {label: i for i, label in enumerate(a.labels)}
-    s, t = np.array(a.labels).T
-    m = np.flatnonzero(s + t > 0)
-    x = np.where(s[m] > 0, gens[0], gens[1])
-    prev = np.array([index[(k - 1, l) if k > 0 else (k, l - 1)]
-                     for k, l in zip(s[m].tolist(), t[m].tolist())], dtype=int)
-    step = phase[x, prev]
-    unit = a.unit_index
-    if (np.any(target[x, prev] != m) or np.any(target[unit] != np.arange(dim))
-            or np.any(target[x[:, None], target[prev]] != target[m])):
+    n, (dim, r) = q.modulus, pi.shape[:2]
+    if r % n:
         return math.inf
-    eps = float(np.max(np.abs(phase[prev] * phase[x[:, None], target[prev]]
-                              - step[:, None] * phase[m]), initial=0.0))
-    eps = eps * grow + 8.0 * u * nu * nu
-    eps0 = float(np.max(np.abs(1.0 - phase[unit]))) * grow + 2.0 * u * nu
-    mu = float(np.min(np.abs(step), initial=1.0))
-
-    eye_gap = float(np.linalg.norm(np.eye(r) - pi[unit])) * grow
-    bound = b = eye_gap * sigma + eps0 * rho
-    for _ in range(int(np.max(s + t))):
-        b = (a_norm * b + delta * (nu + sigma) + eps * rho) / mu
-        bound = max(bound, b)
-    return (bound + tau) * (1.0 + u)
+    k, pows, i = r // n, _pows(q), np.arange(n)
+    s, t = np.divmod(np.arange(dim), n)
+    # rho[j, i] = (1/N) sum_t phi(U^{(j - i) mod N} V^t) q^{-tj}
+    f = values.reshape(n, n) @ np.conj(pows[np.outer(i, i) % n])
+    lam, w = np.linalg.eigh(f[(i[:, None] - i) % n, i[:, None]] / n)
+    y = w[:, n - k:] * np.sqrt(np.maximum(lam[n - k:], 0.0))  # rho^{1/2} W
+    # row i of M_m Y is q^{t (i + s)} Y[(i + s) mod N], and alike for M_m T
+    shift = (i + s[:, None]) % n
+    mph = pows[t[:, None] * shift % n]
+    images = (mph[:, :, None] * y[shift]).reshape(dim, r)  # vec(M_m Y)
+    left, _, right = np.linalg.svd(images.T @ np.conj(pi @ omega))
+    tm = left @ right
+    gathered = (mph[:, :, None, None] * tm.reshape(n, k, r)[shift]).reshape(dim, r, r)
+    nu = float(np.max(np.abs(pows))) * (1.0 + _UNIT_ROUNDOFF)
+    c = 2.0 * _gamma(r + 4)
+    kt, kp = float(_abs_norm(tm)), float(np.max(_abs_norm(pi)))
+    eps = float(np.max(_abs_norm(tm @ pi - gathered))) + c * kt * (kp + nu)
+    eta = float(_abs_norm(tm.conj().T @ tm - np.eye(r))) + c * kt * kt
+    if eta >= 1.0:
+        return math.inf
+    # q^x q^y - q^z q^w is within |q^x q^y - q^(x+y)| + |q^(z+w) - q^z q^w|
+    d = 2.0 * (float(np.max(np.abs(pows[:, None] * pows - pows[np.add.outer(i, i) % n])))
+               * (1.0 + _gamma(2)) + 2.0 * _gamma(2) * nu * nu)
+    sinv, tn = 1.0 / math.sqrt(1.0 - eta), math.sqrt(1.0 + eta)
+    bound = sinv * (d * tn + eps * (2.0 * nu + sinv * (nu * tn + eps)))
+    return (bound + c * kp * (kp + nu)) * (1.0 + _gamma(16))
 
 
 def state_action(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> PositiveForm:
@@ -430,27 +464,20 @@ def intertwiner(t1: GnsTriplet, t2: GnsTriplet,
     """
     if t1.quotient_dim != t2.quotient_dim:
         raise ValueError("quotient dimensions differ; no unitary can intertwine")
-    m1 = np.stack([t1.pi_mats[m] @ t1.omega for m in range(a.dim)], axis=1)
-    m2 = np.stack([t2.pi_mats[m] @ t2.omega for m in range(a.dim)], axis=1)
+    m1, m2 = (t1.pi_mats @ t1.omega).T, (t2.pi_mats @ t2.omega).T  # the orbits
     u, _, vh = np.linalg.svd(m2 @ m1.conj().T)
     w = u @ vh
-    res = float(np.max(np.abs(w @ m1 - m2)))
-    for m in range(a.dim):
-        res = max(res, float(np.max(np.abs(w @ t1.pi_mats[m] - t2.pi_mats[m] @ w))))
-    res = max(res, float(np.max(np.abs(w @ t1.omega - t2.omega))))
-    return w, res
+    return w, max(float(np.max(np.abs(w @ m1 - m2))),
+                  float(np.max(np.abs(w @ t1.pi_mats - t2.pi_mats @ w))),
+                  float(np.max(np.abs(w @ t1.omega - t2.omega))))
 
 
 def separation_rank(forms: list[PositiveForm], a: FiniteAlgebra) -> tuple[int, int]:
     """Rank of the stacked Grams and of f -> direct-sum pi(f); both equal
     the algebra dimension exactly when the family separates points."""
     grams = [gram_matrix(phi, a) for phi in forms]
-    stacked = np.vstack(grams) if grams else np.zeros((0, a.dim))
-    rank_gram = int(np.linalg.matrix_rank(stacked, tol=1e-9))
-    blocks = []
-    for phi in forms:
-        t = gns_build(phi, a)
-        blocks.append(t.pi_mats.reshape(a.dim, t.quotient_dim ** 2).T)
-    pi_map = np.vstack(blocks) if blocks else np.zeros((0, a.dim))
-    rank_pi = int(np.linalg.matrix_rank(pi_map, tol=1e-9))
-    return rank_gram, rank_pi
+    trips = [gns_build(phi, a) for phi in forms]
+    pis = [t.pi_mats.reshape(a.dim, t.quotient_dim ** 2).T for t in trips]
+    # the empty block keeps an empty family's stack (0, dim)
+    return tuple(int(np.linalg.matrix_rank(np.vstack(blocks + [np.zeros((0, a.dim))]), tol=1e-9))
+                 for blocks in (grams, pis))

@@ -62,11 +62,13 @@ class TorusElement:
         return self.coeffs.max_abs_diff(other.coeffs)
 
 
-def _require_same_q(a: PhaseQ, b: PhaseQ) -> None:
-    """Refuse two different twists, spelled as the documents spell q."""
+def _require_same_q(a: PhaseQ, b: PhaseQ, names: tuple[str, str] | None = None) -> None:
+    """Refuse two different twists, spelled as the documents spell q, each
+    after the name of its operand's file when names are given."""
     if a != b:
-        raise MismatchError(f"q mismatch: {json.dumps(phaseq_to_obj(a))} "
-                            f"vs {json.dumps(phaseq_to_obj(b))}")
+        where = ("", "") if names is None else tuple(f"'{name}' " for name in names)
+        raise MismatchError(f"q mismatch: {where[0]}{json.dumps(phaseq_to_obj(a))} "
+                            f"vs {where[1]}{json.dumps(phaseq_to_obj(b))}")
 
 
 def unit(q: PhaseQ) -> TorusElement:

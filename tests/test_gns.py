@@ -45,8 +45,9 @@ def loop_gram(phi: PositiveForm, a: FiniteAlgebra) -> np.ndarray:
     return g
 
 
-def loop_residuals(phi: PositiveForm, a: FiniteAlgebra, t) -> tuple:
-    """(recon, hom, star) of a triplet, one (m, j) pair at a time."""
+def loop_residuals(phi: PositiveForm, a: FiniteAlgebra, t, left=None) -> tuple:
+    """(recon, hom, star) of a triplet, one (m, j) pair at a time; hom over
+    the left factors e_m with m in left (default: every m)."""
     pi = [t.pi_mats[m] for m in range(a.dim)]
 
     def pi_of(f):
@@ -62,10 +63,17 @@ def loop_residuals(phi: PositiveForm, a: FiniteAlgebra, t) -> tuple:
                                - complex(np.conj(t.omega) @ (pi[m] @ t.omega))))
         star = max(star, float(np.max(np.abs(pi_of(a.star(a.basis_vector(m)))
                                              - pi[m].conj().T))))
+        if left is not None and m not in left:
+            continue
         for j in range(a.dim):
             hom = max(hom, float(np.max(np.abs(pi_of(a.lmats[m][:, j])
                                                - pi[m] @ pi[j]))))
     return recon, hom, star
+
+
+def box_generators(a: FiniteAlgebra) -> list:
+    """Indices of U, U^-1, V and V^-1 in a box."""
+    return [a.index_of(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1)) if x in a.labels]
 
 
 def q_mul_box(rk: int, rl: int, q: PhaseQ) -> tuple:
@@ -114,15 +122,17 @@ class TestVectorisedCore:
 
     def test_residuals_match_loop_oracle(self, name, a, phi):
         # on the quotient the homomorphism field is a certificate bound,
-        # at least the full residual; on the box it is the full residual
+        # at least the full residual; on the box it is the residual over
+        # the left factors U^{+-1}, V^{+-1}
         t = gns_build(phi, a, tol=10.0)
-        recon, hom, star = loop_residuals(phi, a, t)
+        box = a.kind == "truncated_box"
+        recon, hom, star = loop_residuals(phi, a, t, box_generators(a) if box else None)
         assert (t.recon_residual, t.star_residual) == pytest.approx((recon, star),
                                                                     rel=0, abs=1e-14)
-        if a.kind == "torus_quotient":
-            assert hom <= t.hom_residual < 1e-12
-        else:
+        if box:
             assert t.hom_residual == pytest.approx(hom, rel=0, abs=1e-14)
+        else:
+            assert hom <= t.hom_residual < 1e-12
 
     def test_pi_and_state_action_match_loops(self, name, a, phi):
         t = gns_build(phi, a, tol=10.0)
@@ -168,14 +178,13 @@ class TestQuotientCertificate:
         assert hom <= t.hom_residual < 1e-12
 
     def test_any_changed_pi_fails_the_bound(self, name, a, phi, dim):
-        # every pi(e_m) enters the generator residuals, since U permutes
-        # the basis: a 1e-6 change to one entry of any of them is caught
+        # every pi(e_m) is compared with its Mat_N image: a 1e-6 change to
+        # one entry of any of them is caught
         t = gns_build(phi, a)
-        target, phase = gns._monomial_form(a.lmats)
         for m in range(a.dim):
             pi = t.pi_mats.copy()
             pi[m, 0, 0] += 1e-6
-            assert gns._hom_bound(a, target, phase, pi) > 1e-10
+            assert gns._mat_n_bound(a.q, phi.values, pi, t.omega) > 1e-10
 
     def test_cgs2_basis_is_orthonormal(self, name, a, phi, dim):
         t = gns_build(phi, a)
@@ -187,8 +196,8 @@ class TestQuotientCertificate:
 
 def test_inconsistent_quotient_table_falls_back_to_the_full_check():
     # send e_U e_(0,1) to the wrong basis element: the table stays monomial
-    # but is no longer associative, so the certificate is infinite and the
-    # full residual decides, as it does on the box
+    # but is no longer the closed-form one, so the certificate does not
+    # apply and the full residual decides
     a = torus_quotient(Q3)
     lm = a.lmats.copy()
     i_u, j = a.index_of((1, 0)), a.index_of((0, 1))
@@ -198,7 +207,8 @@ def test_inconsistent_quotient_table_falls_back_to_the_full_check():
     phi = trace_form(bad)
     t = gns_build(phi, bad, tol=10.0)
     target, phase = gns._monomial_form(bad.lmats)
-    assert gns._hom_bound(bad, target, phase, t.pi_mats) == math.inf
+    assert not gns._has_closed_form_tables(bad, target, phase,
+                                           *gns._monomial_form(bad.starmat))
     _, hom, _ = loop_residuals(phi, bad, t)
     assert t.hom_residual == pytest.approx(hom, rel=0, abs=1e-14)
     with pytest.raises(ValueError, match="homomorphism 1.000e[+]00"):
@@ -213,29 +223,83 @@ def density_form(a: FiniteAlgebra, d: np.ndarray) -> PositiveForm:
                                   for (s, t) in a.labels]))
 
 
-def test_certificate_above_tol_falls_back_to_the_full_check():
-    # a full-rank density with eigenvalues from 1 to 1e-3 at N = 9: its
-    # pi(e_m) are dense and the certificate reads 1.3e-10, above the
-    # default tol, while the full residual is 2e-14; the build must
-    # accept it, as the full check alone does
-    a = torus_quotient(PhaseQ.rational(1, 9))
+def decades_form(a: FiniteAlgebra, decades: float) -> PositiveForm:
+    """A full-rank density form at N = 9 whose eigenvalues run from 1 to
+    10^-decades, in a random eigenbasis: its pi(e_m) are dense."""
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
-    d = u @ np.diag(np.geomspace(1.0, 1e-3, 9)) @ u.conj().T
-    t = gns_build(density_form(a, d / np.trace(d).real), a)
+    d = u @ np.diag(np.geomspace(1.0, 10.0 ** -decades, 9)) @ u.conj().T
+    return density_form(a, d / np.trace(d).real)
+
+
+def test_certificate_above_tol_falls_back_to_the_full_check():
+    # the 3-decade density form at N = 9: the certificate reads about
+    # 8e-12, above a tol of 1e-12, while the full residual is 3e-14; the
+    # build must accept it, as the full check alone does
+    a = torus_quotient(PhaseQ.rational(1, 9))
+    phi = decades_form(a, 3)
+    t = gns_build(phi, a, tol=1e-12)
     target, phase = gns._monomial_form(a.lmats)
     assert t.quotient_dim == 81
-    assert gns._hom_bound(a, target, phase, t.pi_mats) > 1e-10
+    assert gns._mat_n_bound(a.q, phi.values, t.pi_mats, t.omega) > 1e-12
     assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-12
 
 
 def test_tight_tol_falls_back_to_the_full_check():
-    # the trace form at N = 6: certificate 1.3e-12, full residual 1e-15
+    # the trace form at N = 6: certificate 1.7e-13, full residual 1e-15
     a = torus_quotient(PhaseQ.rational(1, 6))
-    t = gns_build(trace_form(a), a, tol=1e-12)
+    phi = trace_form(a)
+    t = gns_build(phi, a, tol=1e-14)
     target, phase = gns._monomial_form(a.lmats)
-    assert gns._hom_bound(a, target, phase, t.pi_mats) > 1e-12
+    assert gns._mat_n_bound(a.q, phi.values, t.pi_mats, t.omega) > 1e-14
     assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-14
+
+
+def test_no_dim2_sweep_where_the_certificate_accepts_and_on_the_box(monkeypatch):
+    # the forms of the benchmark, the 3- and 4-decade density forms at
+    # N = 9 and a box at the size limit all build without the full check
+    def refuse(*args):
+        raise AssertionError("the dim^2 homomorphism sweep ran")
+
+    monkeypatch.setattr(gns, "_hom_residual", refuse)
+    rng = np.random.default_rng(17)
+    for n, p in ((4, 3), (5, 2), (6, 5)):
+        a = torus_quotient(PhaseQ.rational(p, n))
+        w = random_vector(rng, n)
+        for phi, dim in ((trace_form(a), n * n), (vector_form(a, w / np.linalg.norm(w)), n)):
+            assert gns_build(phi, a).quotient_dim == dim
+    a = torus_quotient(PhaseQ.rational(1, 9))
+    for decades in (3, 4):
+        t = gns_build(decades_form(a, decades), a)
+        assert t.quotient_dim == 81 and t.hom_residual < 1e-10
+    for radius, q in ((2, PhaseQ.irrational(1.3)), (4, Q3)):
+        box = truncated_box(radius, radius, q)
+        assert gns_build(trace_form(box), box).quotient_dim == box.dim
+
+
+def flip_phase(a: FiniteAlgebra) -> FiniteAlgebra:
+    """a with the sign of one structure phase lmats[1, t, j] flipped, for
+    the first j whose product e_1 e_j is kept and is not the unit."""
+    target, _ = gns._monomial_form(a.lmats)
+    j = next(j for j in range(a.dim)
+             if a.lmats[1, target[1, j], j] != 0 and target[1, j] != a.unit_index)
+    lm = a.lmats.copy()
+    lm[1, target[1, j], j] *= -1.0
+    return dataclasses.replace(a, lmats=lm)
+
+
+@pytest.mark.parametrize("a,refusal", [
+    (torus_quotient(PhaseQ.rational(1, 5)), "homomorphism"),
+    (truncated_box(2, 2, Q3), "structure tables differ"),
+], ids=["quotient N=5", "box (2,2)"])
+def test_sign_flipped_structure_phase_is_refused(a, refusal):
+    # the trace form's Gram matrix does not see the flip, so the form
+    # stays positive; the quotient's full check refuses it, and the box,
+    # whose homomorphism field is not a gate, refuses its tables
+    bad = flip_phase(a)
+    assert is_positive(trace_form(bad), bad).ok
+    with pytest.raises(ValueError, match=refusal):
+        gns_build(trace_form(bad), bad)
 
 
 class TestTorusQuotient:
@@ -414,11 +478,27 @@ class TestGnsBuild:
             gns_build(PositiveForm(v), a)
 
     def test_truncated_box_build_is_flagged(self):
-        # the box product drops boundary terms, so residuals scale with tail
+        # the box product drops boundary terms of modulus 1: the homomorphism
+        # field over U^{+-1}, V^{+-1} reads exactly that, while
+        # reconstruction stays exact
         box = truncated_box(1, 1, Q3)
         t = gns_build(trace_form(box), box)
         assert t.quotient_dim == 9
-        assert t.hom_residual <= 10.0 * max(box.tail, 1.0)
+        assert t.hom_residual == pytest.approx(box.tail, rel=0, abs=1e-14)
+        assert t.recon_residual <= 1e-14
+
+    def test_box_vector_state_breaks_star_not_reconstruction(self):
+        # a positive vector state on the box of radius 1 at N = 5: star reads
+        # 1.13, inside the default star gate 10 tail, while reconstruction
+        # stays exact; a tol given explicitly gates star too
+        box = truncated_box(1, 1, PhaseQ.rational(1, 5))
+        w = random_vector(np.random.default_rng(0), 5)
+        phi = vector_form(box, w / np.linalg.norm(w))
+        t = gns_build(phi, box)
+        assert 1.0 < t.star_residual <= 10.0 * box.tail
+        assert t.recon_residual <= 1e-14
+        with pytest.raises(ValueError, match=r"star 1\.133e\+00 \(tol 1\.0e-10\)"):
+            gns_build(phi, box, tol=1e-10)
 
 
 class TestIntertwiner:
