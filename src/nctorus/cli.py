@@ -694,9 +694,6 @@ def _cmd_gns_check(args) -> tuple[dict, bool]:
     schwarz = 0.0
     for i in range(a.dim):
         schwarz = max(schwarz, gnsmod.schwarz_check(phi, a.basis_vector(i), a))
-    rg, rp = (0, 0)
-    if rep.ok:
-        rg, rp = gnsmod.separation_rank([phi], a)
     out = {
         "positive": rep.ok,
         "min_eigenvalue": rep.min_eigenvalue,
@@ -707,7 +704,10 @@ def _cmd_gns_check(args) -> tuple[dict, bool]:
         "witness": rep.witness,
     }
     if rep.ok:
-        out["separation_ranks"] = [rg, rp]
+        try:  # separation_rank builds the GNS triplet, whose checks may refuse
+            out["separation_ranks"] = list(gnsmod.separation_rank([phi], a))
+        except ValueError as exc:
+            return dict(out, error=str(exc)), False
         transported = gnsmod.state_action(phi, a.basis_vector(a.unit_index), a)
         out["transported_positive"] = gnsmod.is_positive(transported, a).ok
     return out, rep.ok and schwarz <= args.tol

@@ -8,10 +8,13 @@ still exact and is gated as on the quotient, its star is gated at ten
 times the tail, and its homomorphism residual, which measures the
 truncation, is reported but not gated.
 
-A form phi produces the Gram matrix G_ij = phi(e_i* e_j); its kernel is
-the null ideal, the quotient gets a twice-projected classical
-Gram-Schmidt basis in declared order (determinism), and basis elements
-become compressed left-multiplication matrices.
+A form is positive when its Gram matrix G_ij = phi(e_i* e_j) is hermitian
+and positive semidefinite.  Its kernel is the null ideal, the quotient
+gets a twice-projected classical Gram-Schmidt basis in declared order
+(determinism), and basis elements become compressed left-multiplication
+matrices.  gns_build takes the structure tables in closed form from the
+constructors and refuses an algebra whose labels, unit index or tables
+are not, bit for bit, those that torus_quotient or truncated_box builds.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ __all__ = [
     "separation_rank",
 ]
 
-# Dense dim^3 tables (8.5 MB at the limit) and, where the quotient's Mat_N
-# certificate does not accept, a dim^5 homomorphism check: gns_build at dim
-# 81 takes 0.07-0.08 s when the certificate accepts (trace and 3- or
-# 4-decade density forms, N = 9), 0.11-0.13 s on the box of radii 4, 4,
-# which never runs the full check, and 1.2-1.5 s when the full check runs
-# (one thread, 2-core host).
+# Dense dim^3 tables (8.5 MB at the limit; gns_build checks them against
+# the closed forms in one pass, 2-2.5 ms at dim 81) and, where the
+# quotient's Mat_N certificate is above the tol, a dim^5 homomorphism
+# check: gns_build at dim 81 takes 0.07-0.08 s when the certificate
+# accepts (trace and 3- or 4-decade density forms, N = 9), 0.11-0.13 s on
+# the box of radii 4, 4, which never runs the full check, and 1.2-1.5 s
+# when the full check runs (one thread, 2-core host).
 MAX_ALGEBRA_DIM = 81
 
 # Gram-Schmidt drops a vector whose remaining Gram norm is at most this
@@ -113,8 +117,10 @@ def _pows(q: PhaseQ) -> np.ndarray:
 
 
 def _quotient_tables(q: PhaseQ) -> tuple:
-    """The _algebra arguments of torus_quotient(q) after the kind and q;
-    target and phase as _monomial_form reads them from the dense tables."""
+    """The _algebra arguments of torus_quotient(q) after the kind and q:
+    labels (s, t), the product's target and phase, the star's target and
+    phase, and the tail 0.  Every phase is a _pows entry, so a table built
+    with q.pow_array instead could differ in the last bit."""
     n = q.modulus
     s, t = np.divmod(np.arange(n * n), n)
     target = (s[:, None] + s[None, :]) % n * n + (t[:, None] + t[None, :]) % n
@@ -162,13 +168,25 @@ def truncated_box(radius_k: int, radius_l: int, q: PhaseQ) -> FiniteAlgebra:
     return _algebra("truncated_box", q, *_box_tables(radius_k, radius_l, q))
 
 
-def _has_closed_form_tables(a: FiniteAlgebra, *tables: np.ndarray) -> bool:
-    """Whether _monomial_form's target, phase, star target and star phase of
-    a are, bit for bit, those that torus_quotient or truncated_box build
-    for a's kind, q and radii."""
-    want = (_quotient_tables(a.q) if a.kind == "torus_quotient"
-            else _box_tables(*np.max(a.labels, axis=0).tolist(), a.q))
-    return all(np.array_equal(x, y) for x, y in zip(want[2:6], tables))
+def _closed_tables(a: FiniteAlgebra) -> tuple:
+    """(target, phase, star target, star phase) that torus_quotient or
+    truncated_box builds for a's kind, q and radii; a ValueError unless
+    a's labels, unit index, lmats and starmat are the constructor's, bit
+    for bit.  One gather of dim^2 entries and one count of lmats' nonzeros,
+    with no dim^3 temporary."""
+    k, l, target, phase, star_target, star_phase, _ = (
+        _quotient_tables(a.q) if a.kind == "torus_quotient"
+        else _box_tables(*np.max(a.labels, axis=0).tolist(), a.q))
+    labels, i = tuple(zip(k.tolist(), l.tolist())), np.arange(len(k))
+    if not (a.labels == labels and a.unit_index == labels.index((0, 0))
+            and a.lmats.shape + a.starmat.shape == (len(k),) * 5
+            and np.array_equal(a.lmats[i[:, None], target, i], phase)
+            and np.array_equal(a.starmat[i, star_target], star_phase)
+            # the gathered entries match, so equal counts leave no other nonzero
+            and np.count_nonzero(a.lmats) + np.count_nonzero(a.starmat)
+            == np.count_nonzero(phase) + np.count_nonzero(star_phase)):
+        raise ValueError(f"structure tables differ from those of {a.kind}")
+    return target, phase, star_target, star_phase
 
 
 @dataclass(frozen=True)
@@ -205,28 +223,34 @@ class PositivityReport:
 
 def is_positive(phi: PositiveForm, a: FiniteAlgebra,
                 tol: float = 1e-10) -> PositivityReport:
-    """Eigenvalue test on the Gram matrix; a failure returns the witness
-    vector f with phi(f* f) < 0."""
+    """phi(f* f) = f^H G f >= 0 for every f: the Gram matrix G is hermitian
+    (its largest entry of |G - G^H| within tol) and the smallest eigenvalue
+    of its hermitian part is at least -tol.  A failure returns a witness f:
+    one with Re phi(f* f) < 0 where that eigenvalue is below -tol, and
+    otherwise one with Im phi(f* f) != 0, from the skew part (G - G^H)/2i."""
     g = gram_matrix(phi, a)
     herm = float(np.max(np.abs(g - g.conj().T)))
     # phi(e_i*) - conj(phi(e_i)) for every basis element
     star_res = float(np.max(np.abs(a.starmat @ phi.values - np.conj(phi.values))))
     w, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
     lo = float(w[0])
-    ok = lo >= -tol
-    witness = None if ok else vecs[:, 0].copy()
-    return PositivityReport(ok, lo, witness, herm, star_res, g)
+    witness = None if lo >= -tol else vecs[:, 0].copy()
+    if witness is None and herm > tol:  # Im phi(f* f) is the skew part's eigenvalue at f
+        ws, vs = np.linalg.eigh((g - g.conj().T) / 2j)
+        witness = vs[:, np.argmax(np.abs(ws))].copy()
+    return PositivityReport(witness is None, lo, witness, herm, star_res, g)
 
 
 @dataclass(frozen=True)
 class GnsTriplet:
     """pi(e_m) on the quotient of the algebra by the null ideal, the cyclic
-    vector omega and three residuals.  On torus_quotient hom_residual is an
-    upper bound on max |pi(e_m e_j) - pi(e_m) pi(e_j)| over every basis
-    pair: the Mat_N certificate (see _mat_n_bound) when that is within the
-    tol, and otherwise that maximum itself.  On truncated_box, whose
-    products are cut back to the box, it is that maximum over the left
-    factors U^{+-1}, V^{+-1} only, a measurement of the truncation."""
+    vector omega and three residuals, for an algebra whose tables are the
+    constructor's.  On torus_quotient hom_residual is an upper bound on
+    max |pi(e_m e_j) - pi(e_m) pi(e_j)| over every basis pair: the Mat_N
+    certificate (see _mat_n_bound) when that is within the tol, and
+    otherwise that maximum itself.  On truncated_box, whose products are
+    cut back to the box, it is that maximum over the left factors
+    U^{+-1}, V^{+-1} only, a measurement of the truncation."""
 
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
@@ -250,27 +274,26 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
     v -= C (G C)^H v per pass, so the loop makes dim steps.
 
-    Every check costs O(dim r^3) at most (r the quotient dimension).  tol
-    gates reconstruction, star and the quotient's homomorphism residual;
-    by default it is 1e-10, and the box's star gate, which the truncation
-    breaks, max(1e-10, 10 tail).  On the quotient the Mat_N certificate
-    accepts where it is within tol; where it is not, or where the tables
-    are not the closed-form ones, the full residual (dim^2 r^3, 1.2-1.5 s
-    at dim 81, one thread, 2-core host) decides, so the verdict is the
-    full check's.  On the box, whose tables are refused unless they are
-    truncated_box's, the homomorphism field is only reported.
+    Before any other work, _closed_tables refuses an algebra whose
+    labels, unit index or tables are not those torus_quotient or
+    truncated_box builds, and gives target and phase in closed form.
+    tol gates reconstruction, star and the quotient's homomorphism
+    residual; by default it is 1e-10, and the box's star gate, which the
+    truncation breaks, max(1e-10, 10 tail).  On the quotient the Mat_N
+    certificate (O(dim r^3), r the quotient dimension) accepts where it
+    is within tol; where it is not, the full residual (dim^2 r^3,
+    1.2-1.5 s at dim 81, one thread, 2-core host) decides, so the verdict
+    is the full check's.  On the box the homomorphism field is only
+    reported.
     """
+    target, phase, star_target, star_phase = _closed_tables(a)
     rep = is_positive(phi, a)
-    if not rep.ok:
-        raise ValueError(f"form is not positive: min eigenvalue {rep.min_eigenvalue:.3e}")
+    if not rep.ok:  # name the gate the witness shows, as is_positive picks it
+        raise ValueError("form is not positive: " + (
+            f"min eigenvalue {rep.min_eigenvalue:.3e}" if not rep.min_eigenvalue >= -1e-10
+            else f"hermiticity residual {rep.hermiticity_residual:.3e}"))
     star_tol = max(1e-10, 10.0 * a.tail) if tol is None else tol
     tol = 1e-10 if tol is None else tol
-    target, phase = _monomial_form(a.lmats)
-    star_target, star_phase = _monomial_form(a.starmat)
-    closed_form = _has_closed_form_tables(a, target, phase, star_target, star_phase)
-    quotient = a.kind == "torus_quotient"
-    if not (quotient or closed_form):
-        raise ValueError("structure tables differ from those of truncated_box")
     g = (rep.gram + rep.gram.conj().T) / 2.0
     gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
 
@@ -307,9 +330,9 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
                                - pi.conj().transpose(0, 2, 1))))
     gates = [("reconstruction", recon, tol), ("star", star, star_tol)]
-    if quotient:
+    if a.kind == "torus_quotient":
         # the certificate only accepts: above the tol the full residual decides
-        hom = _mat_n_bound(a.q, phi.values, pi, omega) if closed_form else math.inf
+        hom = _mat_n_bound(a.q, phi.values, pi, omega)
         if not hom <= tol:  # NaN included
             hom = _hom_residual(target, phase, pi)
         gates.insert(1, ("homomorphism", hom, tol))
@@ -320,17 +343,6 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
         raise ValueError("GNS invariants violated: " + ", ".join(
             f"{name} {value:.3e} (tol {gate:.1e})" for name, value, gate in gates))
     return GnsTriplet(r, e, pi, omega, recon, hom, star)
-
-
-def _monomial_form(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(target, phase) of a table whose axis 1 is the basis: lmats[m, :, j]
-    is phase[m, j] at target[m, j] and zero elsewhere, starmat[i, :] is
-    phase[i] at target[i]; a zero line gets target 0 and phase 0."""
-    nonzero = table != 0
-    if np.any(nonzero.sum(axis=1) > 1):
-        raise ValueError("structure tables are not monomial")
-    target = nonzero.argmax(axis=1)
-    return target, np.take_along_axis(table, np.expand_dims(target, 1), axis=1).squeeze(1)
 
 
 def _defect_maxima(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
@@ -363,8 +375,8 @@ def _abs_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _mat_n_bound(q: PhaseQ, values: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> float:
-    """Upper bound on _hom_residual of a torus_quotient triplet whose tables
-    are the closed-form ones, from the quotient's Mat_N picture.
+    """Upper bound on _hom_residual of a torus_quotient triplet, from the
+    quotient's Mat_N picture; gns_build has checked the tables first.
 
     U^s V^t -> M_m = U0^s V0^t (U0 the cyclic shift, V0 = diag(q^i)) maps
     the quotient onto Mat_N (Schwinger, PNAS 46, 1960; Davidson,

@@ -13,7 +13,8 @@ import nctorus
 from nctorus import cli, grids, suite, weyl
 from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
                            grid2d_to_obj)
-from nctorus.lattice import CoeffLattice2, lattice_to_obj, pairs_to_list
+from nctorus.lattice import CoeffLattice2, PhaseQ, lattice_to_obj, pairs_to_list
+from nctorus.matrep import clock_shift
 
 Q14 = '{"rational": [1, 4]}'
 Q13 = '{"rational": [1, 3]}'
@@ -407,6 +408,32 @@ class TestGnsCommands:
         assert rc == 1
         assert doc["positive"] is False
         assert doc["witness"] is not None
+
+    def test_check_non_hermitian_form_exits_1_with_a_witness(self, run, alg_file, write):
+        # the hermitian part of its Gram matrix is positive definite, but
+        # phi(U*) = 0 is not conj(phi(U))
+        vals = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
+        vals[3] = [0.0, 0.1]  # phi(U) = 0.1i; U = U^1 V^0 is slot 3
+        rc, doc, err = run("gns-check", alg_file, write("skew.json", {"values": vals}))
+        assert (rc, err) == (1, "")
+        assert doc["positive"] is False and doc["witness"] is not None
+        assert doc["hermiticity_residual"] == pytest.approx(0.1)
+
+    def test_check_with_a_refused_build_exits_1_with_the_error(self, run, write):
+        # a density form at N = 9 with eigenvalues over 8 decades is
+        # positive, but its GNS triplet fails the homomorphism gate
+        u0, v0 = clock_shift(PhaseQ.rational(1, 9))
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        d = u @ np.diag(np.geomspace(1.0, 1e-8, 9)) @ u.conj().T
+        vals = [np.trace(d @ np.linalg.matrix_power(u0, s) @ np.linalg.matrix_power(v0, t))
+                / np.trace(d).real for s in range(9) for t in range(9)]
+        alg = write("alg9.json", {"kind": "torus_quotient", "q": {"rational": [1, 9]}})
+        form = write("decades.json", {"values": [[v.real, v.imag] for v in vals]})
+        rc, doc, err = run("gns-check", alg, form)
+        assert (rc, err) == (1, "")
+        assert doc["positive"] is True and "separation_ranks" not in doc
+        assert re.search(r"homomorphism \S+ \(tol 1\.0e-10\)", doc["error"])
 
     def test_truncated_box_algebra(self, run, write):
         # box labels run lexicographically, so the unit (0,0) is slot 4

@@ -194,27 +194,6 @@ class TestQuotientCertificate:
         assert np.max(np.abs(e.conj().T @ g @ e - np.eye(dim))) < 1e-12
 
 
-def test_inconsistent_quotient_table_falls_back_to_the_full_check():
-    # send e_U e_(0,1) to the wrong basis element: the table stays monomial
-    # but is no longer the closed-form one, so the certificate does not
-    # apply and the full residual decides
-    a = torus_quotient(Q3)
-    lm = a.lmats.copy()
-    i_u, j = a.index_of((1, 0)), a.index_of((0, 1))
-    col = lm[i_u, :, j].copy()
-    lm[i_u, :, j] = np.roll(col, 1)
-    bad = dataclasses.replace(a, lmats=lm)
-    phi = trace_form(bad)
-    t = gns_build(phi, bad, tol=10.0)
-    target, phase = gns._monomial_form(bad.lmats)
-    assert not gns._has_closed_form_tables(bad, target, phase,
-                                           *gns._monomial_form(bad.starmat))
-    _, hom, _ = loop_residuals(phi, bad, t)
-    assert t.hom_residual == pytest.approx(hom, rel=0, abs=1e-14)
-    with pytest.raises(ValueError, match="homomorphism 1.000e[+]00"):
-        gns_build(phi, bad)
-
-
 def density_form(a: FiniteAlgebra, d: np.ndarray) -> PositiveForm:
     """phi(U^s V^t) = tr(d U0^s V0^t) on the clock and shift matrices."""
     u0, v0 = clock_shift(a.q)
@@ -239,7 +218,7 @@ def test_certificate_above_tol_falls_back_to_the_full_check():
     a = torus_quotient(PhaseQ.rational(1, 9))
     phi = decades_form(a, 3)
     t = gns_build(phi, a, tol=1e-12)
-    target, phase = gns._monomial_form(a.lmats)
+    target, phase, *_ = gns._closed_tables(a)
     assert t.quotient_dim == 81
     assert gns._mat_n_bound(a.q, phi.values, t.pi_mats, t.omega) > 1e-12
     assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-12
@@ -250,7 +229,7 @@ def test_tight_tol_falls_back_to_the_full_check():
     a = torus_quotient(PhaseQ.rational(1, 6))
     phi = trace_form(a)
     t = gns_build(phi, a, tol=1e-14)
-    target, phase = gns._monomial_form(a.lmats)
+    target, phase, *_ = gns._closed_tables(a)
     assert gns._mat_n_bound(a.q, phi.values, t.pi_mats, t.omega) > 1e-14
     assert t.hom_residual == gns._hom_residual(target, phase, t.pi_mats) < 1e-14
 
@@ -280,25 +259,53 @@ def test_no_dim2_sweep_where_the_certificate_accepts_and_on_the_box(monkeypatch)
 def flip_phase(a: FiniteAlgebra) -> FiniteAlgebra:
     """a with the sign of one structure phase lmats[1, t, j] flipped, for
     the first j whose product e_1 e_j is kept and is not the unit."""
-    target, _ = gns._monomial_form(a.lmats)
-    j = next(j for j in range(a.dim)
-             if a.lmats[1, target[1, j], j] != 0 and target[1, j] != a.unit_index)
+    target, phase, *_ = gns._closed_tables(a)
+    j = next(j for j in range(a.dim) if phase[1, j] != 0 and target[1, j] != a.unit_index)
     lm = a.lmats.copy()
     lm[1, target[1, j], j] *= -1.0
     return dataclasses.replace(a, lmats=lm)
 
 
-@pytest.mark.parametrize("a,refusal", [
-    (torus_quotient(PhaseQ.rational(1, 5)), "homomorphism"),
-    (truncated_box(2, 2, Q3), "structure tables differ"),
-], ids=["quotient N=5", "box (2,2)"])
-def test_sign_flipped_structure_phase_is_refused(a, refusal):
+def wrong_target(a: FiniteAlgebra) -> FiniteAlgebra:
+    """a with e_U e_V sent to the next basis element."""
+    lm = a.lmats.copy()
+    i_u, j = a.index_of((1, 0)), a.index_of((0, 1))
+    lm[i_u, :, j] = np.roll(lm[i_u, :, j], 1)
+    return dataclasses.replace(a, lmats=lm)
+
+
+CORRUPTIONS = {
+    "sign-flipped phase": flip_phase,
+    "wrong target": wrong_target,
+    "reversed labels": lambda a: dataclasses.replace(a, labels=a.labels[::-1]),
+    # the quotient's unit is e_0, so there it moves to e_1
+    "unit index 0": lambda a: dataclasses.replace(a, unit_index=int(a.unit_index == 0)),
+}
+ALGEBRAS = {"quotient N=5": torus_quotient(PhaseQ.rational(1, 5)),
+            "box (2,2)": truncated_box(2, 2, Q3)}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("kind", ALGEBRAS)
+def test_corrupted_tables_are_refused_before_any_check(monkeypatch, kind, corruption):
+    def refuse(*args):
+        raise AssertionError("a check ran on a corrupted algebra")
+
+    for name in ("gram_matrix", "_mat_n_bound", "_hom_residual"):
+        monkeypatch.setattr(gns, name, refuse)
+    a = ALGEBRAS[kind]
+    bad = CORRUPTIONS[corruption](a)
+    with pytest.raises(ValueError, match=f"structure tables differ from those of {a.kind}$"):
+        gns_build(trace_form(a), bad)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS.values(), ids=ALGEBRAS.keys())
+def test_sign_flipped_structure_phase_is_refused(a):
     # the trace form's Gram matrix does not see the flip, so the form
-    # stays positive; the quotient's full check refuses it, and the box,
-    # whose homomorphism field is not a gate, refuses its tables
+    # stays positive; both kinds refuse the tables themselves
     bad = flip_phase(a)
     assert is_positive(trace_form(bad), bad).ok
-    with pytest.raises(ValueError, match=refusal):
+    with pytest.raises(ValueError, match="structure tables differ"):
         gns_build(trace_form(bad), bad)
 
 
@@ -409,6 +416,20 @@ class TestPositivity:
         f = rep.witness
         val = complex(np.dot(v, a.mul(a.star(f), f)))
         assert val.real < -1e-6
+
+    def test_non_hermitian_form_rejected_with_witness(self):
+        # phi(1) = 1, phi(U) = 0.1i: the hermitian part of the Gram matrix
+        # is positive definite, but phi(U*) = 0 is not conj(phi(U))
+        a = torus_quotient(Q3)
+        v = np.zeros(a.dim, dtype=np.complex128)
+        v[a.unit_index], v[a.index_of((1, 0))] = 1.0, 0.1j
+        rep = is_positive(PositiveForm(v), a)
+        assert not rep.ok and rep.min_eigenvalue > 0.9
+        assert rep.hermiticity_residual == pytest.approx(0.1)
+        f = rep.witness
+        assert abs(complex(np.dot(v, a.mul(a.star(f), f))).imag) > 0.01
+        with pytest.raises(ValueError, match=r"hermiticity residual 1\.000e-01$"):
+            gns_build(PositiveForm(v), a)
 
     def test_schwarz_inequality(self):
         a = torus_quotient(Q3)
@@ -574,7 +595,7 @@ class TestSizeGuards:
         lm = a.lmats.copy()
         lm[1, 0, 0] += 0.25  # e_1 e_0 now has two basis components
         bad = dataclasses.replace(a, lmats=lm)
-        with pytest.raises(ValueError, match="not monomial"):
+        with pytest.raises(ValueError, match="structure tables differ"):
             gns_build(trace_form(bad), bad, tol=10.0)
 
     def test_negative_radius_refused(self):
