@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,6 +111,13 @@ def rel_gap(got: TorusElement, want: TorusElement) -> float:
     return got.max_abs_diff(want) / want.coeffs.max_abs()
 
 
+def chunk_rows(a_shape, b_shape) -> int:
+    """Rows of b per chunk of torus._toeplitz_rows: as many as the budget
+    holds of one Toeplitz block, one weighted copy of a and one product."""
+    (rows, cols), width = a_shape, a_shape[1] + b_shape[1] - 1
+    return max(1, torus._CHUNK_BYTES // (16 * (cols * width + rows * (cols + width))))
+
+
 def brute_product(f: TorusElement, g: TorusElement) -> dict:
     # direct double sum over supports, independent of the convolution code
     out: dict = {}
@@ -176,17 +186,12 @@ class TestProductAgainstSupportLoop:
         assert 0 < np.count_nonzero(f.coeffs.coeffs) < 20
         assert rel_gap(q_mul(f, g), loop_product(f, g)) <= 1e-14
 
-    @staticmethod
-    def chunk_rows(f, g):
-        rows, cols = f.coeffs.coeffs.shape
-        width = cols + g.coeffs.coeffs.shape[1] - 1
-        return max(1, torus._CHUNK_BYTES // (16 * max(rows, cols) * width))
-
     @pytest.mark.parametrize("q", [PhaseQ.rational(3, 7), QI])
     def test_chunked_radius(self, q):
         rng = np.random.default_rng(30)
         f, g = random_elem(rng, 30, 30, q), random_elem(rng, 30, 30, q)
-        assert self.chunk_rows(f, g) < 61  # the 61 rows of g take two chunks or more
+        # the 61 rows of g take two chunks or more
+        assert chunk_rows(f.coeffs.coeffs.shape, g.coeffs.coeffs.shape) < 61
         assert rel_gap(q_mul(f, g), loop_product(f, g)) <= 1e-14
 
     def test_repeated_calls_bit_identical(self):
@@ -196,19 +201,106 @@ class TestProductAgainstSupportLoop:
         for _ in range(3):
             assert np.array_equal(q_mul(f, g).coeffs.coeffs, first)
 
-    @pytest.mark.parametrize("q", [Q4, QI])
-    def test_bits_independent_of_chunk_budget(self, q, monkeypatch):
+    @staticmethod
+    def assert_bits_independent_of_chunk_budget(rf, budget, q, monkeypatch):
         rng = np.random.default_rng(6)
-        f, g = random_elem(rng, 7, 9, q), random_elem(rng, 8, 5, q)
+        f, g = random_elem(rng, *rf, q), random_elem(rng, 8, 5, q)
         steps, results = [], []
-        for budget in (1, 40_000, 1 << 40):
-            monkeypatch.setattr(torus, "_CHUNK_BYTES", budget)
-            steps.append(self.chunk_rows(f, g))
+        for b in (1, budget, 1 << 40):
+            monkeypatch.setattr(torus, "_CHUNK_BYTES", b)
+            steps.append(chunk_rows(f.coeffs.coeffs.shape, g.coeffs.coeffs.shape))
             results.append(q_mul(f, g).coeffs.coeffs)
-        # one row of g per chunk, several uneven chunks, one chunk
-        assert steps[0] == 1 and 1 < steps[1] < 17 <= steps[2]
+        # one row of g per chunk, several chunks the last of which is shorter, one chunk
+        assert steps[0] == 1 and 1 < steps[1] < 17 <= steps[2] and 17 % steps[1]
+        assert rel_gap(TorusElement(CoeffLattice2(rf[0] + 8, rf[1] + 5, results[0]), q),
+                       loop_product(f, g)) <= 1e-14
         for other in results[1:]:
             assert np.array_equal(other, results[0])
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_bits_independent_of_chunk_budget(self, q, monkeypatch):
+        self.assert_bits_independent_of_chunk_budget((7, 9), 100_000, q, monkeypatch)
+
+    @pytest.mark.parametrize("q", [Q4, QI])
+    def test_one_row_bits_independent_of_chunk_budget(self, q, monkeypatch):
+        # a one-row f takes numpy's vector-matrix path, whose sums follow the
+        # layout of the Toeplitz stack; that layout must not follow the chunk
+        self.assert_bits_independent_of_chunk_budget((0, 9), 40_000, q, monkeypatch)
+
+
+def scratch_corpus():
+    """Products and derivations whose chunks hold one row, several rows or
+    all of them, with one-row and one-column operands on either side."""
+    rng = np.random.default_rng(40)
+    calls = []
+    for q in (PhaseQ.rational(3, 7), QI):
+        for r in range(21):
+            calls.append((q_mul, random_elem(rng, r, r, q), random_elem(rng, r, r, q)))
+        for k, l in ((1, 0), (0, 1), (0, 2)):
+            for r in (5, 16):
+                g = random_elem(rng, r, r + 1, q)
+                calls += [(q_mul, monomial(k, l, q), g), (q_mul, g, monomial(k, l, q))]
+        calls.append((q_mul, random_elem(rng, 0, 20, q), random_elem(rng, 20, 3, q)))
+        for ra, rf in (((0, 2), (6, 6)), ((2, 2), (12, 12)), ((2, 0), (3, 9))):
+            spec = DerivationSpec.from_inner(random_elem(rng, *ra, q))
+            calls.append((apply_derivation, spec, random_elem(rng, *rf, q)))
+    return calls
+
+
+def run_calls(calls):
+    return [fn(x, y).coeffs.coeffs for fn, x, y in calls]
+
+
+class TestScratchReuse:
+    def test_results_independent_of_history_and_thread(self):
+        calls = scratch_corpus()
+        first = run_calls(calls)
+        again = run_calls(calls[::-1])[::-1]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                halves = [pool.submit(run_calls, calls[i::2]) for i in (0, 1)]
+                split = [h.result(timeout=120) for h in halves]
+        finally:
+            sys.setswitchinterval(old)
+        threaded = [None] * len(calls)
+        threaded[0::2], threaded[1::2] = split
+        for want, *got in zip(first, again, threaded):
+            for other in got:
+                assert np.array_equal(other, want)
+
+    def test_warm_product_allocates_little(self):
+        rng = np.random.default_rng(41)
+        f, g = random_elem(rng, 16, 16, QI), random_elem(rng, 16, 16, QI)
+        q_mul(f, g)
+        tracemalloc.start()
+        try:
+            q_mul(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10  # fresh temporaries took 2.9 MB
+
+    def test_retained_scratch_is_capped(self):
+        # a fresh thread starts with no scratch of its own
+        rng = np.random.default_rng(42)
+        small = random_elem(rng, 4, 4, Q4), random_elem(rng, 3, 5, Q4)
+        big = random_elem(rng, 60, 60, Q4), random_elem(rng, 1, 60, Q4)
+
+        def run():
+            first = q_mul(*small).coeffs.coeffs
+            # one row of big needs a 121 x 241 Toeplitz block, a 121 x 121
+            # weighted copy and a 121 x 241 product: more than the cap
+            assert 16 * 121 * (241 + 121 + 241) > torus._CHUNK_BYTES
+            q_mul(*big)
+            kept = torus._scratch.buf.nbytes
+            return first, kept, q_mul(*small).coeffs.coeffs
+
+        with ThreadPoolExecutor(1) as pool:
+            first, kept, later = pool.submit(run).result(timeout=120)
+        assert kept <= torus._CHUNK_BYTES
+        assert np.array_equal(later, first)
 
 
 class TestAdjoint:
@@ -337,6 +429,17 @@ class TestDerivationClassification:
         got = apply_derivation(DerivationSpec.from_inner(a), f)
         assert got.max_abs_diff(inner_derivation(a, f)) < 1e-12
 
+    def test_nan_residual_is_a_violation(self):
+        # a NaN residual is not within tol: it is the witness, and apply refuses it
+        q = PhaseQ.rational(1, 5)
+        du = CoeffLattice2.delta(1, 0).coeffs.copy()
+        du[1, 0] = np.nan  # D(U) at (0, 0)
+        spec = DerivationSpec(CoeffLattice2(1, 0, du), CoeffLattice2.delta(0, 1), q)
+        chk = check_derivation_relation(spec)
+        assert not chk.ok and chk.first_violation == (0, 1) and math.isnan(chk.max_residual)
+        with pytest.raises(ValueError, match=r"violated at \(0, 1\) with residual nan"):
+            apply_derivation(spec, monomial(1, 1, q))
+
     def test_apply_rejects_invalid_spec(self):
         spec = DerivationSpec(CoeffLattice2.delta(0, 1),
                               CoeffLattice2.zeros(0, 0), Q4)
@@ -406,11 +509,20 @@ class TestApplyDerivationAgainstLoop:
         rng = np.random.default_rng(25)
         spec = DerivationSpec.from_inner(random_elem(rng, 3, 2, q))
         f = random_elem(rng, 8, 6, q)
+        passes = [(spec.du_value.coeffs.shape, f.coeffs.coeffs.shape),
+                  (spec.dv_value.coeffs.T.shape, f.coeffs.coeffs.T.shape)]
         results = []
-        for budget in (1, 5_000, 1 << 40):
+        for budget in (1, 20_000, 1 << 40):
             monkeypatch.setattr(torus, "_CHUNK_BYTES", budget)
             results.append(apply_derivation(spec, f).coeffs.coeffs)
             self.assert_same(spec, f)
+            steps = [chunk_rows(a, b) for a, b in passes]
+            if budget == 1:
+                assert steps == [1, 1]
+            elif budget == 20_000:  # the 17 rows and 13 columns of f, in uneven chunks
+                assert 1 < steps[0] < 17 and 17 % steps[0] and 1 < steps[1] < 13 and 13 % steps[1]
+            else:
+                assert steps[0] >= 17 and steps[1] >= 13
         for other in results[1:]:
             assert np.array_equal(other, results[0])
 
