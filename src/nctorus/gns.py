@@ -111,22 +111,15 @@ def _check_dim(dim: int, what: str) -> None:
                          f"{MAX_ALGEBRA_DIM} of the dense tables")
 
 
-def _pows(q: PhaseQ) -> np.ndarray:
-    """q^e for e = 0 .. N-1; for rational q, q^e depends on e mod N only."""
-    return np.array([q.pow(e) for e in range(q.modulus)])
-
-
 def _quotient_tables(q: PhaseQ) -> tuple:
     """The _algebra arguments of torus_quotient(q) after the kind and q:
     labels (s, t), the product's target and phase, the star's target and
-    phase, and the tail 0.  Every phase is a _pows entry, so a table built
-    with q.pow_array instead could differ in the last bit."""
+    phase, and the tail 0."""
     n = q.modulus
     s, t = np.divmod(np.arange(n * n), n)
     target = (s[:, None] + s[None, :]) % n * n + (t[:, None] + t[None, :]) % n
-    pows = _pows(q)
-    return (s, t, target, pows[-t[:, None] * s[None, :] % n],
-            (-s) % n * n + (-t) % n, pows[-s * t % n], 0.0)
+    return (s, t, target, q.pow(-t[:, None] * s[None, :]),
+            (-s) % n * n + (-t) % n, q.pow(-s * t), 0.0)
 
 
 def _box_tables(radius_k: int, radius_l: int, q: PhaseQ) -> tuple:
@@ -138,12 +131,12 @@ def _box_tables(radius_k: int, radius_l: int, q: PhaseQ) -> tuple:
     k, l = k - radius_k, l - radius_l
     kk, ll = k[:, None] + k[None, :], l[:, None] + l[None, :]
     kept = (np.abs(kk) <= radius_k) & (np.abs(ll) <= radius_l)
-    phase = q.pow_array(-l[:, None] * k[None, :])
+    phase = q.pow(-l[:, None] * k[None, :])
     tail = float(np.max(np.abs(phase[~kept]), initial=0.0))
     target = np.where(kept, (kk + radius_k) * width + ll + radius_l, 0)
     phase[~kept] = 0.0
     # the mirrored box equals the box, so e_i* = q^{-kl} e_{-k,-l} never truncates
-    return k, l, target, phase, len(k) - 1 - np.arange(len(k)), q.pow_array(-k * l), tail
+    return k, l, target, phase, len(k) - 1 - np.arange(len(k)), q.pow(-k * l), tail
 
 
 def torus_quotient(q: PhaseQ) -> FiniteAlgebra:
@@ -421,7 +414,7 @@ def _mat_n_bound(q: PhaseQ, values: np.ndarray, pi: np.ndarray, omega: np.ndarra
     n, (dim, r) = q.modulus, pi.shape[:2]
     if r % n:
         return math.inf
-    k, pows, i = r // n, _pows(q), np.arange(n)
+    k, pows, i = r // n, q.pow(np.arange(n)), np.arange(n)
     s, t = np.divmod(np.arange(dim), n)
     # rho[j, i] = (1/N) sum_t phi(U^{(j - i) mod N} V^t) q^{-tj}
     f = values.reshape(n, n) @ np.conj(pows[np.outer(i, i) % n])

@@ -6,6 +6,7 @@ exactly zero.  The box is the element: no operation infers decay, and
 products enlarge the box instead of truncating.  ``PhaseQ`` is the twist
 q = e^{i theta}, tagged rational (theta = 2*pi*p/N with gcd(p, N) = 1,
 so N is the minimal period of q) or irrational (any real theta).
+``PhaseQ.pow`` is the package's one rule for q^e.
 
 All values are immutable after construction and every function here is
 pure, so concurrent use on shared inputs is safe.  Reductions run in
@@ -15,7 +16,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _TAU = 2.0 * math.pi
+
+# The largest N in lowest terms of a rational twist: p * (e mod 2N), with
+# p < N, then fits an int64, so exponent arithmetic stays exact in NumPy.
+MAX_TWIST_MODULUS = 2 ** 31
 
 
 class FormatError(ValueError):
@@ -87,6 +91,9 @@ class PhaseQ:
         if g > 1:
             p //= g
             n //= g
+        if n > MAX_TWIST_MODULUS:
+            raise ValueError(f"modulus {n} in lowest terms is above the limit "
+                             f"{MAX_TWIST_MODULUS}")
         return PhaseQ(kind="rational", p=p, modulus=n, theta_value=_TAU * p / n)
 
     @staticmethod
@@ -100,26 +107,26 @@ class PhaseQ:
     def q(self) -> complex:
         return self.pow(1)
 
-    def pow(self, n: int) -> complex:
-        """q**n, with exact exponent reduction mod N for rational kind."""
-        if self.kind == "rational":
-            e = (self.p * n) % self.modulus
-            return cmath.exp(2j * math.pi * e / self.modulus)
-        return cmath.exp(1j * self.theta_value * n)
+    def pow(self, e: int | np.ndarray) -> complex | np.ndarray:
+        """q**e for an integer or an integer array e.
 
-    def pow_array(self, exponents: np.ndarray) -> np.ndarray:
-        """Vectorized q**e over an integer array of exponents."""
-        e = np.asarray(exponents, dtype=np.int64)
+        For rational q the exponent is reduced mod N in integers, so the one
+        floating step is exp(2 pi i r / N) with r = p e mod N, and q**e and
+        q**(e + N) are the same bits.
+        """
         if self.kind == "rational":
-            r = (self.p * e) % self.modulus
+            r = self.p * np.asarray(e % self.modulus, dtype=np.int64) % self.modulus
             return np.exp(2j * np.pi * r / self.modulus)
-        return np.exp(1j * self.theta_value * e)
+        return np.exp(1j * self.theta_value * np.asarray(e, dtype=np.int64))
 
     def half_pow_array(self, exponents: np.ndarray) -> np.ndarray:
+        """q**(e/2) on the principal branch: q^(1/2) = e^{i theta/2}, theta in (-pi, pi]."""
         e = np.asarray(exponents, dtype=np.int64)
         if self.kind == "rational":
-            r = (self.p * e) % (2 * self.modulus)
-            return np.exp(1j * np.pi * r / self.modulus)
+            n = self.modulus
+            p = self.p - n if 2 * self.p > n else self.p
+            r = p * (e % (2 * n)) % (2 * n)
+            return np.exp(1j * np.pi * r / n)
         return np.exp(0.5j * self.theta_value * e)
 
 
@@ -154,8 +161,8 @@ def phaseq_from_obj(obj) -> PhaseQ:
             raise FormatError('field "rational" entries must be integers')
         try:
             return PhaseQ.rational(p, n)
-        except OverflowError:  # theta = 2 pi p / N needs N in the float range
-            raise FormatError('field "rational" modulus is past the float range') from None
+        except ValueError as exc:
+            raise FormatError(f'field "rational": {exc}') from None
     if "theta" in obj:
         t = obj["theta"]
         if not is_finite_number(t):

@@ -55,7 +55,7 @@ def clock_shift(q: PhaseQ) -> tuple[np.ndarray, np.ndarray]:
     """Shift U0 (ones on the superdiagonal wrap) and clock V0 = diag(q^j)."""
     n = _require_rational(q)
     u0 = np.roll(np.eye(n, dtype=np.complex128), 1, axis=1)
-    v0 = np.diag(q.pow_array(np.arange(n)))
+    v0 = np.diag(q.pow(np.arange(n)))
     return u0, v0
 
 
@@ -101,7 +101,7 @@ def _sections(f: TorusElement, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     np.add.at(w, (slice(None), (ks % n) * n + ls % n), phase * fc.coeffs[ki, li])
     w = w.reshape(-1, n, n)
     idx = np.arange(n)
-    x = w @ f.q.pow_array(np.outer(idx, idx))
+    x = w @ f.q.pow(np.outer(idx, idx))
     return x[:, (idx[None, :] - idx[:, None]) % n, idx[None, :]]
 
 

@@ -102,7 +102,7 @@ def q_mul(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_q(f.q, g.q)
     fc, gc = f.coeffs, g.coeffs
     (rows, cols), (krows, gcols) = fc.coeffs.shape, gc.coeffs.shape
-    phase = f.q.pow_array(-np.outer(gc.k_range(), fc.l_range()))
+    phase = f.q.pow(-np.outer(gc.k_range(), fc.l_range()))
     out = np.zeros((rows + krows - 1, cols + gcols - 1), dtype=np.complex128)
     _toeplitz_rows(out, fc.coeffs, phase, gc.coeffs)
     return TorusElement(CoeffLattice2(fc.radius_k + gc.radius_k,
@@ -172,7 +172,7 @@ def adjoint(f: TorusElement) -> TorusElement:
     ll = fc.l_range()[None, :]
     rev = np.conj(fc.coeffs[::-1, ::-1])
     return TorusElement(CoeffLattice2(fc.radius_k, fc.radius_l,
-                                      rev * f.q.pow_array(-kk * ll)), f.q)
+                                      rev * f.q.pow(-kk * ll)), f.q)
 
 
 def trace(f: TorusElement) -> complex:
@@ -237,8 +237,8 @@ def check_derivation_relation(d: DerivationSpec, tol: float = 1e-10) -> Derivati
     # u_{k,l-1} and v_{k-1,l}: the margin makes each roll wrap in zeros only
     us = np.roll(u.expanded(rk, rl).coeffs, 1, axis=1)
     vs = np.roll(v.expanded(rk, rl).coeffs, 1, axis=0)
-    res = np.abs(us * (1.0 - q.pow_array(1 - np.arange(-rk, rk + 1)))[:, None]
-                 + vs * (1.0 - q.pow_array(1 - np.arange(-rl, rl + 1)))[None, :])
+    res = np.abs(us * (1.0 - q.pow(1 - np.arange(-rk, rk + 1)))[:, None]
+                 + vs * (1.0 - q.pow(1 - np.arange(-rl, rl + 1)))[None, :])
     worst = float(res.max())
     over = np.argwhere(~(res <= tol))
     first = (int(over[0, 0]) - rk, int(over[0, 1]) - rl) if len(over) else None
@@ -251,7 +251,7 @@ def _leibniz_weights(q: PhaseQ, powers: np.ndarray, exps: np.ndarray) -> np.ndar
     top = int(np.abs(powers).max())
     ms = np.arange(-top, top)
     inside = np.where(p > 0, (ms >= 0) & (ms < p), (ms >= p) & (ms < 0))
-    return (np.sign(p) * inside) @ q.pow_array(-np.outer(ms, exps))
+    return (np.sign(p) * inside) @ q.pow(-np.outer(ms, exps))
 
 
 def _leibniz_rows(out: np.ndarray, f: np.ndarray, d: np.ndarray,

@@ -13,7 +13,8 @@ import nctorus
 from nctorus import cli, grids, suite, weyl
 from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
                            grid2d_to_obj)
-from nctorus.lattice import CoeffLattice2, PhaseQ, lattice_to_obj, pairs_to_list
+from nctorus.lattice import (MAX_TWIST_MODULUS, CoeffLattice2, PhaseQ, lattice_to_obj,
+                             pairs_to_list)
 from nctorus.matrep import clock_shift
 
 Q14 = '{"rational": [1, 4]}'
@@ -165,6 +166,41 @@ def test_embedded_phase_conflict(run, write, argv, message):
     for name, path in files.items():
         message = message.replace(name, path)
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus-mul", "@bad", "@f"],
+    ["torus-adjoint", "@bad"],
+    ["torus-seminorm", "@bad"],
+    ["torus-derive", "@bad", "--inner", "@f"],
+    ["torus-check-derivation", "@bad", "@f"],
+    ["matrep-eval", "@bad"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("pair", [[1, 0], [1, -4], [7, 10 ** 30],
+                                  [1, MAX_TWIST_MODULUS + 1]])
+def test_bad_embedded_modulus_exits_2(run, write, argv, pair):
+    coeffs = {"radius_k": 0, "radius_l": 0, "coeffs": [[1, 0]]}
+    files = {"@bad": write("bad.json", {"coeffs": coeffs, "q": {"rational": pair}}),
+             "@f": write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}})}
+    rc, out, err = run(*[files.get(arg, arg) for arg in argv])
+    assert (rc, out) == (2, None)
+    assert err.startswith('error: field "rational": ') and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair", [[7, 10 ** 30], [1, MAX_TWIST_MODULUS + 1],
+                                  [3 * 10 ** 18 // 7 + 10 ** 15, 3 * 10 ** 18 + 37]])
+def test_q_flag_modulus_above_the_cap_exits_2(run, pair):
+    rc, out, err = run("torus-mul", "--word", "2,1,-2", "--q", json.dumps({"rational": pair}))
+    assert (rc, out) == (2, None)
+    assert "--q" in err and "rational" in err and err.count("\n") == 1
+
+
+def test_q_flag_reducible_pair_below_the_cap(run):
+    # 2^31 / 2^32 is 1/2 in lowest terms, so q = -1
+    q = json.dumps({"rational": [2 ** 31, 2 ** 32]})
+    rc, doc, _ = run("torus-mul", "--word", "2,1,-2", "--q", q)
+    assert rc == 0 and doc["exponents"] == [1, 0]
+    assert doc["phase"] == [-1.0, pytest.approx(0.0, abs=1e-15)]
 
 
 class TestMatrixCommands:

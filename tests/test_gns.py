@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from nctorus.gns import (FiniteAlgebra, PositiveForm, gns_build, gram_matrix,
                          intertwiner, is_positive, schwarz_check,
                          separation_rank, state_action, torus_quotient,
                          truncated_box)
-from nctorus.lattice import CoeffLattice2, PhaseQ, retruncate
+from nctorus.lattice import CoeffLattice2, PhaseQ, phaseq_to_obj, retruncate
 from nctorus.matrep import clock_shift
 from nctorus.torus import TorusElement, adjoint, q_mul
 
@@ -307,6 +308,28 @@ def test_sign_flipped_structure_phase_is_refused(a):
     assert is_positive(trace_form(bad), bad).ok
     with pytest.raises(ValueError, match="structure tables differ"):
         gns_build(trace_form(bad), bad)
+
+
+TABLE_TWISTS = [PhaseQ.rational(p, n) for n in range(1, 10) for p in range(n)
+                if math.gcd(p, n) == 1] + [PhaseQ.rational(4099, 65537),
+                                          PhaseQ.irrational(0.7), PhaseQ.irrational(-2.9)]
+
+
+@pytest.mark.parametrize("q", TABLE_TWISTS, ids=lambda q: json.dumps(phaseq_to_obj(q)))
+def test_table_phases_are_q_pow_bit_for_bit(q):
+    # one rule for q^e: each structure phase is q.pow of its exponent, here
+    # spelled as a Python int, so the constructors share the scalar's bits
+    def same(got, exps):
+        want = [q.pow(int(e)).tobytes() for e in exps]
+        assert [g.tobytes() for g in got] == want
+
+    tables = [gns._box_tables(2, 1, q), gns._box_tables(1, 3, q)]
+    if q.kind == "rational" and q.modulus ** 2 <= gns.MAX_ALGEBRA_DIM:
+        tables.append(gns._quotient_tables(q))
+    for k, l, _, phase, _, star_phase, _ in tables:
+        i, j = np.nonzero(phase)
+        same(phase[i, j], -l[i] * k[j])
+        same(star_phase, -k * l)
 
 
 class TestTorusQuotient:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nctorus.lattice import (CoeffLattice2, FormatError, PhaseQ,
+from nctorus.lattice import (MAX_TWIST_MODULUS, CoeffLattice2, FormatError, PhaseQ,
                              lattice_from_obj, lattice_to_obj, phaseq_from_obj,
                              phaseq_to_obj, retruncate, seminorm, to_primed)
 
@@ -41,16 +41,38 @@ class TestPhaseQ:
             assert abs(qbar.q - np.conj(q.q)) < 1e-15
             assert abs(qbar.q * q.q - 1.0) < 1e-15
 
-    def test_pow_array_matches_scalar(self):
-        q = PhaseQ.irrational(0.9)
-        exps = np.array([-3, 0, 2, 11])
-        got = q.pow_array(exps)
-        want = np.array([q.pow(int(e)) for e in exps])
-        assert np.max(np.abs(got - want)) < 1e-14
+    def test_pow_of_an_int_is_the_array_entry_bit_for_bit(self):
+        # one rule for q^e: an integer and a one-entry array give the same bits
+        qs = [PhaseQ.rational(p, n) for n in range(1, 40) for p in range(n)
+              if math.gcd(p, n) == 1]
+        qs += [PhaseQ.irrational(0.9), PhaseQ.irrational(math.sqrt(2))]
+        for q in qs:
+            for e in (-41, -3, -1, 0, 1, 2, 11, 39, 10**9 + 7):
+                got, want = q.pow(e), q.pow(np.array([e]))[0]
+                assert got.tobytes() == want.tobytes(), (q, e)
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
             PhaseQ.rational(1, 0)
+
+    def test_modulus_cap(self):
+        assert PhaseQ.rational(3, MAX_TWIST_MODULUS).modulus == MAX_TWIST_MODULUS
+        for n in (MAX_TWIST_MODULUS + 1, 3 * 10**18 + 37, 10**30):
+            with pytest.raises(ValueError, match="limit"):
+                PhaseQ.rational(1, n)
+        # the cap applies in lowest terms
+        assert PhaseQ.rational(2**31, 2**32) == PhaseQ.rational(1, 2)
+
+    def test_exponents_reduced_before_the_product(self):
+        # p e would wrap an int64 here: N = 2^31 - 1 is prime, and at N - p
+        # the primed phase takes the principal branch p - N
+        n = MAX_TWIST_MODULUS - 1
+        e = 2**62 + 5
+        for p in (n // 7, n - n // 7):
+            q = PhaseQ.rational(p, n)
+            assert abs(q.pow(np.array([e]))[0] - np.exp(2j * math.pi * (p * e % n) / n)) < 1e-15
+            half = (p - n if 2 * p > n else p) * e % (2 * n)
+            assert abs(q.half_pow_array(np.array([e]))[0] - np.exp(1j * math.pi * half / n)) < 1e-15
 
 
 class TestCoeffLattice2:
@@ -130,6 +152,20 @@ class TestPrimedConvention:
         # half power of q at exponent kl=1 (principal branch of the angle)
         assert abs(to_primed(f, q).get(1, 1) - np.exp(1j * math.pi / 4)) < 1e-15
 
+    def test_rational_and_theta_spellings_agree(self):
+        # the principal branch q^(1/2) = e^{i theta/2}, theta in (-pi, pi],
+        # also when 2p > N, where theta = 2 pi p / N is spelled as p - N
+        rng = np.random.default_rng(3)
+        f = CoeffLattice2(3, 3, rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+        for n in range(1, 13):
+            for p in range(n):
+                if math.gcd(p, n) == 1:
+                    g = to_primed(f, PhaseQ.rational(p, n))
+                    h = to_primed(f, PhaseQ.irrational(2 * math.pi * p / n))
+                    assert g.max_abs_diff(h) < 1e-14, (p, n)
+        g = to_primed(CoeffLattice2.delta(1, 1), PhaseQ.rational(3, 4))
+        assert abs(g.get(1, 1) - np.exp(-1j * math.pi / 4)) < 1e-15
+
     def test_zero_exponent_fixed(self):
         q = PhaseQ.irrational(1.1)
         f = CoeffLattice2.delta(4, 0)
@@ -181,5 +217,8 @@ class TestSerialization:
     def test_bad_phase_named(self):
         with pytest.raises(FormatError, match="rational"):
             phaseq_from_obj({"rational": [1]})
+        for pair in ([1, 0], [1, -4], [7, 10**30], [1, MAX_TWIST_MODULUS + 1]):
+            with pytest.raises(FormatError, match='field "rational"'):
+                phaseq_from_obj({"rational": pair})
         with pytest.raises(FormatError):
             phaseq_from_obj({"something": 1})

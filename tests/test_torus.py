@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import tracemalloc
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus import torus
-from nctorus.lattice import CoeffLattice2, PhaseQ
-from nctorus.lattice import MismatchError
+from nctorus.lattice import MAX_TWIST_MODULUS, CoeffLattice2, MismatchError, PhaseQ
 from nctorus.torus import (DerivationCheck, DerivationSpec, TorusElement,
                            adjoint, apply_derivation, check_derivation_relation,
                            d_power, inner_derivation, l2_state, monomial,
@@ -39,7 +39,7 @@ def loop_product(f: TorusElement, g: TorusElement) -> TorusElement:
     for m, n, c in fc.support():
         ph = phase_cache.get(n)
         if ph is None:
-            ph = q.pow_array(-n * gk)[:, None]
+            ph = q.pow(-n * gk)[:, None]
             phase_cache[n] = ph
         i = m + fc.radius_k
         j = n + fc.radius_l
@@ -70,7 +70,7 @@ def loop_apply_derivation(d: DerivationSpec, f: TorusElement) -> TorusElement:
     D(V) per support point of f, over the same box as apply_derivation."""
     def weights(power, exps):
         ms = np.arange(power) if power > 0 else np.arange(power, 0)
-        return np.sign(power) * q.pow_array(-np.outer(exps, ms)).sum(axis=1)
+        return np.sign(power) * q.pow(-np.outer(exps, ms)).sum(axis=1)
 
     q = d.q
     du, dv = d.du_value, d.dv_value
@@ -165,6 +165,18 @@ class TestProduct:
         with pytest.raises(MismatchError, match=r'^q mismatch: \{"rational": \[1, 4\]\} '
                                                 r'vs \{"theta": 0\.7\}$'):
             q_mul(monomial(1, 0, Q4), monomial(0, 1, PhaseQ.irrational(0.7)))
+
+    def test_phases_exact_up_to_the_modulus_cap(self):
+        # N = 2^31 - 1 is prime; the reference reduces -p r^2 in Python integers
+        n = MAX_TWIST_MODULUS - 1
+        p = n // 7
+        q = PhaseQ.rational(p, n)
+        assert (q.p, q.modulus) == (p, n)
+        for r in range(1, 65):
+            want = cmath.exp(2j * math.pi * ((-p * r * r) % n) / n)
+            vu = q_mul(monomial(0, r, q), monomial(r, 0, q))
+            assert abs(vu.coeffs.get(r, r) - want) < 1e-15
+            assert abs(adjoint(monomial(r, r, q)).coeffs.get(-r, -r) - want) < 1e-15
 
 
 class TestProductAgainstSupportLoop:
