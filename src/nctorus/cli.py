@@ -323,8 +323,7 @@ def _cmd_torus_mul(args) -> tuple[dict, bool]:
         raise FormatError("inputs: torus-mul needs two element files "
                           "(or --word)")
     f = _read_element(args.inputs[0], args.q)
-    g = _read_element(args.inputs[1], args.q)
-    _require_same_q(f.q, g.q, (args.inputs[0], args.inputs[1]))
+    g = _read_element(args.inputs[1], args.q, (args.inputs[0], f))
     return _element_obj(q_mul(f, g)), True
 
 

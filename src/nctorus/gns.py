@@ -165,11 +165,19 @@ def _closed_tables(a: FiniteAlgebra) -> tuple:
     """(target, phase, star target, star phase) that torus_quotient or
     truncated_box builds for a's kind, q and radii; a ValueError unless
     a's labels, unit index, lmats and starmat are the constructor's, bit
-    for bit.  One gather of dim^2 entries and one count of lmats' nonzeros,
-    with no dim^3 temporary."""
+    for bit.  The size is compared first, so a q or labels that claim a
+    larger algebra build nothing; then one gather of dim^2 entries and one
+    count of lmats' nonzeros, with no dim^3 temporary."""
+    differ = ValueError(f"structure tables differ from those of {a.kind}")
+    if a.kind == "torus_quotient":
+        radii, size = None, a.q.modulus ** 2
+    else:
+        radii = np.max(a.labels, axis=0).tolist()
+        size = (2 * radii[0] + 1) * (2 * radii[1] + 1)
+    if a.dim != size:
+        raise differ
     k, l, target, phase, star_target, star_phase, _ = (
-        _quotient_tables(a.q) if a.kind == "torus_quotient"
-        else _box_tables(*np.max(a.labels, axis=0).tolist(), a.q))
+        _quotient_tables(a.q) if radii is None else _box_tables(*radii, a.q))
     labels, i = tuple(zip(k.tolist(), l.tolist())), np.arange(len(k))
     if not (a.labels == labels and a.unit_index == labels.index((0, 0))
             and a.lmats.shape + a.starmat.shape == (len(k),) * 5
@@ -178,7 +186,7 @@ def _closed_tables(a: FiniteAlgebra) -> tuple:
             # the gathered entries match, so equal counts leave no other nonzero
             and np.count_nonzero(a.lmats) + np.count_nonzero(a.starmat)
             == np.count_nonzero(phase) + np.count_nonzero(star_phase)):
-        raise ValueError(f"structure tables differ from those of {a.kind}")
+        raise differ
     return target, phase, star_target, star_phase
 
 

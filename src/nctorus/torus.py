@@ -10,7 +10,9 @@ the box, nothing is dropped.
 Every function may run in several threads at once.  The only state is the
 product's scratch buffer, one per thread, and no result depends on the
 thread or on the calls made before it: each output is bit-identical for
-a fixed BLAS configuration.
+a fixed BLAS configuration.  A product whose left factor has one row
+never calls BLAS (see _toeplitz_rows), so its bits are the same for any
+BLAS thread count as well.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ def _toeplitz_rows(out: np.ndarray, a: np.ndarray, w: np.ndarray, b: np.ndarray)
         ks, m = slice(start, start + step), min(step, krows - start)
         # a one-row a takes numpy's vector-matrix path, whose sums follow the
         # stack's layout.  With k fastest at a stride of two or more, every
-        # chunk of a many-row b takes numpy's own loop, so the chunk size
-        # cannot move the bits (BLAS gemv only where b has one row)
-        lanes = max(m, min(krows, 2)) if rows == 1 else m
+        # chunk takes numpy's own loop and never BLAS gemv, so neither the
+        # chunk size nor the BLAS thread count can move the bits
+        lanes = max(m, 2) if rows == 1 else m
         buf = _workspace(m * rows * (cols + width) + lanes * cols * width)
         aw = buf[: m * rows * cols].reshape(m, rows, cols)
         aw[...] = a

@@ -24,7 +24,8 @@ product, two for the symplectic and the group product.  Those loops run
 on every core the process may use, each thread owning a block of output
 rows (_run_row_blocks), with the same operations in the same order for
 every output element whatever the number of threads, so the bytes do not
-depend on the machine.
+depend on the machine.  All three products enter through _product, which
+checks the operands and picks the kernel or the variant's FFT route.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _row_blocks(n_rows: int, row_size: int) -> list[tuple[int, int]]:
     return [(n_rows * k // count, n_rows * (k + 1) // count) for k in range(count)]
 
 
-def _run_row_blocks(work, blocks: list[tuple]) -> None:
-    """work(*block) for every block: the first in the calling thread, on
+def _run_row_blocks(work, blocks: list[tuple[int, int]]) -> None:
+    """work(lo, hi) for every block: the first in the calling thread, on
     the core whose caches hold the operands, each other one in a thread of
     its own.
 
@@ -149,7 +150,7 @@ def _run_row_blocks(work, blocks: list[tuple]) -> None:
     """
     errors = []
 
-    def run(ctx: contextvars.Context, block: tuple) -> None:
+    def run(ctx: contextvars.Context, block: tuple[int, int]) -> None:
         try:
             ctx.run(work, *block)
         except BaseException as exc:  # handed to the caller below
@@ -207,27 +208,29 @@ def _heisenberg_gemm(fa: np.ndarray, fb: np.ndarray, p: int) -> np.ndarray:
     return np.fft.ifft(out, axis=1)
 
 
-def _matched_product(a: GridFunction2D, b: GridFunction2D, p: int,
-                     h: np.ndarray | None = None) -> GridFunction2D:
-    """dt ds kernel(h a, h b, p) / h on grid-ordered values; h = 1 if None."""
+def _product(a: GridFunction2D, b: GridFunction2D, hbar: float, factor: int,
+             fft_route) -> GridFunction2D:
+    """The product of all three variants: factor 1 is the ordered twist,
+    factor 2 the symplectic and the group twist, and fft_route the
+    variant's route for a grid that is not matched.
+
+    The operands must share a grid, and their decay is checked.  On a
+    matched grid (hbar dt ds / factor = 2 pi p / n) the ordered product is
+    dt ds kernel(a, b, p).  h = e^{(i hbar/2) x1 x2}, the inverse gauge
+    map, carries the symplectic product to the ordered one at the same
+    hbar, whose twist angle hbar dt ds is 2 (2 pi p / n); so that product
+    is dt ds kernel(h a, h b, 2p) / h.
+    """
+    require_same_grid(a, b)
+    check_decay(a)
+    check_decay(b)
+    p = _matched_twist(a, hbar * a.dt * a.ds / factor, factor)
+    if p is None:
+        return fft_route(a, b, hbar)
+    h = np.exp(0.5j * hbar * np.outer(a.t_axis(), a.s_axis())) if factor == 2 else None
     spectra = [_spectrum(x.values if h is None else h * x.values) for x in (a, b)]
     c = np.fft.fftshift(_heisenberg_gemm(*spectra, p)) * (a.dt * a.ds)
     return a.with_values(c if h is None else c / h)
-
-
-def _symplectic_matched(a: GridFunction2D, b: GridFunction2D,
-                        hbar: float) -> GridFunction2D | None:
-    """Symplectic product on a matched grid, None on any other grid.
-
-    h = e^{(i hbar/2) x1 x2}, the inverse gauge map, carries it to the
-    ordered product at the same hbar, whose twist angle hbar dt ds is
-    2 (2 pi p / n); so the product is kernel(h a, h b, 2p) / h.
-    """
-    p = _matched_twist(a, 0.5 * hbar * a.dt * a.ds, 2)
-    if p is None:
-        return None
-    h = np.exp(0.5j * hbar * np.outer(a.t_axis(), a.s_axis()))
-    return _matched_product(a, b, p, h)
 
 
 def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunction2D:
@@ -236,13 +239,7 @@ def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunct
     Matched grids (hbar dt ds = 2 pi p / n) run on the exact kernel;
     other grids on n_s FFT passes.
     """
-    require_same_grid(a, b)
-    check_decay(a)
-    check_decay(b)
-    p = _matched_twist(a, hbar * a.dt * a.ds, 1)
-    if p is None:
-        return _twisted_conv_fft(a, b, hbar)
-    return _matched_product(a, b, p)
+    return _product(a, b, hbar, 1, _twisted_conv_fft)
 
 
 def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -285,11 +282,7 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
     Matched grids ((hbar/2) dt ds = 2 pi p / n) run on the exact kernel;
     other grids on 2 n_t FFT passes.
     """
-    require_same_grid(a, b)
-    check_decay(a)
-    check_decay(b)
-    out = _symplectic_matched(a, b, hbar)
-    return _other_twisted_conv_fft(a, b, hbar) if out is None else out
+    return _product(a, b, hbar, 2, _other_twisted_conv_fft)
 
 
 def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -352,11 +345,7 @@ def heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
     symplectic product, so matched grids share its exact kernel; other
     grids take _heisenberg_group_conv_fft.
     """
-    require_same_grid(a, b)
-    check_decay(a)
-    check_decay(b)
-    out = _symplectic_matched(a, b, hbar)
-    return _heisenberg_group_conv_fft(a, b, hbar) if out is None else out
+    return _product(a, b, hbar, 2, _heisenberg_group_conv_fft)
 
 
 def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -377,11 +366,10 @@ def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
     fbr = np.fft.fft(b_vals[(n_t // 2 - np.arange(n_t)) % n_t], axis=1)
     # e^{-(i hbar/2) y1 x2} at x2 = s_vals[(m - n_s/2) mod n_s] in column m
     chirp = np.exp(-0.5j * hbar * np.outer(t_vals, np.roll(s_vals, n_s // 2)))
-    blocks = _row_blocks(n_t, n_s)
-    bufs = np.empty((len(blocks),) + fbr.shape, dtype=fbr.dtype)
     out = np.empty_like(fbr)
 
-    def rows(lo: int, hi: int, buf: np.ndarray) -> None:
+    def rows(lo: int, hi: int) -> None:
+        buf = np.empty_like(fbr)
         for k1 in range(lo, hi):
             np.multiply(a_vals, np.exp(0.5j * hbar * t_vals[k1] * s_vals), out=buf)
             np.fft.fft(buf, axis=1, out=buf)
@@ -391,7 +379,7 @@ def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
             buf *= chirp
             out[k1] = np.roll(buf.sum(axis=0), -(n_s // 2))
 
-    _run_row_blocks(rows, [block + (buf,) for block, buf in zip(blocks, bufs)])
+    _run_row_blocks(rows, _row_blocks(n_t, n_s))
     return a.with_values(out * (a.dt * a.ds))
 
 

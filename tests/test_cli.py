@@ -169,6 +169,24 @@ def test_embedded_phase_conflict(run, write, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ["torus-mul", "@f", "@g"],
+    ["torus-derive", "@f", "--inner", "@g"],
+    ["matrep-eval", "@f", "@g"],
+], ids=lambda argv: argv[0])
+def test_bare_second_operand_takes_the_first_operands_phase(run, write, argv):
+    # f embeds 1/4 and g is a bare lattice: with no --q, g reads as if
+    # --q were 1/4, for every subcommand that combines two elements
+    coeffs = {"radius_k": 1, "radius_l": 1, "coeffs": [[k + 0.5 * l, 0.25 * k]
+                                                       for k in range(3) for l in range(3)]}
+    files = {"@f": write("f.json", {"coeffs": coeffs, "q": {"rational": [1, 4]}}),
+             "@g": write("g.json", coeffs)}
+    argv = [files.get(arg, arg) for arg in argv]
+    rc, out, err = run(*argv)
+    assert (rc, err) == (0, "")
+    assert run(*argv, "--q", Q14)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv", [
     ["torus-mul", "@bad", "@f"],
     ["torus-adjoint", "@bad"],
     ["torus-seminorm", "@bad"],

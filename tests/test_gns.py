@@ -310,6 +310,26 @@ def test_sign_flipped_structure_phase_is_refused(a):
         gns_build(trace_form(bad), bad)
 
 
+@pytest.mark.parametrize("claim", ["quotient modulus 65537", "box label radius 10^6"])
+def test_oversized_claim_is_refused_before_any_table_is_built(monkeypatch, claim):
+    # a small algebra whose q or labels claim a huge one: the claimed
+    # tables would start from 2^32-entry index arrays (32 GiB at N = 65537)
+    # or from a box of 10^7 basis elements
+    def refuse(*args):
+        raise AssertionError("tables built for an algebra of the wrong size")
+
+    monkeypatch.setattr(gns, "_quotient_tables", refuse)
+    monkeypatch.setattr(gns, "_box_tables", refuse)
+    if claim.startswith("quotient"):
+        a = ALGEBRAS["quotient N=5"]
+        bad = dataclasses.replace(a, q=PhaseQ.rational(1, 65537))
+    else:
+        a = ALGEBRAS["box (2,2)"]
+        bad = dataclasses.replace(a, labels=a.labels[:-1] + ((10 ** 6, 2),))
+    with pytest.raises(ValueError, match=f"structure tables differ from those of {a.kind}$"):
+        gns_build(trace_form(a), bad)
+
+
 TABLE_TWISTS = [PhaseQ.rational(p, n) for n in range(1, 10) for p in range(n)
                 if math.gcd(p, n) == 1] + [PhaseQ.rational(4099, 65537),
                                           PhaseQ.irrational(0.7), PhaseQ.irrational(-2.9)]

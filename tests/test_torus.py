@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -238,6 +240,27 @@ class TestProductAgainstSupportLoop:
         # a one-row f takes numpy's vector-matrix path, whose sums follow the
         # layout of the Toeplitz stack; that layout must not follow the chunk
         self.assert_bits_independent_of_chunk_budget((0, 9), 40_000, q, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["rational", "irrational"])
+    def test_one_row_bits_independent_of_blas_threads(self, kind):
+        # BLAS gemv's sums follow the BLAS thread count, so a product of two
+        # one-row elements must run in numpy's own loop
+        q = "PhaseQ.rational(1, 4)" if kind == "rational" else "PhaseQ.irrational(2 ** 0.5)"
+        code = (
+            "import sys, numpy as np\n"
+            "from nctorus.lattice import CoeffLattice2, PhaseQ\n"
+            "from nctorus.torus import TorusElement, q_mul\n"
+            f"q = {q}\n"
+            "rng = np.random.default_rng(45)\n"
+            "f, g = (TorusElement(CoeffLattice2(0, 45, rng.normal(size=(1, 91))\n"
+            "                                   + 1j * rng.normal(size=(1, 91))), q) for _ in 'fg')\n"
+            "sys.stdout.write(q_mul(f, g).coeffs.coeffs.tobytes().hex())\n")
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=60,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))).stdout
+                for threads in (1, 2)]
+        assert len(outs[0]) == 2 * 16 * 181
+        assert outs[0] == outs[1]
 
 
 def scratch_corpus():
