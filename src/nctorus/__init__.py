@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "gns": "FiniteAlgebra GnsTriplet PositiveForm PositivityReport gns_build "
-           "gram_matrix intertwiner is_positive schwarz_check separation_rank "
-           "state_action torus_quotient truncated_box",
+           "gram_diagonal gram_matrix intertwiner is_positive schwarz_check "
+           "separation_rank state_action torus_quotient truncated_box",
     "grids": "GridFunction1D GridFunction2D fourier_2d gaussian_1d gaussian_2d "
              "inverse_fourier_2d",
     "lattice": "CoeffLattice2 FormatError MismatchError PhaseQ "

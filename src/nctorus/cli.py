@@ -677,9 +677,8 @@ def _cmd_gns_build(args) -> tuple[dict, bool]:
     if trip.quotient_dim > 0 and gen_u and gen_v:
         out["pi_u"] = trip.pi_mats[a.index_of(gen_u)]
         out["pi_v"] = trip.pi_mats[a.index_of(gen_v)]
-    if trip.quotient_dim > 0:
-        other = gnsmod.gns_build(phi, a, tol=args.tol,
-                                 order=list(reversed(range(a.dim))))
+    if trip.quotient_dim > 0:  # against the Gram route in reversed order
+        other = gnsmod._gram_route(phi, a, order=list(reversed(range(a.dim))))
         _, res = gnsmod.intertwiner(trip, other, a)
         out["uniqueness_residual"] = res
     return out, True
@@ -690,15 +689,18 @@ def _cmd_gns_check(args) -> tuple[dict, bool]:
     a = _parse_algebra(_read_doc(args.algebra), args.algebra)
     phi = _parse_form(_read_doc(args.form), a, args.form)
     rep = gnsmod.is_positive(phi, a, tol=args.tol)
-    schwarz = 0.0
-    for i in range(a.dim):
-        schwarz = max(schwarz, gnsmod.schwarz_check(phi, a.basis_vector(i), a))
+    # schwarz_check at every basis vector: |phi(e_i)| against
+    # phi(1)^{1/2} phi(e_i* e_i)^{1/2}, with phi(e_i* e_i) the Gram diagonal
+    diag = gnsmod.gram_diagonal(phi, a)
+    root1 = math.sqrt(max(float(phi.values[a.unit_index].real), 0.0))
+    schwarz = float(np.max(np.maximum(
+        0.0, np.abs(phi.values) - root1 * np.sqrt(np.maximum(diag.real, 0.0)))))
     out = {
         "positive": rep.ok,
         "min_eigenvalue": rep.min_eigenvalue,
         "hermiticity_residual": rep.hermiticity_residual,
         "star_residual": rep.star_residual,
-        "gram_trace": complex(np.trace(rep.gram)),
+        "gram_trace": complex(np.sum(diag)),
         "schwarz_max": schwarz,
         "witness": rep.witness,
     }
@@ -707,8 +709,9 @@ def _cmd_gns_check(args) -> tuple[dict, bool]:
             out["separation_ranks"] = list(gnsmod.separation_rank([phi], a))
         except ValueError as exc:
             return dict(out, error=str(exc)), False
-        transported = gnsmod.state_action(phi, a.basis_vector(a.unit_index), a)
-        out["transported_positive"] = gnsmod.is_positive(transported, a).ok
+        if (1, 0) in a.labels:  # phi_U(g) = phi(U* g U) is positive with phi
+            transported = gnsmod.state_action(phi, a.basis_vector(a.index_of((1, 0))), a)
+            out["transported_positive"] = gnsmod.is_positive(transported, a, tol=args.tol).ok
     return out, rep.ok and schwarz <= args.tol
 
 

@@ -9,12 +9,17 @@ times the tail, and its homomorphism residual, which measures the
 truncation, is reported but not gated.
 
 A form is positive when its Gram matrix G_ij = phi(e_i* e_j) is hermitian
-and positive semidefinite.  Its kernel is the null ideal, the quotient
-gets a twice-projected classical Gram-Schmidt basis in declared order
-(determinism), and basis elements become compressed left-multiplication
-matrices.  gns_build takes the structure tables in closed form from the
-constructors and refuses an algebra whose labels, unit index or tables
-are not, bit for bit, those that torus_quotient or truncated_box builds.
+and positive semidefinite; its kernel is the null ideal.  On the quotient
+both the test and the triplet come from the form's N x N density matrix
+rho, phi(x) = tr(rho M(x)) under the Mat_N isomorphism M: the space is
+Mat_N rho^{1/2} and pi is left multiplication, so no dim x dim matrix is
+formed.  On the box the quotient by the Gram kernel gets a twice-projected
+classical Gram-Schmidt basis in declared order (determinism), and basis
+elements become compressed left-multiplication matrices; that route also
+serves as the quotient's oracle.  gns_build takes the structure tables in
+closed form from the constructors and refuses an algebra whose labels,
+unit index or tables are not, bit for bit, those that torus_quotient or
+truncated_box builds.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "PositivityReport",
     "GnsTriplet",
     "gram_matrix",
+    "gram_diagonal",
     "is_positive",
     "gns_build",
     "state_action",
@@ -43,19 +49,18 @@ __all__ = [
 ]
 
 # Dense dim^3 tables (8.5 MB at the limit; gns_build checks them against
-# the closed forms in one pass, 2-2.5 ms at dim 81) and, where the
-# quotient's Mat_N certificate is above the tol, a dim^5 homomorphism
-# check: gns_build at dim 81 takes 0.07-0.08 s when the certificate
-# accepts (trace and 3- or 4-decade density forms, N = 9), 0.11-0.13 s on
-# the box of radii 4, 4, which never runs the full check, and 1.2-1.5 s
-# when the full check runs (one thread, 2-core host).
+# the closed forms in one pass, about 1.8 ms at dim 81) and dense pi_mats,
+# dim r^2 entries for quotient dimension r: gns_build at dim 81 takes
+# 3.2-4.1 ms on the quotient (N = 9, trace form) and about 0.06 s on the
+# box of radii 4, 4 (one thread, 2-core host).  The quotient's limit is
+# pi_mats': at full rank and N = 32 they would take 16 GB, so a larger
+# quotient needs pi kept as its N x N factor.
 MAX_ALGEBRA_DIM = 81
 
 # Gram-Schmidt drops a vector whose remaining Gram norm is at most this
-# fraction of the largest diagonal Gram entry
+# fraction of the largest diagonal Gram entry, and the quotient's rho
+# route an eigenvalue whose Gram eigenvalue is (see gns_build)
 _RANK_CUT = 1e-9
-
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -212,6 +217,17 @@ def gram_matrix(phi: PositiveForm, a: FiniteAlgebra) -> np.ndarray:
     return a.starmat @ np.tensordot(phi.values, a.lmats, (0, 1))
 
 
+def gram_diagonal(phi: PositiveForm, a: FiniteAlgebra) -> np.ndarray:
+    """phi(e_i* e_i) for every basis element, the Gram matrix's diagonal.
+
+    On both kinds e_i* e_i is the unit times star_phase[i] phase[i*, i], so
+    this is one gather from the closed-form tables, which _closed_tables
+    checks first."""
+    target, phase, star_target, star_phase = _closed_tables(a)
+    i = np.arange(a.dim)
+    return star_phase * phase[star_target, i] * phi.values[target[star_target, i]]
+
+
 @dataclass(frozen=True)
 class PositivityReport:
     ok: bool
@@ -219,7 +235,6 @@ class PositivityReport:
     witness: np.ndarray | None
     hermiticity_residual: float
     star_residual: float
-    gram: np.ndarray = field(repr=False)  # the Gram matrix the test ran on
 
 
 def is_positive(phi: PositiveForm, a: FiniteAlgebra,
@@ -228,30 +243,84 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
     (its largest entry of |G - G^H| within tol) and the smallest eigenvalue
     of its hermitian part is at least -tol.  A failure returns a witness f:
     one with Re phi(f* f) < 0 where that eigenvalue is below -tol, and
-    otherwise one with Im phi(f* f) != 0, from the skew part (G - G^H)/2i."""
-    g = gram_matrix(phi, a)
-    herm = float(np.max(np.abs(g - g.conj().T)))
-    # phi(e_i*) - conj(phi(e_i)) for every basis element
+    otherwise one with Im phi(f* f) != 0, from the skew part.
+
+    On truncated_box the test runs on G.  On torus_quotient it runs on the
+    N x N density matrix rho of phi (_density), with no Gram matrix: G's
+    eigenvalues are N spec(rho), each N times; every entry of G - G^H is
+    phi(x) - conj(phi(x*)) for a monomial x of modulus one, so its largest
+    is the star residual; and the witness is the f with M(f) = e_0 v^H, v
+    the eigenvector of rho's hermitian (or skew) part, so phi(f* f) =
+    v^H rho v.  There the answer depends on q and phi alone.
+    """
+    return _positivity(phi, a, tol)[0]
+
+
+def _positivity(phi: PositiveForm, a: FiniteAlgebra, tol: float) -> tuple:
+    """is_positive's report, the matrix it tested (rho on the quotient, G on
+    the box) and the eigenpairs of that matrix's hermitian part."""
+    if len(phi.values) != a.dim:
+        raise ValueError(f"form has {len(phi.values)} values, algebra dim {a.dim}")
     star_res = float(np.max(np.abs(a.starmat @ phi.values - np.conj(phi.values))))
-    w, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
-    lo = float(w[0])
+    quotient = a.kind == "torus_quotient"
+    if quotient:
+        m, scale, herm = _density(phi.values, a.q), a.q.modulus, star_res
+    else:
+        m, scale = gram_matrix(phi, a), 1
+        herm = float(np.max(np.abs(m - m.conj().T)))
+    lam, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    lo = scale * float(lam[0])
     witness = None if lo >= -tol else vecs[:, 0].copy()
     if witness is None and herm > tol:  # Im phi(f* f) is the skew part's eigenvalue at f
-        ws, vs = np.linalg.eigh((g - g.conj().T) / 2j)
+        ws, vs = np.linalg.eigh((m - m.conj().T) / 2j)
         witness = vs[:, np.argmax(np.abs(ws))].copy()
-    return PositivityReport(witness is None, lo, witness, herm, star_res, g)
+    if quotient and witness is not None:  # f_m = (1/N) conj((M_m v)_0)
+        shift, mph = _clock_shift_rows(a.q)
+        witness = np.conj(mph[:, 0] * witness[shift[:, 0]]) / a.q.modulus
+    return PositivityReport(witness is None, lo, witness, herm, star_res), m, lam, vecs
+
+
+def _density(values: np.ndarray, q: PhaseQ) -> np.ndarray:
+    """The density matrix of a form on torus_quotient(q).
+
+    U^s V^t -> M_m = U0^s V0^t (U0 the cyclic shift, V0 = diag(q^i)) maps
+    the quotient onto Mat_N (Schwinger, PNAS 46, 1960; Davidson,
+    C*-Algebras by Example, 1996, ch. VI), and tr(M_m^H M_j) = N delta_mj.
+    So phi(x) = tr(rho M(x)) with rho = (1/N) sum_m phi(e_m) M_m^H, that is
+    rho[j, i] = (1/N) sum_t phi(U^{(j - i) mod N} V^t) q^{-tj}: one N x N
+    product and a gather."""
+    n, i = q.modulus, np.arange(q.modulus)
+    f = values.reshape(n, n) @ np.conj(q.pow(np.outer(i, i)))
+    return f[(i[:, None] - i) % n, i[:, None]] / n
+
+
+def _clock_shift_rows(q: PhaseQ) -> tuple[np.ndarray, np.ndarray]:
+    """M_m = U0^s V0^t for every quotient basis element m = (s, t), as
+    (shift, mph): row i of M_m has one nonzero entry, mph[m, i] =
+    q^{t (i + s)}, in column shift[m, i] = (i + s) mod N."""
+    n = q.modulus
+    s, t = np.divmod(np.arange(n * n), n)
+    shift = (np.arange(n) + s[:, None]) % n
+    return shift, q.pow(t[:, None] * shift)
 
 
 @dataclass(frozen=True)
 class GnsTriplet:
     """pi(e_m) on the quotient of the algebra by the null ideal, the cyclic
     vector omega and three residuals, for an algebra whose tables are the
-    constructor's.  On torus_quotient hom_residual is an upper bound on
-    max |pi(e_m e_j) - pi(e_m) pi(e_j)| over every basis pair: the Mat_N
-    certificate (see _mat_n_bound) when that is within the tol, and
-    otherwise that maximum itself.  On truncated_box, whose products are
-    cut back to the box, it is that maximum over the left factors
-    U^{+-1}, V^{+-1} only, a measurement of the truncation."""
+    constructor's.  basis holds the algebra coordinates of an orthonormal
+    basis of that quotient, in which pi_mats and omega are written.
+
+    On torus_quotient the space is Mat_N rho^{1/2} (see gns_build):
+    hom_residual is max |pi(e_m e_j) - pi(e_m) pi(e_j)| over every basis
+    pair and star_residual max |pi(e_m*) - pi(e_m)^H| over every m, both
+    measured on the monomial N x N factor M_m of pi(e_m) = M_m (x) I_k.
+    pi_mats is that Kronecker product entry for entry, so these are its
+    own residuals (for k = 0, the factor's).
+    On truncated_box, whose products are cut back to the box, the space
+    comes from Gram-Schmidt on the Gram matrix, and hom_residual is that
+    maximum over the left factors U^{+-1}, V^{+-1} only, a measurement of
+    the truncation."""
 
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
@@ -265,39 +334,97 @@ class GnsTriplet:
         return np.tensordot(np.asarray(f, dtype=np.complex128), self.pi_mats, (0, 0))
 
 
-def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
-              order=None) -> GnsTriplet:
-    """Quotient by the Gram kernel, orthonormalize, compress left multiplication.
+def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None) -> GnsTriplet:
+    """The GNS triplet of a positive form, gated on its residuals.
 
-    order permutes the basis fed to Gram-Schmidt (the default is the
-    declared order); any two orders give unitarily equivalent triplets.
-    Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
-    Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
-    v -= C (G C)^H v per pass, so the loop makes dim steps.
+    Before any other work, _closed_tables refuses an algebra whose labels,
+    unit index or tables are not those torus_quotient or truncated_box
+    builds, and gives target and phase in closed form.  Positivity is
+    is_positive's, by the same code, at 1e-10.  tol gates reconstruction,
+    star and the quotient's homomorphism residual; by default it is 1e-10,
+    and the box's star gate, which the truncation breaks, max(1e-10,
+    10 tail).
 
-    Before any other work, _closed_tables refuses an algebra whose
-    labels, unit index or tables are not those torus_quotient or
-    truncated_box builds, and gives target and phase in closed form.
-    tol gates reconstruction, star and the quotient's homomorphism
-    residual; by default it is 1e-10, and the box's star gate, which the
-    truncation breaks, max(1e-10, 10 tail).  On the quotient the Mat_N
-    certificate (O(dim r^3), r the quotient dimension) accepts where it
-    is within tol; where it is not, the full residual (dim^2 r^3,
-    1.2-1.5 s at dim 81, one thread, 2-core host) decides, so the verdict
-    is the full check's.  On the box the homomorphism field is only
-    reported.
+    On torus_quotient the triplet comes from rho (_density) and its
+    eigenpairs (lambda, W), all N x N work: phi(x*y) = tr((M(x) Y)^H M(y) Y)
+    with Y = W_k Lambda_k^{1/2}, so the space is vec(N x k matrices), Omega
+    = vec(Y), pi(e_m) = M_m (x) I_k, and basis column (a, b) is the x with
+    M(x) Y = E_ab, coordinates (1/N) lambda_b^{-1/2} conj((M_m w_b)_a).  An
+    eigenvalue is kept when N lambda, the Gram eigenvalue it carries,
+    exceeds _RANK_CUT phi(1), the cut Gram-Schmidt applies to its pivots
+    (phi(1) is every diagonal Gram entry).  Reconstruction is read from the
+    orbit vec(M_m Y), and homomorphism and star on the monomial factor M_m,
+    which are pi's residuals entry for entry; the cost is O(N^5 + dim r),
+    plus the dense dim r^2 pi_mats.
+
+    On truncated_box the triplet comes from Gram-Schmidt on the Gram
+    matrix (_gram_route), and the homomorphism field is only reported.
     """
-    target, phase, star_target, star_phase = _closed_tables(a)
-    rep = is_positive(phi, a)
+    tables = _closed_tables(a)
+    rep, m, lam, vecs = _positivity(phi, a, 1e-10)
     if not rep.ok:  # name the gate the witness shows, as is_positive picks it
         raise ValueError("form is not positive: " + (
             f"min eigenvalue {rep.min_eigenvalue:.3e}" if not rep.min_eigenvalue >= -1e-10
             else f"hermiticity residual {rep.hermiticity_residual:.3e}"))
     star_tol = max(1e-10, 10.0 * a.tail) if tol is None else tol
     tol = 1e-10 if tol is None else tol
-    g = (rep.gram + rep.gram.conj().T) / 2.0
-    gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
+    if a.kind == "torus_quotient":
+        trip = _rho_route(phi, a, tables, lam, vecs)
+    else:
+        trip = _gram_route(phi, a, tables=tables, g=m)
+    gates = [("reconstruction", trip.recon_residual, tol), ("star", trip.star_residual, star_tol)]
+    if a.kind == "torus_quotient":
+        gates.insert(1, ("homomorphism", trip.hom_residual, tol))
+    if not all(value <= gate for _, value, gate in gates):  # NaN included
+        raise ValueError("GNS invariants violated: " + ", ".join(
+            f"{name} {value:.3e} (tol {gate:.1e})" for name, value, gate in gates))
+    return trip
 
+
+def _rho_route(phi: PositiveForm, a: FiniteAlgebra, tables: tuple,
+               lam: np.ndarray, w: np.ndarray) -> GnsTriplet:
+    """gns_build's triplet on torus_quotient from the eigenpairs (lam
+    ascending, w) of rho's hermitian part; no gate."""
+    target, phase, star_target, star_phase = tables
+    n, dim = a.q.modulus, a.dim
+    k = int(np.count_nonzero(n * lam > _RANK_CUT * max(abs(phi.values[a.unit_index]), 1e-300)))
+    r, lam, w = n * k, lam[n - k:], w[:, n - k:]
+    shift, mph = _clock_shift_rows(a.q)
+    mw = mph[:, :, None] * w[shift]  # mw[m, a, b] = (M_m w_b)_a
+    orbit = (mw * np.sqrt(lam)).reshape(dim, r)  # vec(M_m Y)
+    omega = orbit[a.unit_index]
+    pi = np.zeros((dim, r, r), dtype=np.complex128)
+    pi[np.arange(dim)[:, None], np.arange(r),
+       (shift[:, :, None] * k + np.arange(k)).reshape(dim, r)] = np.repeat(mph, k, axis=1)
+    recon = float(np.max(np.abs(phi.values - orbit @ np.conj(omega))))
+    # [j, m, i]: row i of M_m M_j is mph[m, i] mph[j, shift[m, i]], in the
+    # column where row i of M_target[m, j] has mph[target[m, j], i]
+    hom = float(np.max(np.abs(mph[:, shift] * mph - phase.T[:, :, None] * mph[target.T])))
+    # row shift[m, i] of M_m^H is conj(mph[m, i]) in column i, as in M_star_target
+    star = float(np.max(np.abs(star_phase[:, None] * np.take_along_axis(
+        mph[star_target], shift, axis=1) - np.conj(mph))))
+    basis = (np.conj(mw) / (n * np.sqrt(lam))).reshape(dim, r)
+    return GnsTriplet(r, basis, pi, omega, recon, hom, star)
+
+
+def _gram_route(phi: PositiveForm, a: FiniteAlgebra, order=None, tables: tuple | None = None,
+                g: np.ndarray | None = None) -> GnsTriplet:
+    """The triplet from the Gram matrix g of phi, with no gate: quotient by
+    its kernel, orthonormalize, compress left multiplication.  gns_build's
+    route on truncated_box, which passes the tables and g it has, and on
+    torus_quotient the oracle its rho route is checked against.
+
+    order permutes the basis fed to Gram-Schmidt (the default is the
+    declared order); any two orders give unitarily equivalent triplets.
+    Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
+    v -= C (G C)^H v per pass, so the loop makes dim steps.  hom_residual
+    is taken over the left factors U^{+-1}, V^{+-1} in the algebra.
+    """
+    target, phase, star_target, star_phase = _closed_tables(a) if tables is None else tables
+    g = gram_matrix(phi, a) if g is None else g
+    g = (g + g.conj().T) / 2.0
+    gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
     seq = list(range(a.dim)) if order is None else list(order)
     if sorted(seq) != list(range(a.dim)):
         raise ValueError("order must be a permutation of the basis indices")
@@ -330,19 +457,8 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None,
     # pi(e_i*) = star_phase[i] pi(e_star_target[i]) against pi(e_i)^H
     star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
                                - pi.conj().transpose(0, 2, 1))))
-    gates = [("reconstruction", recon, tol), ("star", star, star_tol)]
-    if a.kind == "torus_quotient":
-        # the certificate only accepts: above the tol the full residual decides
-        hom = _mat_n_bound(a.q, phi.values, pi, omega)
-        if not hom <= tol:  # NaN included
-            hom = _hom_residual(target, phase, pi)
-        gates.insert(1, ("homomorphism", hom, tol))
-    else:
-        gens = [a.index_of(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1)) if x in a.labels]
-        hom = max(_defect_maxima(target, phase, pi, gens), default=0.0)
-    if not all(value <= gate for _, value, gate in gates):
-        raise ValueError("GNS invariants violated: " + ", ".join(
-            f"{name} {value:.3e} (tol {gate:.1e})" for name, value, gate in gates))
+    gens = [a.index_of(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1)) if x in a.labels]
+    hom = max(_defect_maxima(target, phase, pi, gens), default=0.0)
     return GnsTriplet(r, e, pi, omega, recon, hom, star)
 
 
@@ -355,99 +471,6 @@ def _defect_maxima(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
         got = (pi[m] @ row).reshape(r, dim, r).transpose(1, 0, 2)
         # the contiguous operand first: the result takes its layout
         yield float(np.max(np.abs(phase[m][:, None, None] * pi[target[m]] - got)))
-
-
-def _hom_residual(target: np.ndarray, phase: np.ndarray, pi: np.ndarray) -> float:
-    """max over (m, j) of |pi(e_m e_j) - pi(e_m) pi(e_j)|."""
-    return max(_defect_maxima(target, phase, pi, range(pi.shape[0])))
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the float64 unit round-off."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def _abs_norm(x: np.ndarray) -> np.ndarray:
-    """sqrt(||x||_1 ||x||_inf) of the stacked matrices x[..., :, :], at least
-    the 2-norm of x and of |x|, raised for the rounding of the sums."""
-    ax = np.abs(x)
-    return (np.sqrt(ax.sum(axis=-2).max(axis=-1) * ax.sum(axis=-1).max(axis=-1))
-            * (1.0 + _gamma(x.shape[-1] + 4)))
-
-
-def _mat_n_bound(q: PhaseQ, values: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> float:
-    """Upper bound on _hom_residual of a torus_quotient triplet, from the
-    quotient's Mat_N picture; gns_build has checked the tables first.
-
-    U^s V^t -> M_m = U0^s V0^t (U0 the cyclic shift, V0 = diag(q^i)) maps
-    the quotient onto Mat_N (Schwinger, PNAS 46, 1960; Davidson,
-    C*-Algebras by Example, 1996, ch. VI), and M_m M_j = f_mj M_mj with
-    the quotient's phase table f, mj the target of (m, j).  A form is
-    phi(x) = tr(rho M(x)), rho = (1/N) sum_m phi(e_m) M_m^H, and its GNS
-    representation is left multiplication on Mat_N rho^{1/2}: on vec(Y),
-    Y = rho^{1/2} W (N x k, W the top k = r/N eigenvectors of rho), e_m
-    acts as Q_m = M_m (x) I_k, a monomial matrix.
-
-    Write P_m = pi(e_m).  T is the Procrustes unitary taking the orbit
-    P_m Omega onto vec(M_m Y), and E_m = T P_m - Q_m T.  With
-    D_mj = Q_m Q_j - f_mj Q_mj and R_mj = P_m P_j - f_mj P_mj:
-
-        T P_m P_j = (Q_m T + E_m) P_j = Q_m Q_j T + Q_m E_j + E_m P_j,
-        T R_mj    = D_mj T + Q_m E_j + E_m P_j - f_mj E_mj.
-
-    Let eps >= max ||E_m||_2, eta >= ||T^H T - I||_2 (then, for eta < 1,
-    ||T^-1||_2 <= s = (1 - eta)^-1/2 and ||T||_2 <= t = (1 + eta)^1/2),
-    nu >= every |q^e| (the entries of M_m and f) and d >= max ||D_mj||_2.
-    Then
-
-        ||P_j||_2  <= s (nu t + eps) = p,
-        ||R_mj||_2 <= s (d t + eps (2 nu + p)),
-
-    which is 3 eps + eps^2 + d to first order in eta and u.  Nothing here
-    asks T, rho or k to be accurate: a poor T only makes eps large.  D_mj
-    is monomial, its entries q^x q^y - q^z q^w with x + y = z + w mod N,
-    so d is at most twice the largest |q^x q^y - q^(x+y)|.
-
-    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., 2002, sections 3.1 and 3.6): a computed complex product is within
-    sqrt(2) gamma_2 of the exact one, and a complex inner product of length
-    r within sqrt(2) gamma_{r+2} of the inner product of the moduli; c =
-    2 gamma_{r+4} covers both.  With kT, kP >= || |T| ||_2, || |P_m| ||_2,
-    the computed E_m is within c kT (kP + nu) of the exact one in 2-norm,
-    fl(T^H T) within c kT^2, and the full check's own products read at most
-    tau = c kP (kP + nu) above the exact |R_mj| entrywise, so the bound is
-    that of R plus tau.  Cost: dim r^3 for T P_m and O(dim r^2 + r^3 + N^3)
-    for the rest.
-    """
-    n, (dim, r) = q.modulus, pi.shape[:2]
-    if r % n:
-        return math.inf
-    k, pows, i = r // n, q.pow(np.arange(n)), np.arange(n)
-    s, t = np.divmod(np.arange(dim), n)
-    # rho[j, i] = (1/N) sum_t phi(U^{(j - i) mod N} V^t) q^{-tj}
-    f = values.reshape(n, n) @ np.conj(pows[np.outer(i, i) % n])
-    lam, w = np.linalg.eigh(f[(i[:, None] - i) % n, i[:, None]] / n)
-    y = w[:, n - k:] * np.sqrt(np.maximum(lam[n - k:], 0.0))  # rho^{1/2} W
-    # row i of M_m Y is q^{t (i + s)} Y[(i + s) mod N], and alike for M_m T
-    shift = (i + s[:, None]) % n
-    mph = pows[t[:, None] * shift % n]
-    images = (mph[:, :, None] * y[shift]).reshape(dim, r)  # vec(M_m Y)
-    left, _, right = np.linalg.svd(images.T @ np.conj(pi @ omega))
-    tm = left @ right
-    gathered = (mph[:, :, None, None] * tm.reshape(n, k, r)[shift]).reshape(dim, r, r)
-    nu = float(np.max(np.abs(pows))) * (1.0 + _UNIT_ROUNDOFF)
-    c = 2.0 * _gamma(r + 4)
-    kt, kp = float(_abs_norm(tm)), float(np.max(_abs_norm(pi)))
-    eps = float(np.max(_abs_norm(tm @ pi - gathered))) + c * kt * (kp + nu)
-    eta = float(_abs_norm(tm.conj().T @ tm - np.eye(r))) + c * kt * kt
-    if eta >= 1.0:
-        return math.inf
-    # q^x q^y - q^z q^w is within |q^x q^y - q^(x+y)| + |q^(z+w) - q^z q^w|
-    d = 2.0 * (float(np.max(np.abs(pows[:, None] * pows - pows[np.add.outer(i, i) % n])))
-               * (1.0 + _gamma(2)) + 2.0 * _gamma(2) * nu * nu)
-    sinv, tn = 1.0 / math.sqrt(1.0 - eta), math.sqrt(1.0 + eta)
-    bound = sinv * (d * tn + eps * (2.0 * nu + sinv * (nu * tn + eps)))
-    return (bound + c * kp * (kp + nu)) * (1.0 + _gamma(16))
 
 
 def state_action(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> PositiveForm:

@@ -472,44 +472,21 @@ def _vector_state(alg: gnsmod.FiniteAlgebra, w: np.ndarray) -> np.ndarray:
                      for (s, t) in alg.labels])
 
 
-def _mat_n_route(phi: gnsmod.PositiveForm, alg: gnsmod.FiniteAlgebra,
-                 r: int) -> tuple[np.ndarray, gnsmod.GnsTriplet]:
-    """spec(rho), rho = (1/N) sum_m phi(e_m) M_m^H with M_m = U0^s V0^t, and
-    the matrix-route triplet of phi: M_m (x) I_k on vec(rho^{1/2} W), W the
-    top k = r/N eigenvectors of rho (phi(x) = tr(rho M(x)) on Mat_N)."""
-    n = alg.q.modulus
-    u0, v0 = matrep.clock_shift(alg.q)
-    mats = np.array([np.linalg.matrix_power(u0, s) @ np.linalg.matrix_power(v0, t)
-                     for (s, t) in alg.labels])
-    rho = np.tensordot(phi.values, mats.conj().transpose(0, 2, 1), (0, 0)) / n
-    lam, w = np.linalg.eigh(rho)
-    k = r // n
-    root = np.sqrt(np.maximum(lam[n - k:], 0.0))
-    y = w[:, n - k:] * root  # rho^{1/2} W
-    # the algebra coordinates of the unit vectors E_ic: M(x) y = E_ic
-    basis = np.einsum("mib,cb->mic", mats.conj(), w[:, n - k:].conj().T / root[:, None])
-    pi = np.array([np.kron(m, np.eye(k)) for m in mats])
-    omega = y.reshape(-1)
-    recon = float(np.max(np.abs(phi.values - (pi @ omega) @ np.conj(omega))))
-    return lam, gnsmod.GnsTriplet(n * k, basis.reshape(alg.dim, n * k) / n, pi, omega,
-                                  recon, 0.0, 0.0)
-
-
-def _mat_n_gaps(phi: gnsmod.PositiveForm, alg: gnsmod.FiniteAlgebra,
+def _route_gaps(phi: gnsmod.PositiveForm, alg: gnsmod.FiniteAlgebra,
                 trip: gnsmod.GnsTriplet) -> tuple[float, float]:
-    """The Gram spectrum against N spec(rho), each eigenvalue N times, and
-    the Gram-route triplet against the matrix route: the intertwiner
-    residual, the matrix route's reconstruction and the orthonormality of
-    its basis in the Gram matrix."""
+    """The Gram spectrum against N spec(rho), with rho = Y Y^H read off the
+    triplet's Omega = vec(Y), each eigenvalue N times, and the triplet
+    against the Gram route's, its oracle: the intertwiner residual and the
+    orthonormality of its basis in the Gram matrix."""
     n = alg.q.modulus
     g = gnsmod.gram_matrix(phi, alg)
-    lam, mat = _mat_n_route(phi, alg, trip.quotient_dim)
+    y = trip.omega.reshape(n, -1)
     spec = float(np.max(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-                               - np.sort(np.repeat(n * lam, n)))))
-    _, res = gnsmod.intertwiner(trip, mat, alg)
-    b = mat.basis
-    ortho = float(np.max(np.abs(b.conj().T @ g @ b - np.eye(mat.quotient_dim))))
-    return spec, max(res, mat.recon_residual, ortho)
+                               - np.sort(np.repeat(n * np.linalg.eigvalsh(y @ y.conj().T), n)))))
+    _, res = gnsmod.intertwiner(gnsmod._gram_route(phi, alg, g=g), trip, alg)
+    b = trip.basis
+    ortho = float(np.max(np.abs(b.conj().T @ g @ b - np.eye(trip.quotient_dim))))
+    return spec, max(res, ortho)
 
 
 def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
@@ -536,7 +513,7 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
         recon_worst = max(recon_worst, vt.recon_residual, vt.hom_residual,
                           vt.star_residual)
         for phi, t in ((tr, trip), (vec, vt)):
-            spec, route = _mat_n_gaps(phi, alg, t)
+            spec, route = _route_gaps(phi, alg, t)
             spec_worst, route_worst = max(spec_worst, spec), max(route_worst, route)
 
         for _ in range(3):
@@ -555,7 +532,7 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
     two = gnsmod.PositiveForm(_vector_state(alg3, w1) + _vector_state(alg3, w2))
     t_two = gnsmod.gns_build(two, alg3)
     checks.append(_flag("degenerate_ideal_detection", t_two.quotient_dim == 6))
-    spec, route = _mat_n_gaps(two, alg3, t_two)
+    spec, route = _route_gaps(two, alg3, t_two)
     checks.append(_check("gram_spectrum_is_n_spec_rho", max(spec_worst, spec), 1e-10))
     checks.append(_check("matrix_route_equivalent", max(route_worst, route), 1e-8))
 
@@ -570,7 +547,7 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
 
     vec3 = gnsmod.PositiveForm(_vector_state(alg3, w2))
     t_a = gnsmod.gns_build(vec3, alg3)
-    t_b = gnsmod.gns_build(vec3, alg3, order=list(reversed(range(alg3.dim))))
+    t_b = gnsmod._gram_route(vec3, alg3, order=list(reversed(range(alg3.dim))))
     _, res = gnsmod.intertwiner(t_a, t_b, alg3)
     checks.append(_check("uniqueness_up_to_unitary", res, 1e-8))
 

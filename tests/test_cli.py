@@ -474,8 +474,30 @@ class TestGnsCommands:
         assert doc["hermiticity_residual"] == pytest.approx(0.1)
 
     def test_check_with_a_refused_build_exits_1_with_the_error(self, run, write):
-        # a density form at N = 9 with eigenvalues over 8 decades is
-        # positive, but its GNS triplet fails the homomorphism gate
+        # a density form of the N = 13 clock and shift matrices, with
+        # eigenvalues over 6 decades, restricted to the box of radii 2, 2:
+        # positive, but its GNS triplet reads star 21.5, above the box's
+        # default star gate of ten times the tail
+        q = PhaseQ.rational(2, 13)
+        u0, v0 = clock_shift(q)
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13)))
+        d = u @ np.diag(np.geomspace(1.0, 1e-6, 13)) @ u.conj().T
+        vals = [np.trace(d @ np.linalg.matrix_power(u0, k) @ np.linalg.matrix_power(v0, l))
+                / np.trace(d).real for k in range(-2, 3) for l in range(-2, 3)]
+        alg = write("box.json", {"kind": "truncated_box", "radius_k": 2, "radius_l": 2,
+                                 "q": {"rational": [2, 13]}})
+        form = write("decades.json", {"values": [[v.real, v.imag] for v in vals]})
+        rc, doc, err = run("gns-check", alg, form)
+        assert (rc, err) == (1, "")
+        assert doc["positive"] is True and "separation_ranks" not in doc
+        assert re.search(r"star 2\.151e\+01 \(tol 1\.0e\+01\)$", doc["error"])
+
+    def test_ill_conditioned_quotient_form_builds(self, run, write):
+        # the 8-decade density form at N = 9: the Gram route read
+        # homomorphism 2.3e-9 and star 3.4e-9 there, above the tol 1e-10;
+        # the density matrix route reads rounding, and the Gram route it is
+        # cross-checked against agrees to about u cond(G)
         u0, v0 = clock_shift(PhaseQ.rational(1, 9))
         rng = np.random.default_rng(5)
         u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
@@ -484,10 +506,28 @@ class TestGnsCommands:
                 / np.trace(d).real for s in range(9) for t in range(9)]
         alg = write("alg9.json", {"kind": "torus_quotient", "q": {"rational": [1, 9]}})
         form = write("decades.json", {"values": [[v.real, v.imag] for v in vals]})
+        rc, doc, err = run("gns-build", alg, form)
+        assert (rc, err) == (0, "")
+        assert doc["quotient_dim"] == 81
+        assert max(doc["recon_residual"], doc["hom_residual"], doc["star_residual"]) < 1e-14
+        assert doc["uniqueness_residual"] < 1e-7
         rc, doc, err = run("gns-check", alg, form)
-        assert (rc, err) == (1, "")
-        assert doc["positive"] is True and "separation_ranks" not in doc
-        assert re.search(r"homomorphism \S+ \(tol 1\.0e-10\)", doc["error"])
+        assert (rc, err, doc["separation_ranks"]) == (0, "", [81, 81])
+
+    def test_check_transports_by_u(self, run, alg_file, trace_file, monkeypatch):
+        # phi_U(g) = phi(U* g U) is positive; a state_action that drops the
+        # star, phi(U g U), is not, and the field must say so
+        rc, doc, _ = run("gns-check", alg_file, trace_file)
+        assert (rc, doc["transported_positive"]) == (0, True)
+        from nctorus import gns
+
+        def no_star(phi, f, a):
+            return gns.PositiveForm([phi(a.mul(a.mul(f, a.basis_vector(j)), f))
+                                     for j in range(a.dim)])
+
+        monkeypatch.setattr(gns, "state_action", no_star)
+        rc, doc, _ = run("gns-check", alg_file, trace_file)
+        assert (rc, doc["transported_positive"]) == (0, False)
 
     def test_truncated_box_algebra(self, run, write):
         # box labels run lexicographically, so the unit (0,0) is slot 4
@@ -511,12 +551,12 @@ class TestSuiteCommand:
         assert json.loads(out.read_text()) == doc
 
     def test_raising_criterion_is_a_failed_check(self, run, monkeypatch):
-        # a negated Gram matrix makes criterion 11's gns_build raise; the
-        # exception is that criterion's one failing check, and the other
-        # twelve still run and pass
+        # a negated density matrix makes criterion 11's gns_build raise;
+        # the exception is that criterion's one failing check, and the
+        # other twelve still run and pass
         from nctorus import gns
-        gram = gns.gram_matrix
-        monkeypatch.setattr(gns, "gram_matrix", lambda *args: -gram(*args))
+        density = gns._density
+        monkeypatch.setattr(gns, "_density", lambda *args: -density(*args))
         rc, doc, err = run("suite")
         assert (rc, err) == (1, "")
         failed = [c for c in doc["criteria"] if not c["pass"]]
