@@ -339,20 +339,26 @@ def test_rho_route_mutation_fails_a_gate(monkeypatch, mutation):
             assert getattr(mutant.gns_build(phi, a, tol=10.0), field) > 1e-3
 
 
-def test_tight_tols_are_judged_on_the_full_residual():
-    # the verdict is the dense check's at any tol: the 3-decade density
-    # form at N = 9 builds at tol 1e-12 and the trace form at N = 6 at
-    # 1e-14, each with its homomorphism field the dense residual; at N = 9
-    # that is read on a rank-9 form, as the field depends on q alone
-    a9 = torus_quotient(PhaseQ.rational(1, 9))
-    t = gns_build(decades_form(a9, 3), a9, tol=1e-12)
+def test_certificate_above_tol_falls_back_to_the_full_check():
+    # the 3-decade density form at N = 9 builds at tol 1e-12: the verdict
+    # is the full check's, whose homomorphism field is the dense residual.
+    # That is read on a rank-9 vector form, as the field depends on q alone
+    a = torus_quotient(PhaseQ.rational(1, 9))
+    t = gns_build(decades_form(a, 3), a, tol=1e-12)
+    assert t.quotient_dim == 81 and t.hom_residual < 1e-12
     w = random_vector(np.random.default_rng(9), 9)
-    low = gns_build(vector_form(a9, w / np.linalg.norm(w)), a9, tol=1e-12)
-    a6 = torus_quotient(PhaseQ.rational(1, 6))
-    t6 = gns_build(trace_form(a6), a6, tol=1e-14)
-    for a, trip, field in ((a9, low, t.hom_residual), (a6, t6, t6.hom_residual)):
-        assert abs(field - dense_residuals(a, trip.pi_mats)[0]) <= 4 * UNIT_ROUNDOFF
+    low = gns_build(vector_form(a, w / np.linalg.norm(w)), a, tol=1e-12)
+    assert abs(low.hom_residual - dense_residuals(a, low.pi_mats)[0]) <= 4 * UNIT_ROUNDOFF
     assert t.hom_residual == low.hom_residual
+
+
+def test_tight_tol_falls_back_to_the_full_check():
+    # the trace form at N = 6 builds at tol 1e-14, its homomorphism field
+    # the dense residual of the returned pi_mats
+    a = torus_quotient(PhaseQ.rational(1, 6))
+    t = gns_build(trace_form(a), a, tol=1e-14)
+    assert t.quotient_dim == 36 and t.hom_residual < 1e-14
+    assert abs(t.hom_residual - dense_residuals(a, t.pi_mats)[0]) <= 4 * UNIT_ROUNDOFF
 
 
 def test_quotient_build_forms_no_dim_by_dim_matrix(monkeypatch):
