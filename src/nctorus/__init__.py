@@ -20,9 +20,8 @@ _EXPORTS = {
     "lattice": "CoeffLattice2 FormatError MismatchError PhaseQ "
                "retruncate seminorm to_primed",
     "matrep": "CircleSpec center_scalar_residual circle_check_relations "
-              "circle_eval clock_shift covariance_residual equivariance_check "
-              "eval_section fiber_grid homomorphism_residual opnorm "
-              "section_family star_residual",
+              "circle_eval clock_shift covariance_residual eval_section "
+              "fiber_grid homomorphism_residual opnorm star_residual",
     "suite": "run_criterion run_suite",
     "symbols": "CRat HbarSeries PolySymbol "
                "associativity_defect half_moyal moyal_star "

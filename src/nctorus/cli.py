@@ -388,27 +388,35 @@ def _cmd_torus_check_derivation(args) -> tuple[dict, bool]:
 def _cmd_matrep_eval(args) -> tuple[dict, bool]:
     from . import matrep
     f = _read_element(args.inputs[0], args.q)
-    try:
-        # checks q (rational, modulus within the limit) before allocating
-        family = matrep.section_family(f)
+    try:  # rational, modulus within the limit, before allocating
+        n = matrep._require_rational(f.q)
     except ValueError as exc:
         raise FormatError(f"field 'q': {exc}") from exc
     try:
         mat = matrep.eval_section(f, args.u, args.v)
     except ValueError as exc:
         raise FormatError(f"flags '--u/--v': {exc}") from exc
-    eq_ok, eq_bad = matrep.equivariance_check(family, f.q)
+    # equivariance: the words of the matrix are f's class sums
+    # W[s, t] = Sum_{k = s, l = t mod N} f_{k,l} u^k v^l, up to max |W|
+    fc = f.coeffs
+    k, l = fc.k_range(), fc.l_range()
+    want = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(want, ((k % n)[:, None], (l % n)[None, :]),
+              fc.coeffs * np.outer(np.power(args.u, k), np.power(args.v, l)))
+    gaps = (np.abs(matrep.matrices_to_words(mat, f.q) - want)
+            / max(float(np.max(np.abs(want))), 1e-300))
+    eq_gap, eq_bad = float(np.max(gaps)), np.argwhere(~(gaps <= args.tol))
     grid = matrep.fiber_grid(16)
     cov = max(matrep.covariance_residual(f, args.u, args.v, 1, 1),
               matrep.covariance_residual(f, args.u, args.v, 0, 1))
     out = {
-        "n": f.q.modulus,
+        "n": n,
         "u": args.u,
         "v": args.v,
         "matrix": mat,
         "opnorm": matrep.opnorm(mat),
-        "equivariance_ok": eq_ok,
-        "equivariance_violation": list(eq_bad) if eq_bad else None,
+        "equivariance_ok": not eq_bad.size,
+        "equivariance_violation": eq_bad[0].tolist() if eq_bad.size else None,
         "covariance_residual": cov,
         "center_residual": matrep.center_scalar_residual(f, grid),
     }
@@ -425,8 +433,8 @@ def _cmd_matrep_eval(args) -> tuple[dict, bool]:
             failures["star_residual"] = star
     if cov > args.tol:
         failures["covariance_residual"] = cov
-    if not eq_ok:
-        failures["equivariance"] = 1.0
+    if eq_bad.size:
+        failures["equivariance"] = eq_gap
     if failures:
         out["failures"] = failures
     return out, not failures

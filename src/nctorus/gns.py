@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import PhaseQ, is_number
+from .matrep import matrices_to_words, words_to_matrices
 
 __all__ = [
     "FiniteAlgebra",
@@ -172,7 +173,8 @@ def _closed_tables(a: FiniteAlgebra) -> tuple:
     a's labels, unit index, lmats and starmat are the constructor's, bit
     for bit.  The size is compared first, so a q or labels that claim a
     larger algebra build nothing; then one gather of dim^2 entries and one
-    count of lmats' nonzeros, with no dim^3 temporary."""
+    count of the nonzero parts of lmats, read as float64 pairs, with no
+    dim^3 temporary."""
     differ = ValueError(f"structure tables differ from those of {a.kind}")
     if a.kind == "torus_quotient":
         radii, size = None, a.q.modulus ** 2
@@ -188,9 +190,12 @@ def _closed_tables(a: FiniteAlgebra) -> tuple:
             and a.lmats.shape + a.starmat.shape == (len(k),) * 5
             and np.array_equal(a.lmats[i[:, None], target, i], phase)
             and np.array_equal(a.starmat[i, star_target], star_phase)
-            # the gathered entries match, so equal counts leave no other nonzero
-            and np.count_nonzero(a.lmats) + np.count_nonzero(a.starmat)
-            == np.count_nonzero(phase) + np.count_nonzero(star_phase)):
+            # the gathered entries match, so equal counts of nonzero real and
+            # imaginary parts leave no other nonzero; +-0 count as zero
+            and sum(np.count_nonzero(np.ascontiguousarray(x, np.complex128).view(np.float64))
+                    for x in (a.lmats, a.starmat))
+            == np.count_nonzero(phase.view(np.float64))
+            + np.count_nonzero(star_phase.view(np.float64))):
         raise differ
     return target, phase, star_target, star_phase
 
@@ -250,8 +255,9 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
     eigenvalues are N spec(rho), each N times; every entry of G - G^H is
     phi(x) - conj(phi(x*)) for a monomial x of modulus one, so its largest
     is the star residual; and the witness is the f with M(f) = e_0 v^H, v
-    the eigenvector of rho's hermitian (or skew) part, so phi(f* f) =
-    v^H rho v.  There the answer depends on q and phi alone.
+    the eigenvector of rho's hermitian (or skew) part, read back through
+    matrep.matrices_to_words, so phi(f* f) = v^H rho v.  There the answer
+    depends on q and phi alone.
     """
     return _positivity(phi, a, tol)[0]
 
@@ -274,9 +280,9 @@ def _positivity(phi: PositiveForm, a: FiniteAlgebra, tol: float) -> tuple:
     if witness is None and herm > tol:  # Im phi(f* f) is the skew part's eigenvalue at f
         ws, vs = np.linalg.eigh((m - m.conj().T) / 2j)
         witness = vs[:, np.argmax(np.abs(ws))].copy()
-    if quotient and witness is not None:  # f_m = (1/N) conj((M_m v)_0)
-        shift, mph = _clock_shift_rows(a.q)
-        witness = np.conj(mph[:, 0] * witness[shift[:, 0]]) / a.q.modulus
+    if quotient and witness is not None:  # the f with M(f) = e_0 v^H
+        witness = matrices_to_words(np.outer(np.eye(a.q.modulus)[0], np.conj(witness)),
+                                    a.q).ravel()
     return PositivityReport(witness is None, lo, witness, herm, star_res), m, lam, vecs
 
 
@@ -284,14 +290,12 @@ def _density(values: np.ndarray, q: PhaseQ) -> np.ndarray:
     """The density matrix of a form on torus_quotient(q).
 
     U^s V^t -> M_m = U0^s V0^t (U0 the cyclic shift, V0 = diag(q^i)) maps
-    the quotient onto Mat_N (Schwinger, PNAS 46, 1960; Davidson,
+    the quotient onto Mat_N (matrep.words_to_matrices; Davidson,
     C*-Algebras by Example, 1996, ch. VI), and tr(M_m^H M_j) = N delta_mj.
-    So phi(x) = tr(rho M(x)) with rho = (1/N) sum_m phi(e_m) M_m^H, that is
-    rho[j, i] = (1/N) sum_t phi(U^{(j - i) mod N} V^t) q^{-tj}: one N x N
-    product and a gather."""
-    n, i = q.modulus, np.arange(q.modulus)
-    f = values.reshape(n, n) @ np.conj(q.pow(np.outer(i, i)))
-    return f[(i[:, None] - i) % n, i[:, None]] / n
+    So phi(x) = tr(rho M(x)) with rho = (1/N) sum_m phi(e_m) M_m^H, the
+    conjugate transpose of that map at the words conj(phi(e_m)), over N."""
+    n = q.modulus
+    return np.conj(words_to_matrices(np.conj(values).reshape(n, n), q)).T / n
 
 
 def _clock_shift_rows(q: PhaseQ) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,6 @@ from .torus import TorusElement
 __all__ = [
     "clock_shift",
     "eval_section",
-    "section_family",
-    "equivariance_check",
     "covariance_residual",
     "fiber_grid",
     "homomorphism_residual",
@@ -81,13 +79,38 @@ def _require_unit(name: str, w: np.ndarray) -> None:
         raise ValueError(f"{name} must be unit modulus, got |{name}|={got!r}")
 
 
+def words_to_matrices(w: np.ndarray, q: PhaseQ) -> np.ndarray:
+    """Sum_{s,t} w[..., s, t] U0^s V0^t for a (..., N, N) stack of words.
+
+    U0^s V0^t has q^{t col} at (row, col) with col = (row + s) mod N, so the
+    value at (row, col) is Sum_t w[..., (col - row) mod N, t] q^{t col}: one
+    product with the phase table q^{s t}, then a gather.  For rational q
+    this is the isomorphism U^s V^t -> U0^s V0^t of the quotient U^N = V^N
+    = 1 onto Mat_N (Schwinger, PNAS 46, 1960).
+    """
+    n, idx = q.modulus, np.arange(q.modulus)
+    x = w @ q.pow(np.outer(idx, idx))
+    return x[..., (idx[None, :] - idx[:, None]) % n, idx[None, :]]
+
+
+def matrices_to_words(x: np.ndarray, q: PhaseQ) -> np.ndarray:
+    """The inverse of words_to_matrices: w[..., s, t] = (1/N) tr((U0^s
+    V0^t)^H x), since tr((U0^s V0^t)^H U0^a V0^b) = N delta_sa delta_tb.
+
+    The same gather takes the diagonal col - row = s of x to row s, and one
+    product with the conjugate phase table sums it against q^{-t col}.
+    """
+    n, idx = q.modulus, np.arange(q.modulus)
+    y = x[..., (idx[None, :] - idx[:, None]) % n, idx[None, :]]
+    return y @ np.conj(q.pow(np.outer(idx, idx))) / n
+
+
 def _sections(f: TorusElement, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """eval_section of f at every fiber (us[p], vs[p]), as a (fibers, N, N) stack.
 
-    Coefficients are binned by word (a, b) = (k mod N, l mod N), giving
-    W[p, a, b] = Sum f_{k,l} u_p^k v_p^l from one (fibers x support) array.
-    U0^a V0^b has q^{b col} at (row, col) with col = (row + a) mod N, so
-    the value at (row, col) is Sum_b W[p, (col - row) mod N, b] q^{b col}.
+    Coefficients are binned by word (s, t) = (k mod N, l mod N), giving
+    W[p, s, t] = Sum f_{k,l} u_p^k v_p^l from one (fibers x support) array,
+    and words_to_matrices maps each W[p] into Mat_N.
     """
     n = _require_rational(f.q)
     _require_unit("u", us)
@@ -99,10 +122,7 @@ def _sections(f: TorusElement, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
              * np.power(vs[:, None], fc.l_range()[None, :])[:, li])
     w = np.zeros((us.size, n * n), dtype=np.complex128)
     np.add.at(w, (slice(None), (ks % n) * n + ls % n), phase * fc.coeffs[ki, li])
-    w = w.reshape(-1, n, n)
-    idx = np.arange(n)
-    x = w @ f.q.pow(np.outer(idx, idx))
-    return x[:, (idx[None, :] - idx[:, None]) % n, idx[None, :]]
+    return words_to_matrices(w.reshape(-1, n, n), f.q)
 
 
 def _grid_arrays(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -114,34 +134,6 @@ def eval_section(f: TorusElement, u: complex, v: complex) -> np.ndarray:
     """Sum f_{k,l} u^k v^l U0^{k mod N} V0^{l mod N}: one fiber of _sections."""
     return _sections(f, np.array([u], dtype=np.complex128),
                      np.array([v], dtype=np.complex128))[0]
-
-
-def section_family(f: TorusElement) -> dict[tuple[int, int, int, int], complex]:
-    """Indexed family c_{k,l,s,t} of the re-expanded section of f.
-
-    The (u,v)-expansion of eval_section puts f_{k,l} at matrix word
-    (s,t) = (k mod N, l mod N); every other (s,t) coefficient is zero.
-    """
-    n = _require_rational(f.q)
-    fam: dict[tuple[int, int, int, int], complex] = {}
-    for k, l, c in f.coeffs.support():
-        fam[(k, l, k % n, l % n)] = c
-    return fam
-
-
-def equivariance_check(family: dict[tuple[int, int, int, int], complex],
-                       q: PhaseQ) -> tuple[bool, tuple[int, int, int, int] | None]:
-    """ok iff every nonzero c_{k,l,s,t} has k = s and l = t mod N."""
-    n = _require_rational(q)
-    for key in sorted(family):
-        if family[key] == 0:
-            continue
-        k, l, s, t = key
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError(f"word indices out of range at {key}")
-        if (k - s) % n != 0 or (l - t) % n != 0:
-            return False, key
-    return True, None
 
 
 def covariance_residual(f: TorusElement, u: complex, v: complex,

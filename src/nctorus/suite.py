@@ -189,9 +189,11 @@ def _c5_circle(seed: int) -> tuple[list[dict], list[dict]]:
         res = matrep.circle_check_relations(spec, samples)
         checks.append(_check(f"relations_N{n}_a{a}_b{b}", res, 1e-12))
     one = matrep.CircleSpec(1, 0, 1, 0, PhaseQ.rational(0, 1))
+    # at N = 1 the fibers are 1 x 1, so Z (2 + Z^2) = 2 Z + Z^3 tests the Z powers
     x = matrep.circle_eval({(1, 0, 0): 1.0}, one, samples[0])
     y = matrep.circle_eval({(0, 0, 0): 2.0, (2, 0, 0): 1.0}, one, samples[0])
-    checks.append(_check("N1_commutative", float(np.max(np.abs(x @ y - y @ x))), 1e-12))
+    xy = matrep.circle_eval({(1, 0, 0): 2.0, (3, 0, 0): 1.0}, one, samples[0])
+    checks.append(_check("N1_homomorphism", float(np.max(np.abs(x @ y - xy))), 1e-12))
     return checks, []
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nctorus import suite
+from nctorus import matrep, suite
 
 from conftest import CRITERION_LINES
 
@@ -61,6 +61,17 @@ def test_criterion_04_matrix_realization():
 
 def test_criterion_05_noncommutative_circle():
     run_and_record(5)
+
+
+def test_criterion_05_fails_on_a_wrong_z_power(monkeypatch):
+    # N = 1 fibers are 1 x 1 and commute whatever circle_eval computes, so
+    # the check compares Z (2 + Z^2) with the evaluation of 2 Z + Z^3
+    right = matrep.circle_eval
+    monkeypatch.setattr(matrep, "circle_eval", lambda coeffs, spec, z: right(
+        {(j + 1, s, t): c for (j, s, t), c in coeffs.items()}, spec, z))
+    report = suite.run_criterion(5, SEED)
+    assert not report["pass"]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["N1_homomorphism"]
 
 
 def test_criterion_06_weyl_relations():

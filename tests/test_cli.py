@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nctorus
-from nctorus import cli, grids, suite, weyl
+from nctorus import cli, grids, matrep, suite, weyl
 from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
                            grid2d_to_obj)
 from nctorus.lattice import (MAX_TWIST_MODULUS, CoeffLattice2, PhaseQ, lattice_to_obj,
@@ -243,6 +243,40 @@ class TestMatrixCommands:
         rc, _, err = run("matrep-eval", u_file, "--q", '{"theta": 0.5}')
         assert rc == 2
         assert "rational" in err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda w, q: (np.swapaxes(w, -1, -2), q),
+        lambda w, q: (w, PhaseQ.rational(-q.p, q.modulus)),
+    ], ids=["transposed-words", "conjugate-q"])
+    def test_matrep_equivariance_reads_the_matrix(self, run, write, monkeypatch, mutate):
+        # a forward map that misplaces words or conjugates q flips the field
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        f = write("f.json", {"radius_k": 2, "radius_l": 2,
+                             "coeffs": [[z.real, z.imag] for z in c.ravel()]})
+        argv = ("matrep-eval", f, "--q", '{"rational": [2, 7]}', "--u", "0.6,0.8")
+        rc, doc, _ = run(*argv)
+        assert rc == 0 and doc["equivariance_ok"] is True
+        assert doc["equivariance_violation"] is None
+        forward = matrep.words_to_matrices
+        monkeypatch.setattr(matrep, "words_to_matrices", lambda w, q: forward(*mutate(w, q)))
+        rc, doc, _ = run(*argv)
+        assert rc == 1 and doc["equivariance_ok"] is False
+        s, t = doc["equivariance_violation"]
+        assert 0 <= s < 7 and 0 <= t < 7
+        assert doc["failures"]["equivariance"] > 1e-10
+
+    def test_matrep_equivariance_is_relative(self, run, write):
+        # coefficients of size 1e7 leave words off by about 1e-9 in absolute
+        # terms; the gap is taken relative to the largest class sum
+        rng = np.random.default_rng(6)
+        c = 1e7 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+        f = write("big.json", {"radius_k": 3, "radius_l": 3,
+                               "coeffs": [[z.real, z.imag] for z in c.ravel()]})
+        _, doc, _ = run("matrep-eval", f, "--q", '{"rational": [1, 5]}',
+                        "--u", "0.6,0.8", "--v", "0,1")
+        assert doc["equivariance_ok"] is True and doc["equivariance_violation"] is None
+        assert "equivariance" not in doc.get("failures", {})
 
     def test_matrep_homomorphism_pair(self, run, u_file, v_file):
         rc, doc, _ = run("matrep-eval", u_file, v_file, "--q", Q14)
@@ -1142,9 +1176,8 @@ class TestOperationCoverage:
                            "retruncate", "trace", "l2_state"),
         "torus-derive": ("apply_derivation", "d_power", "inner_derivation"),
         "torus-check-derivation": ("check_derivation_relation",),
-        "matrep-eval": ("eval_section", "clock_shift", "opnorm", "section_family",
-                        "equivariance_check", "covariance_residual", "fiber_grid",
-                        "homomorphism_residual", "star_residual",
+        "matrep-eval": ("eval_section", "clock_shift", "opnorm", "covariance_residual",
+                        "fiber_grid", "homomorphism_residual", "star_residual",
                         "center_scalar_residual"),
         "circle-check": ("circle_eval", "circle_check_relations"),
         "weyl-check": ("apply_Q", "apply_P", "weyl_Q", "weyl_P"),

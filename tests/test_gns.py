@@ -411,9 +411,23 @@ def wrong_target(a: FiniteAlgebra) -> FiniteAlgebra:
     return dataclasses.replace(a, lmats=lm)
 
 
+def off_table(value: complex):
+    """A corruption that writes value into lmats at (1, t, 0), an entry no
+    product reaches (t is not the target of e_1 e_0), so only the count of
+    nonzero parts can see it."""
+    def corrupt(a: FiniteAlgebra) -> FiniteAlgebra:
+        target, *_ = gns._closed_tables(a)
+        lm = a.lmats.copy()
+        lm[1, (target[1, 0] + 1) % a.dim, 0] = value
+        return dataclasses.replace(a, lmats=lm)
+    return corrupt
+
+
 CORRUPTIONS = {
     "sign-flipped phase": flip_phase,
     "wrong target": wrong_target,
+    "NaN off the table": off_table(complex(math.nan, 0.0)),
+    "tiny imaginary part off the table": off_table(1e-300j),
     "reversed labels": lambda a: dataclasses.replace(a, labels=a.labels[::-1]),
     # the quotient's unit is e_0, so there it moves to e_1
     "unit index 0": lambda a: dataclasses.replace(a, unit_index=int(a.unit_index == 0)),
@@ -444,6 +458,18 @@ def test_sign_flipped_structure_phase_is_refused(a):
     assert is_positive(trace_form(bad), bad).ok
     with pytest.raises(ValueError, match="structure tables differ"):
         gns_build(trace_form(bad), bad)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS.values(), ids=ALGEBRAS.keys())
+def test_signed_zeros_in_the_tables_are_accepted(a):
+    # +0 and -0 compare equal, and the count reads each part's value
+    bad = dataclasses.replace(off_table(complex(-0.0, -0.0))(a), starmat=a.starmat.copy())
+    target, phase, star_target, _ = gns._closed_tables(a)
+    bad.lmats[1, target[1, 0], 0] = complex(phase[1, 0].real, -0.0)
+    bad.starmat[0, (star_target[0] + 1) % a.dim] = -0.0
+    assert np.signbit(bad.lmats.imag).any() and np.signbit(bad.starmat.real).any()
+    gns._closed_tables(bad)
+    assert gns_build(trace_form(bad), bad).quotient_dim == a.dim
 
 
 @pytest.mark.parametrize("claim", ["quotient modulus 65537", "box label radius 10^6"])

@@ -7,9 +7,9 @@ import pytest
 from nctorus.lattice import CoeffLattice2, PhaseQ
 from nctorus.matrep import (CIRCLE_SAMPLES, MAX_MODULUS, CircleSpec, center_scalar_residual,
                             circle_check_relations, circle_eval, clock_shift,
-                            covariance_residual, equivariance_check,
-                            eval_section, fiber_grid, homomorphism_residual,
-                            opnorm, section_family, star_residual)
+                            covariance_residual, eval_section, fiber_grid,
+                            homomorphism_residual, matrices_to_words, opnorm,
+                            star_residual, words_to_matrices)
 from nctorus.torus import TorusElement, adjoint, monomial, q_mul
 
 Q5 = PhaseQ.rational(1, 5)
@@ -167,24 +167,40 @@ class TestCenterAndCovariance:
             assert covariance_residual(f, u_pt, v_pt, m, n_shift) < 1e-12
 
 
-class TestSectionFamily:
-    def test_family_indices(self):
-        f = elem({(6, -1): 2.0})
-        fam = section_family(f)
-        # matrix word index is the lattice index reduced mod N
-        assert fam == {(6, -1, 1, 4): 2.0}
+WORD_TWISTS = [(0, 1), (1, 2), (2, 3), (2, 5), (3, 7), (5, 64)]
 
-    def test_equivariance_accepts_canonical(self):
-        f = elem({(1, 0): 1.0, (7, 3): 2j, (-2, 1): 0.5})
-        ok, witness = equivariance_check(section_family(f), Q5)
-        assert ok and witness is None
 
-    def test_equivariance_flags_misplaced_word(self):
-        fam = section_family(elem({(1, 0): 1.0}))
-        fam[(2, 0, 1, 0)] = 1.0  # k=2 must sit at word s=2, not s=1
-        ok, witness = equivariance_check(fam, Q5)
-        assert not ok
-        assert witness == (2, 0, 1, 0)
+class TestWordMap:
+    @pytest.mark.parametrize("p,n", WORD_TWISTS)
+    def test_unit_words_are_clock_shift_products(self, p, n):
+        # against clock_shift's matrix powers; at N = 64 a sample of words
+        q = PhaseQ.rational(p, n)
+        u0, v0 = clock_shift(q)
+        words = ([(s, t) for s in range(n) for t in range(n)] if n <= 7
+                 else [(0, 0), (1, 0), (0, 1), (5, 63), (63, 17), (31, 32)])
+        for s, t in words:
+            w = np.zeros((n, n), dtype=np.complex128)
+            w[s, t] = 1.0
+            want = np.linalg.matrix_power(u0, s) @ np.linalg.matrix_power(v0, t)
+            assert np.max(np.abs(words_to_matrices(w, q) - want)) < 1e-13, (s, t)
+
+    @pytest.mark.parametrize("p,n", WORD_TWISTS)
+    def test_round_trip_recovers_random_stacks(self, p, n):
+        q = PhaseQ.rational(p, n)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, 2, n, n)) + 1j * rng.normal(size=(3, 2, n, n))
+        assert np.max(np.abs(words_to_matrices(matrices_to_words(x, q), q) - x)) < 1e-13
+        assert np.max(np.abs(matrices_to_words(words_to_matrices(x, q), q) - x)) < 1e-13
+
+    def test_section_words_are_the_class_sums(self):
+        # f_{k,l} u^k v^l lands at word (k mod N, l mod N), summed per class
+        f = elem({(1, 0): 1.0, (6, 0): 2j, (7, 3): 0.5, (-3, -2): -1.0})
+        u_pt, v_pt = fiber_grid(4)[6]
+        want = np.zeros((5, 5), dtype=np.complex128)
+        want[1, 0] = u_pt + 2j * u_pt ** 6
+        want[2, 3] = 0.5 * u_pt ** 7 * v_pt ** 3 - u_pt ** -3 * v_pt ** -2
+        got = matrices_to_words(eval_section(f, u_pt, v_pt), Q5)
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestFiberGrid:
