@@ -420,19 +420,20 @@ def _cmd_matrep_eval(args) -> tuple[dict, bool]:
         "covariance_residual": cov,
         "center_residual": matrep.center_scalar_residual(f, grid),
     }
-    failures = {}
+    # each residual against --tol times the coefficient l1 norms, which
+    # bound the norm of every unit-modulus fiber it compares
+    l1 = float(np.sum(np.abs(fc.coeffs)))
+    gates = []
     if len(args.inputs) > 1:
         g = _read_element(args.inputs[1], args.q, (args.inputs[0], f))
         hom = matrep.homomorphism_residual(f, g, q_mul(f, g), grid)
         star = matrep.star_residual(f, adjoint(f), grid)
         out["homomorphism_residual"] = hom
         out["star_residual"] = star
-        if hom > args.tol:
-            failures["homomorphism_residual"] = hom
-        if star > args.tol:
-            failures["star_residual"] = star
-    if cov > args.tol:
-        failures["covariance_residual"] = cov
+        gates += [("homomorphism_residual", hom, l1 * float(np.sum(np.abs(g.coeffs.coeffs)))),
+                  ("star_residual", star, l1)]
+    gates.append(("covariance_residual", cov, l1))
+    failures = {name: res / scale for name, res, scale in gates if res > args.tol * scale}
     if eq_bad.size:
         failures["equivariance"] = eq_gap
     if failures:
@@ -685,9 +686,8 @@ def _cmd_gns_build(args) -> tuple[dict, bool]:
     if trip.quotient_dim > 0 and gen_u and gen_v:
         out["pi_u"] = trip.pi_mats[a.index_of(gen_u)]
         out["pi_v"] = trip.pi_mats[a.index_of(gen_v)]
-    if trip.quotient_dim > 0:  # against the Gram route in reversed order
-        other = gnsmod._gram_route(phi, a, order=list(reversed(range(a.dim))))
-        _, res = gnsmod.intertwiner(trip, other, a)
+    if trip.quotient_dim > 0 and a.kind == "torus_quotient":  # rho route against Gram route
+        _, res = gnsmod.intertwiner(trip, gnsmod._gram_route(phi, a), a)
         out["uniqueness_residual"] = res
     return out, True
 
@@ -793,7 +793,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_phase, default=None)
     sp.add_argument("--u", type=_point, default="1,0", help="fiber point 're,im'")
     sp.add_argument("--v", type=_point, default="1,0", help="fiber point 're,im'")
-    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10)
+    sp.add_argument("--tol", type=_NON_NEGATIVE, default=1e-10,
+                    help="relative gate: covariance and star residuals over ||f||_1, "
+                    "homomorphism over ||f||_1 ||g||_1 (coefficient l1 norms), "
+                    "equivariance gaps over the largest class sum")
 
     sp = add("circle-check", "verify the circle-fibered relations for a spec", _cmd_circle_check)
     sp.add_argument("input")

@@ -13,13 +13,14 @@ and positive semidefinite; its kernel is the null ideal.  On the quotient
 both the test and the triplet come from the form's N x N density matrix
 rho, phi(x) = tr(rho M(x)) under the Mat_N isomorphism M: the space is
 Mat_N rho^{1/2} and pi is left multiplication, so no dim x dim matrix is
-formed.  On the box the quotient by the Gram kernel gets a twice-projected
-classical Gram-Schmidt basis in declared order (determinism), and basis
-elements become compressed left-multiplication matrices; that route also
-serves as the quotient's oracle.  gns_build takes the structure tables in
-closed form from the constructors and refuses an algebra whose labels,
-unit index or tables are not, bit for bit, those that torus_quotient or
-truncated_box builds.
+formed.  On the box the triplet comes from the eigenpairs of G's hermitian
+part, which the positivity test computes: the eigenvectors above the rank
+cut, scaled to unit Gram norm, span the quotient by the Gram kernel, and
+basis elements become compressed left-multiplication matrices; that route
+also serves as the quotient's oracle.  gns_build takes the structure
+tables in closed form from the constructors and refuses an algebra whose
+labels, unit index or tables are not, bit for bit, those that
+torus_quotient or truncated_box builds.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ __all__ = [
 # quotient needs pi kept as its N x N factor.
 MAX_ALGEBRA_DIM = 81
 
-# Gram-Schmidt drops a vector whose remaining Gram norm is at most this
-# fraction of the largest diagonal Gram entry, and the quotient's rho
-# route an eigenvalue whose Gram eigenvalue is (see gns_build)
+# Both routes drop a Gram eigenvalue at most this fraction of |phi(1)|,
+# which is |G_ii| for every i on either kind (see gns_build)
 _RANK_CUT = 1e-9
 
 
@@ -263,8 +263,8 @@ def is_positive(phi: PositiveForm, a: FiniteAlgebra,
 
 
 def _positivity(phi: PositiveForm, a: FiniteAlgebra, tol: float) -> tuple:
-    """is_positive's report, the matrix it tested (rho on the quotient, G on
-    the box) and the eigenpairs of that matrix's hermitian part."""
+    """is_positive's report and the eigenpairs of the hermitian part of the
+    matrix it tested (rho on the quotient, G on the box)."""
     if len(phi.values) != a.dim:
         raise ValueError(f"form has {len(phi.values)} values, algebra dim {a.dim}")
     star_res = float(np.max(np.abs(a.starmat @ phi.values - np.conj(phi.values))))
@@ -283,7 +283,7 @@ def _positivity(phi: PositiveForm, a: FiniteAlgebra, tol: float) -> tuple:
     if quotient and witness is not None:  # the f with M(f) = e_0 v^H
         witness = matrices_to_words(np.outer(np.eye(a.q.modulus)[0], np.conj(witness)),
                                     a.q).ravel()
-    return PositivityReport(witness is None, lo, witness, herm, star_res), m, lam, vecs
+    return PositivityReport(witness is None, lo, witness, herm, star_res), lam, vecs
 
 
 def _density(values: np.ndarray, q: PhaseQ) -> np.ndarray:
@@ -322,9 +322,11 @@ class GnsTriplet:
     pi_mats is that Kronecker product entry for entry, so these are its
     own residuals (for k = 0, the factor's).
     On truncated_box, whose products are cut back to the box, the space
-    comes from Gram-Schmidt on the Gram matrix, and hom_residual is that
+    comes from the Gram matrix's eigenpairs, and hom_residual is that
     maximum over the left factors U^{+-1}, V^{+-1} only, a measurement of
-    the truncation."""
+    the truncation.  There hom_residual and star_residual are largest
+    entries in the returned basis, so another orthonormal basis of the same
+    space reads other values."""
 
     quotient_dim: int
     basis: np.ndarray = field(repr=False)  # columns: orthonormal coords in A
@@ -355,17 +357,17 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None) -> 
     = vec(Y), pi(e_m) = M_m (x) I_k, and basis column (a, b) is the x with
     M(x) Y = E_ab, coordinates (1/N) lambda_b^{-1/2} conj((M_m w_b)_a).  An
     eigenvalue is kept when N lambda, the Gram eigenvalue it carries,
-    exceeds _RANK_CUT phi(1), the cut Gram-Schmidt applies to its pivots
-    (phi(1) is every diagonal Gram entry).  Reconstruction is read from the
-    orbit vec(M_m Y), and homomorphism and star on the monomial factor M_m,
-    which are pi's residuals entry for entry; the cost is O(N^5 + dim r),
-    plus the dense dim r^2 pi_mats.
+    exceeds _RANK_CUT |phi(1)|, the cut the box applies to G's eigenvalues.
+    Reconstruction is read from the orbit vec(M_m Y), and homomorphism and
+    star on the monomial factor M_m, which are pi's residuals entry for
+    entry; the cost is O(N^5 + dim r), plus the dense dim r^2 pi_mats.
 
-    On truncated_box the triplet comes from Gram-Schmidt on the Gram
-    matrix (_gram_route), and the homomorphism field is only reported.
+    On truncated_box the triplet comes from the eigenpairs of G's
+    hermitian part that the positivity test computed (_gram_route), and
+    the homomorphism field is only reported.
     """
     tables = _closed_tables(a)
-    rep, m, lam, vecs = _positivity(phi, a, 1e-10)
+    rep, lam, vecs = _positivity(phi, a, 1e-10)
     if not rep.ok:  # name the gate the witness shows, as is_positive picks it
         raise ValueError("form is not positive: " + (
             f"min eigenvalue {rep.min_eigenvalue:.3e}" if not rep.min_eigenvalue >= -1e-10
@@ -375,7 +377,7 @@ def gns_build(phi: PositiveForm, a: FiniteAlgebra, tol: float | None = None) -> 
     if a.kind == "torus_quotient":
         trip = _rho_route(phi, a, tables, lam, vecs)
     else:
-        trip = _gram_route(phi, a, tables=tables, g=m)
+        trip = _gram_route(phi, a, tables=tables, eig=(lam, vecs))
     gates = [("reconstruction", trip.recon_residual, tol), ("star", trip.star_residual, star_tol)]
     if a.kind == "torus_quotient":
         gates.insert(1, ("homomorphism", trip.hom_residual, tol))
@@ -411,48 +413,29 @@ def _rho_route(phi: PositiveForm, a: FiniteAlgebra, tables: tuple,
     return GnsTriplet(r, basis, pi, omega, recon, hom, star)
 
 
-def _gram_route(phi: PositiveForm, a: FiniteAlgebra, order=None, tables: tuple | None = None,
-                g: np.ndarray | None = None) -> GnsTriplet:
-    """The triplet from the Gram matrix g of phi, with no gate: quotient by
-    its kernel, orthonormalize, compress left multiplication.  gns_build's
-    route on truncated_box, which passes the tables and g it has, and on
-    torus_quotient the oracle its rho route is checked against.
+def _gram_route(phi: PositiveForm, a: FiniteAlgebra, tables: tuple | None = None,
+                eig: tuple | None = None) -> GnsTriplet:
+    """The triplet from the eigenpairs (lam ascending, w) of the hermitian
+    part G_h of phi's Gram matrix, with no gate: quotient by its kernel,
+    orthonormalize, compress left multiplication.  gns_build's route on
+    truncated_box, which passes the tables and the eigenpairs that
+    is_positive's test computed; on torus_quotient the oracle the rho route
+    is checked against, with one eigh of its own.
 
-    order permutes the basis fed to Gram-Schmidt (the default is the
-    declared order); any two orders give unitarily equivalent triplets.
-    Gram-Schmidt is classical and run twice per vector (CGS2, Giraud,
-    Langou & Rozloznik, Comput. Math. Appl. 50, 2005): one block update
-    v -= C (G C)^H v per pass, so the loop makes dim steps.  hom_residual
-    is taken over the left factors U^{+-1}, V^{+-1} in the algebra.
+    An eigenvalue is kept by the rho route's rule, lam > _RANK_CUT |phi(1)|.
+    The basis is e = W_k Lambda_k^{-1/2}, orthonormal in G_h, and e^H G_h =
+    Lambda_k^{1/2} W_k^H.  hom_residual is taken over the left factors
+    U^{+-1}, V^{+-1} in the algebra.
     """
     target, phase, star_target, star_phase = _closed_tables(a) if tables is None else tables
-    g = gram_matrix(phi, a) if g is None else g
-    g = (g + g.conj().T) / 2.0
-    gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
-    seq = list(range(a.dim)) if order is None else list(order)
-    if sorted(seq) != list(range(a.dim)):
-        raise ValueError("order must be a permutation of the basis indices")
-    c = np.zeros((a.dim, a.dim), dtype=np.complex128)  # the kept columns
-    gc = np.zeros_like(c)  # g @ c, updated alongside
-    r = 0
-    for i in seq:
-        v = a.basis_vector(i)
-        gv = g[:, i].copy()
-        for _ in range(2):
-            coef = gc[:, :r].conj().T @ v
-            v -= c[:, :r] @ coef
-            gv -= gc[:, :r] @ coef
-        n2 = float(np.real(np.vdot(v, gv)))
-        if n2 <= _RANK_CUT * gmax:
-            continue
-        c[:, r], gc[:, r] = v / math.sqrt(n2), gv / math.sqrt(n2)
-        r += 1
-    if r == 0:
-        return GnsTriplet(0, c[:, :0], np.zeros((a.dim, 0, 0), dtype=np.complex128),
-                          np.zeros(0, dtype=np.complex128), 0.0, 0.0, 0.0)
-    e = c[:, :r].copy()
-
-    eg = e.conj().T @ g  # (r, dim), the quotient-side pairing
+    if eig is None:
+        g = gram_matrix(phi, a)
+        eig = np.linalg.eigh((g + g.conj().T) / 2.0)
+    lam, w = eig
+    keep = lam > _RANK_CUT * max(abs(phi.values[a.unit_index]), 1e-300)
+    root, w = np.sqrt(lam[keep]), w[:, keep]
+    e = w / root
+    eg = root[:, None] * w.conj().T  # (r, dim), the quotient-side pairing
     # pi(e_m) = eg L_m e, and column j of eg L_m is phase[m, j] eg[:, target[m, j]]
     pi = (eg[:, target] * phase).transpose(1, 0, 2) @ e
     omega = eg[:, a.unit_index]
@@ -460,10 +443,10 @@ def _gram_route(phi: PositiveForm, a: FiniteAlgebra, order=None, tables: tuple |
     recon = float(np.max(np.abs(phi.values - (pi @ omega) @ np.conj(omega))))
     # pi(e_i*) = star_phase[i] pi(e_star_target[i]) against pi(e_i)^H
     star = float(np.max(np.abs(star_phase[:, None, None] * pi[star_target]
-                               - pi.conj().transpose(0, 2, 1))))
+                               - pi.conj().transpose(0, 2, 1)), initial=0.0))
     gens = [a.index_of(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1)) if x in a.labels]
     hom = max(_defect_maxima(target, phase, pi, gens), default=0.0)
-    return GnsTriplet(r, e, pi, omega, recon, hom, star)
+    return GnsTriplet(len(root), e, pi, omega, recon, hom, star)
 
 
 def _defect_maxima(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
@@ -474,7 +457,7 @@ def _defect_maxima(target: np.ndarray, phase: np.ndarray, pi: np.ndarray, ms):
     for m in ms:
         got = (pi[m] @ row).reshape(r, dim, r).transpose(1, 0, 2)
         # the contiguous operand first: the result takes its layout
-        yield float(np.max(np.abs(phase[m][:, None, None] * pi[target[m]] - got)))
+        yield float(np.max(np.abs(phase[m][:, None, None] * pi[target[m]] - got), initial=0.0))
 
 
 def state_action(phi: PositiveForm, f: np.ndarray, a: FiniteAlgebra) -> PositiveForm:

@@ -485,7 +485,7 @@ def _route_gaps(phi: gnsmod.PositiveForm, alg: gnsmod.FiniteAlgebra,
     y = trip.omega.reshape(n, -1)
     spec = float(np.max(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2.0)
                                - np.sort(np.repeat(n * np.linalg.eigvalsh(y @ y.conj().T), n)))))
-    _, res = gnsmod.intertwiner(gnsmod._gram_route(phi, alg, g=g), trip, alg)
+    _, res = gnsmod.intertwiner(gnsmod._gram_route(phi, alg), trip, alg)
     b = trip.basis
     ortho = float(np.max(np.abs(b.conj().T @ g @ b - np.eye(trip.quotient_dim))))
     return spec, max(res, ortho)
@@ -549,7 +549,7 @@ def _c11_gns(seed: int) -> tuple[list[dict], list[dict]]:
 
     vec3 = gnsmod.PositiveForm(_vector_state(alg3, w2))
     t_a = gnsmod.gns_build(vec3, alg3)
-    t_b = gnsmod._gram_route(vec3, alg3, order=list(reversed(range(alg3.dim))))
+    t_b = gnsmod._gram_route(vec3, alg3)
     _, res = gnsmod.intertwiner(t_a, t_b, alg3)
     checks.append(_check("uniqueness_up_to_unitary", res, 1e-8))
 

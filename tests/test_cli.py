@@ -16,6 +16,7 @@ from nctorus.grids import (gaussian_1d, gaussian_2d, grid1d_to_obj,
 from nctorus.lattice import (MAX_TWIST_MODULUS, CoeffLattice2, PhaseQ, lattice_to_obj,
                              pairs_to_list)
 from nctorus.matrep import clock_shift
+from nctorus.torus import TorusElement
 
 Q14 = '{"rational": [1, 4]}'
 Q13 = '{"rational": [1, 3]}'
@@ -268,15 +269,41 @@ class TestMatrixCommands:
 
     def test_matrep_equivariance_is_relative(self, run, write):
         # coefficients of size 1e7 leave words off by about 1e-9 in absolute
-        # terms; the gap is taken relative to the largest class sum
+        # terms; the gap is taken relative to the largest class sum.  Given
+        # twice, the element reads homomorphism 9.6 and star 1.2e-7, about
+        # 1e-16 of the coefficient l1 norms they are gated against, and the
+        # report keeps those absolute residuals
         rng = np.random.default_rng(6)
         c = 1e7 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
         f = write("big.json", {"radius_k": 3, "radius_l": 3,
                                "coeffs": [[z.real, z.imag] for z in c.ravel()]})
-        _, doc, _ = run("matrep-eval", f, "--q", '{"rational": [1, 5]}',
-                        "--u", "0.6,0.8", "--v", "0,1")
+        rc, doc, _ = run("matrep-eval", f, f, "--q", '{"rational": [1, 5]}',
+                         "--u", "0.6,0.8", "--v", "0,1")
+        assert rc == 0 and "failures" not in doc
         assert doc["equivariance_ok"] is True and doc["equivariance_violation"] is None
-        assert "equivariance" not in doc.get("failures", {})
+        assert doc["homomorphism_residual"] > 1.0 and doc["star_residual"] > 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e7])
+    def test_matrep_dropped_twist_fails_at_every_scale(self, run, write, monkeypatch, scale):
+        # a q_mul without its twist phase breaks the homomorphism by a fixed
+        # fraction of ||f||_1 ||g||_1, whatever the size of the coefficients
+        rng = np.random.default_rng(7)
+        c = scale * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        f = write("f.json", {"radius_k": 2, "radius_l": 2,
+                             "coeffs": [[z.real, z.imag] for z in c.ravel()]})
+        argv = ("matrep-eval", f, f, "--q", '{"rational": [1, 5]}', "--u", "0.6,0.8")
+        rc, doc, _ = run(*argv)
+        assert rc == 0 and "failures" not in doc
+        twisted_mul = cli.q_mul
+
+        def untwisted(a, b):
+            one = PhaseQ.rational(0, 1)
+            prod = twisted_mul(TorusElement(a.coeffs, one), TorusElement(b.coeffs, one))
+            return TorusElement(prod.coeffs, a.q)
+
+        monkeypatch.setattr(cli, "q_mul", untwisted)
+        rc, doc, _ = run(*argv)
+        assert rc == 1 and doc["failures"]["homomorphism_residual"] > 1e-3
 
     def test_matrep_homomorphism_pair(self, run, u_file, v_file):
         rc, doc, _ = run("matrep-eval", u_file, v_file, "--q", Q14)
@@ -479,6 +506,16 @@ class TestGnsCommands:
         assert doc["uniqueness_residual"] < 1e-8
         assert len(doc["pi_u"]) == 9
 
+    def test_build_box_reports_no_uniqueness_residual(self, run, write):
+        # on the box a second triplet would come from the same eigh of the
+        # same Gram matrix, so the field could only read 0
+        alg = write("box.json", {"kind": "truncated_box", "radius_k": 2, "radius_l": 2,
+                                 "q": {"rational": [1, 3]}})
+        form = write("tr.json", {"values": [[0.0, 0.0]] * 12 + [[1.0, 0.0]] + [[0.0, 0.0]] * 12})
+        rc, doc, err = run("gns-build", alg, form)
+        assert (rc, err, doc["quotient_dim"], len(doc["pi_u"])) == (0, "", 25, 25)
+        assert "uniqueness_residual" not in doc
+
     def test_check_positive(self, run, alg_file, trace_file):
         rc, doc, _ = run("gns-check", alg_file, trace_file)
         assert rc == 0
@@ -510,8 +547,8 @@ class TestGnsCommands:
     def test_check_with_a_refused_build_exits_1_with_the_error(self, run, write):
         # a density form of the N = 13 clock and shift matrices, with
         # eigenvalues over 6 decades, restricted to the box of radii 2, 2:
-        # positive, but its GNS triplet reads star 21.5, above the box's
-        # default star gate of ten times the tail
+        # positive, but its GNS triplet reads star 22.0 in the Gram
+        # eigenbasis, above the box's default star gate of ten times the tail
         q = PhaseQ.rational(2, 13)
         u0, v0 = clock_shift(q)
         rng = np.random.default_rng(0)
@@ -525,7 +562,7 @@ class TestGnsCommands:
         rc, doc, err = run("gns-check", alg, form)
         assert (rc, err) == (1, "")
         assert doc["positive"] is True and "separation_ranks" not in doc
-        assert re.search(r"star 2\.151e\+01 \(tol 1\.0e\+01\)$", doc["error"])
+        assert re.search(r"star 2\.204e\+01 \(tol 1\.0e\+01\)$", doc["error"])
 
     def test_ill_conditioned_quotient_form_builds(self, run, write):
         # the 8-decade density form at N = 9: the Gram route read
@@ -601,6 +638,10 @@ class TestSuiteCommand:
                                       "form is not positive: min eigenvalue -1.000e+00"}]
 
 
+FAILING_COEFFS = [[0.3, -0.7], [1.1, 0.2], [0.5, 0.5], [-0.4, 0.9], [0.25, -1.3],
+                  [0.6, 0.1], [0.8, -0.2], [-1.2, 0.35], [0.15, 0.45]]
+
+
 @pytest.fixture
 def failing_inputs(write, u_file, v_file, zero_file):
     # documents on which a subcommand runs to the end and then fails a check
@@ -608,9 +649,7 @@ def failing_inputs(write, u_file, v_file, zero_file):
     indefinite[1] = [1.0, 0.0]  # phi(U) = 1 with phi(1) = 0
     return {
         "@u": u_file, "@v": v_file, "@zero": zero_file,
-        "@f": write("f.json", {"radius_k": 1, "radius_l": 1, "coeffs": [
-            [0.3, -0.7], [1.1, 0.2], [0.5, 0.5], [-0.4, 0.9], [0.25, -1.3],
-            [0.6, 0.1], [0.8, -0.2], [-1.2, 0.35], [0.15, 0.45]]}),
+        "@f": write("f.json", {"radius_k": 1, "radius_l": 1, "coeffs": FAILING_COEFFS}),
         "@circle": write("circle.json", {
             "spec": {"a": 2, "b": 3, "a_prime": -1, "b_prime": 1,
                      "q": {"rational": [1, 5]}},
@@ -627,7 +666,10 @@ def failing_inputs(write, u_file, v_file, zero_file):
     (["torus-derive", "@u", "--q", Q14, "--du", "@v", "--dv", "@zero"],
      lambda doc: doc["error"].startswith("derivation relation violated")),
     (["matrep-eval", "@f", "@f", "--q", Q14, "--tol=0"],
-     lambda doc: doc["homomorphism_residual"] == doc["failures"]["homomorphism_residual"] > 0),
+     # failures holds the residual over ||f||_1 ||g||_1, here ||f||_1^2
+     lambda doc: doc["failures"]["homomorphism_residual"] > 0 and doc["homomorphism_residual"]
+     == pytest.approx(doc["failures"]["homomorphism_residual"]
+                      * sum(math.hypot(*c) for c in FAILING_COEFFS) ** 2, rel=1e-12)),
     (["circle-check", "@circle", "--tol=0"],
      lambda doc: doc["ok"] is False and doc["max_residual"] > 0),
     (["fourier-bridge", "@ga", "@gb", "--order", "4", "--tol=1e-12"],

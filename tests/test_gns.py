@@ -200,7 +200,7 @@ class TestQuotientCertificate:
         # gns-build's uniqueness residual, against the Gram route: a 1e-6
         # change to one entry of any pi(e_m) is caught
         t = gns_build(phi, a)
-        oracle = gns._gram_route(phi, a, order=list(reversed(range(a.dim))))
+        oracle = gns._gram_route(phi, a)
         assert intertwiner(t, oracle, a)[1] < 1e-12
         for m in range(a.dim):
             pi = t.pi_mats.copy()
@@ -208,9 +208,10 @@ class TestQuotientCertificate:
             assert intertwiner(dataclasses.replace(t, pi_mats=pi), oracle, a)[1] > 1e-10
 
     def test_cgs2_basis_is_orthonormal(self, name, a, phi, dim):
-        # the Gram route's CGS2 basis and the rho route's basis alike
+        # the CGS2 oracle's basis, the Gram route's eigenbasis and the rho
+        # route's basis alike
         g = gram_matrix(phi, a)
-        for t in (gns_build(phi, a), gns._gram_route(phi, a)):
+        for t in (gns_build(phi, a), gns._gram_route(phi, a), cgs2_gram_route(phi, a)):
             e = t.basis
             assert t.quotient_dim == dim
             assert np.max(np.abs(e.conj().T @ g @ e - np.eye(dim))) < 1e-12
@@ -224,11 +225,11 @@ def density_form(a: FiniteAlgebra, d: np.ndarray) -> PositiveForm:
                                   for (s, t) in a.labels]))
 
 
-def decades_form(a: FiniteAlgebra, decades: float) -> PositiveForm:
+def decades_form(a: FiniteAlgebra, decades: float, seed: int = 5) -> PositiveForm:
     """A full-rank density form whose eigenvalues run from 1 to
     10^-decades, in a random eigenbasis: its pi(e_m) are dense."""
     n = a.q.modulus
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     d = u @ np.diag(np.geomspace(1.0, 10.0 ** -decades, n)) @ u.conj().T
     return density_form(a, d / np.trace(d).real)
@@ -259,14 +260,14 @@ def test_rho_route_against_the_gram_route(q):
     factor = None
     for name, phi in oracle_forms(a).items():
         t, oracle = gns_build(phi, a), gns._gram_route(phi, a)
-        assert t.quotient_dim == oracle.quotient_dim, name
+        assert t.quotient_dim == oracle.quotient_dim == rank_above_cut(phi, a), name
         # G's spectrum is N spec(rho), each eigenvalue N times
         g, rho = gram_matrix(phi, a), gns._density(phi.values, q)
         spec = np.sort(np.repeat(n * np.linalg.eigvalsh((rho + rho.conj().T) / 2), n))
         assert np.max(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2) - spec)) < 1e-13, name
         if t.quotient_dim:
             # the Gram route is accurate to about u cond(G): the gap reads
-            # at most 0.74 u cond, 8e-9 at 8 decades
+            # at most 2.2 u cond, 2.2e-8 at 8 decades
             lam = np.linalg.eigvalsh(g)[-t.quotient_dim:]
             _, gap = intertwiner(t, oracle, a)
             assert gap <= max(1e-12, 4 * UNIT_ROUNDOFF * lam[-1] / lam[0]), name
@@ -281,6 +282,95 @@ def test_rho_route_against_the_gram_route(q):
                 assert abs(t.star_residual - star) <= 4 * UNIT_ROUNDOFF, name
         else:
             assert name == "zero"
+
+
+def rank_above_cut(phi: PositiveForm, a: FiniteAlgebra) -> int:
+    """The number of eigenvalues of the Gram matrix's hermitian part above
+    gns._RANK_CUT |phi(1)|."""
+    g = gram_matrix(phi, a)
+    lam = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    return int(np.count_nonzero(lam > gns._RANK_CUT * abs(phi.values[a.unit_index])))
+
+
+def cgs2_gram_route(phi: PositiveForm, a: FiniteAlgebra) -> gns.GnsTriplet:
+    """An independent Gram route: classical Gram-Schmidt run twice per
+    vector (CGS2; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005)
+    over the basis in declared order, in the hermitian part of the Gram
+    matrix.  A vector is dropped when its remaining Gram norm is at most
+    gns._RANK_CUT times the largest diagonal entry.  pi and omega are
+    compressed as gns._gram_route compresses them; the residual fields are
+    NaN."""
+    target, phase, _, _ = gns._closed_tables(a)
+    g = gram_matrix(phi, a)
+    g = (g + g.conj().T) / 2
+    gmax = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
+    c = np.zeros((a.dim, a.dim), dtype=np.complex128)  # the kept columns
+    gc = np.zeros_like(c)  # g @ c, updated alongside
+    r = 0
+    for i in range(a.dim):
+        v, gv = a.basis_vector(i), g[:, i].copy()
+        for _ in range(2):
+            coef = gc[:, :r].conj().T @ v
+            v -= c[:, :r] @ coef
+            gv -= gc[:, :r] @ coef
+        n2 = float(np.real(np.vdot(v, gv)))
+        if n2 > gns._RANK_CUT * gmax:
+            c[:, r], gc[:, r] = v / math.sqrt(n2), gv / math.sqrt(n2)
+            r += 1
+    e = c[:, :r]
+    eg = e.conj().T @ g
+    pi = (eg[:, target] * phase).transpose(1, 0, 2) @ e
+    return gns.GnsTriplet(r, e, pi, eg[:, a.unit_index], math.nan, math.nan, math.nan)
+
+
+def spectral_defects(a: FiniteAlgebra, pi: np.ndarray) -> tuple:
+    """(max over m of ||pi(e_m*) - pi(e_m)^H||_2, max over m in U^{+-1},
+    V^{+-1} and every j of ||pi(e_m e_j) - pi(e_m) pi(e_j)||_2): the box's
+    star and homomorphism defects in a norm that no change of orthonormal
+    basis moves."""
+    target, phase, star_target, star_phase = gns._closed_tables(a)
+
+    def worst(stack):
+        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
+
+    star = worst(star_phase[:, None, None] * pi[star_target] - pi.conj().transpose(0, 2, 1))
+    hom = max(worst(phase[m][:, None, None] * pi[target[m]] - pi[m] @ pi)
+              for m in box_generators(a))
+    return star, hom
+
+
+def box_forms():
+    """(name, box, form): the trace form; the radius-1, N = 5 vector state;
+    the 6-decade N = 13 density form, which the star gate refuses; and
+    built forms phi(g) = tr(f* g f) for a random unit f."""
+    box = truncated_box(2, 2, Q3)
+    yield "trace (2,2)", box, trace_form(box)
+    box = truncated_box(1, 1, PhaseQ.rational(1, 5))
+    w = random_vector(np.random.default_rng(0), 5)
+    yield "vector (1,1) N=5", box, vector_form(box, w / np.linalg.norm(w))
+    box = truncated_box(2, 2, PhaseQ.rational(2, 13))
+    yield "6 decades (2,2) N=13", box, decades_form(box, 6, seed=0)
+    rng = np.random.default_rng(23)
+    for radii in ((1, 1), (2, 3), (4, 4)):
+        box = truncated_box(*radii, PhaseQ.rational(2, 5))
+        f = random_vector(rng, box.dim)
+        yield f"built {radii}", box, state_action(trace_form(box), f / np.linalg.norm(f), box)
+
+
+BOX_FORMS = list(box_forms())
+
+
+@pytest.mark.parametrize("name,a,phi", BOX_FORMS, ids=[c[0] for c in BOX_FORMS])
+def test_box_eigen_route_against_cgs2(name, a, phi):
+    # the build runs on the eigenpairs of is_positive's test; tol 100 lets
+    # the refused 6-decade form through the star gate.  Both triplets keep
+    # the rank above the cut and are unitarily equivalent, so the spectral
+    # norms of their defects agree while the largest entries need not
+    t, oracle = gns_build(phi, a, tol=100.0), cgs2_gram_route(phi, a)
+    assert t.quotient_dim == oracle.quotient_dim == rank_above_cut(phi, a)
+    assert intertwiner(t, oracle, a)[1] < 1e-8
+    for got, want in zip(spectral_defects(a, t.pi_mats), spectral_defects(a, oracle.pi_mats)):
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
 
 
 def test_quotient_positivity_matches_the_gram_matrix():
@@ -363,7 +453,7 @@ def test_tight_tol_falls_back_to_the_full_check():
 
 def test_quotient_build_forms_no_dim_by_dim_matrix(monkeypatch):
     # the benchmark's forms and the 3-, 4- and 8-decade density forms at
-    # N = 9 build with no Gram matrix, Gram-Schmidt or dim^2 sweep; the
+    # N = 9 build with no Gram matrix, Gram route or dim^2 sweep; the
     # box at the size limit sweeps only the left factors U^{+-1}, V^{+-1}
     def refuse(*args):
         raise AssertionError("a dim x dim route ran on the quotient")
@@ -721,15 +811,16 @@ class TestGnsBuild:
 
     def test_box_vector_state_breaks_star_not_reconstruction(self):
         # a positive vector state on the box of radius 1 at N = 5: star reads
-        # 1.13, inside the default star gate 10 tail, while reconstruction
-        # stays exact; a tol given explicitly gates star too
+        # 0.982 in the Gram eigenbasis, inside the default star gate 10 tail,
+        # while reconstruction stays exact; a tol given explicitly gates
+        # star too
         box = truncated_box(1, 1, PhaseQ.rational(1, 5))
         w = random_vector(np.random.default_rng(0), 5)
         phi = vector_form(box, w / np.linalg.norm(w))
         t = gns_build(phi, box)
-        assert 1.0 < t.star_residual <= 10.0 * box.tail
+        assert 0.9 < t.star_residual <= 10.0 * box.tail
         assert t.recon_residual <= 1e-14
-        with pytest.raises(ValueError, match=r"star 1\.133e\+00 \(tol 1\.0e-10\)"):
+        with pytest.raises(ValueError, match=r"star 9\.823e-01 \(tol 1\.0e-10\)"):
             gns_build(phi, box, tol=1e-10)
 
 
@@ -739,7 +830,7 @@ class TestIntertwiner:
         w = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
         phi = vector_form(a, w)
         t1 = gns_build(phi, a)
-        t2 = gns._gram_route(phi, a, order=list(reversed(range(a.dim))))
+        t2 = gns._gram_route(phi, a)
         u, res = intertwiner(t1, t2, a)
         assert res < 1e-8
         assert np.max(np.abs(u @ u.conj().T - np.eye(t1.quotient_dim))) < 1e-10
@@ -748,7 +839,7 @@ class TestIntertwiner:
         a = torus_quotient(Q3)
         phi = trace_form(a)
         t1 = gns_build(phi, a)
-        t2 = gns._gram_route(phi, a, order=list(reversed(range(a.dim))))
+        t2 = gns._gram_route(phi, a)
         u, _ = intertwiner(t1, t2, a)
         rng = np.random.default_rng(8)
         f = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
