@@ -550,6 +550,18 @@ def _cmd_solve_inner(args) -> tuple[dict, bool]:
     }, True
 
 
+def _plane_product(paths, fn, *args):
+    """fn(*args) on the grids read from the two files at paths.  Each plane
+    product checks its own result at its final scaling, so overflow on the
+    way there is not reported twice; a product that is not finite is
+    refused as bad input naming both files."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(*args)
+        except FormatError as exc:
+            raise FormatError(f"inputs '{paths[0]}' and '{paths[1]}': {exc}") from exc
+
+
 def _cmd_twisted_conv(args) -> tuple[dict, bool]:
     from . import twisted
     from .grids import grid2d_from_obj, grid2d_to_obj
@@ -561,14 +573,12 @@ def _cmd_twisted_conv(args) -> tuple[dict, bool]:
     if len(args.inputs) != 2:
         raise FormatError("inputs: this variant needs two grid files")
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
-    if args.variant == "ordered":
-        out = twisted.twisted_conv(a, b, args.hbar)
-    elif args.variant == "symplectic":
-        out = twisted.other_twisted_conv(a, b, args.hbar)
-    elif args.variant == "group":
-        out = twisted.heisenberg_group_conv(a, b, args.hbar)
+    if args.variant == "plain":
+        out = _plane_product(args.inputs, twisted.plain_conv, a, b)
     else:
-        out = twisted.plain_conv(a, b)
+        fn = {"ordered": twisted.twisted_conv, "symplectic": twisted.other_twisted_conv,
+              "group": twisted.heisenberg_group_conv}[args.variant]
+        out = _plane_product(args.inputs, fn, a, b, args.hbar)
     return {"variant": args.variant, "hbar": args.hbar,
             "result": grid2d_to_obj(out, pairs=np.asarray)}, True
 
@@ -618,7 +628,7 @@ def _cmd_fourier_bridge(args) -> tuple[dict, bool]:
     from .grids import grid2d_from_obj
     f = grid2d_from_obj(_read_doc(args.inputs[0]))
     g = grid2d_from_obj(_read_doc(args.inputs[1]))
-    err = twisted.fourier_bridge_error(f, g, args.hbar, args.order)
+    err = _plane_product(args.inputs, twisted.fourier_bridge_error, f, g, args.hbar, args.order)
     out = {"hbar": args.hbar, "order": args.order, "relative_error": err}
     if args.tol is None:
         return out, True
@@ -631,7 +641,7 @@ def _cmd_hbar_probe(args) -> tuple[dict, bool]:
     from .grids import grid2d_from_obj, grid2d_to_obj
     a = grid2d_from_obj(_read_doc(args.inputs[0]))
     b = grid2d_from_obj(_read_doc(args.inputs[1]))
-    r = twisted.hbar_smoothness_probe(a, b, args.hbar, args.delta)
+    r = _plane_product(args.inputs, twisted.hbar_smoothness_probe, a, b, args.hbar, args.delta)
     ok = 3.5 <= r.ratio <= 4.5
     out = {"hbar": args.hbar, "delta": args.delta, "ratio": r.ratio,
            "residual_coarse": r.residual_coarse,

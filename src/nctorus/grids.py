@@ -173,10 +173,10 @@ def gaussian_2d(half_extent_t: float, half_extent_s: float, n_t: int, n_s: int,
 def check_decay(f: GridFunction1D | GridFunction2D) -> float:
     """Largest edge sample of any axis relative to the peak; warns when the
     box visibly clips f."""
-    peak = f.max_abs()
+    v = np.abs(f.values)
+    peak = float(v.max())
     if peak == 0.0:
         return 0.0
-    v = np.abs(f.values)
     edge = max(np.take(v, [0, -1], axis).max() for axis in range(v.ndim)) / peak
     if edge > _DECAY_EDGE:
         warnings.warn(f"boundary decay {edge:.3e} exceeds {_DECAY_EDGE:.1e}; "

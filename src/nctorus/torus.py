@@ -141,7 +141,7 @@ def _toeplitz_rows(out: np.ndarray, a: np.ndarray, w: np.ndarray, b: np.ndarray)
         # chunk takes numpy's own loop and never BLAS gemv, so neither the
         # chunk size nor the BLAS thread count can move the bits
         lanes = max(m, 2) if rows == 1 else m
-        buf = _workspace(m * rows * (cols + width) + lanes * cols * width)
+        buf = _workspace(m * rows * (cols + width) + lanes * cols * width, _CHUNK_BYTES)
         aw = buf[: m * rows * cols].reshape(m, rows, cols)
         aw[...] = a
         aw *= w[ks, None, :]
@@ -156,13 +156,19 @@ def _toeplitz_rows(out: np.ndarray, a: np.ndarray, w: np.ndarray, b: np.ndarray)
             out[k: k + rows] += block
 
 
-def _workspace(size: int) -> np.ndarray:
-    """size complex128 entries of this thread's scratch, which keeps at most
-    _CHUNK_BYTES: a larger need gets a fresh array that is not kept."""
+def _workspace(size: int, keep: int) -> np.ndarray:
+    """size complex128 entries of this thread's scratch slab, which q_mul and
+    the plane products share.  A need the slab cannot meet gets a fresh
+    array, which replaces the slab if it is at most keep bytes and is not
+    kept otherwise.  A view of the slab is dead once the next call to
+    _workspace on the same thread returns."""
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.size < size:
+        kept = 16 * size <= keep
+        if kept:  # the old slab is not held while the new one fills
+            _scratch.buf = None
         buf = np.empty(size, dtype=np.complex128)
-        if buf.nbytes <= _CHUNK_BYTES:
+        if kept:
             _scratch.buf = buf
     return buf[:size]
 

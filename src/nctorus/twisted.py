@@ -26,6 +26,13 @@ rows (_run_row_blocks), with the same operations in the same order for
 every output element whatever the number of threads, so the bytes do not
 depend on the machine.  All three products enter through _product, which
 checks the operands and picks the kernel or the variant's FFT route.
+
+Every n x n temporary of the kernel and of the FFT routes is carved from
+one slab per calling thread (_carve, on torus._workspace), which a thread
+keeps up to _SLAB_BYTES; worker threads work in slices of their caller's
+slab.  A warm product therefore allocates only its result, which never
+aliases the slab.  Every route ends in _finish, which scales the product
+and refuses one that is not finite.
 """
 
 from __future__ import annotations
@@ -38,8 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from numpy.lib.stride_tricks import as_strided
+
 from .grids import (GridFunction2D, check_decay, fourier_2d,
                     inverse_fourier_2d, require_same_grid)
+from .lattice import FormatError
+from .torus import _workspace
 
 __all__ = [
     "twisted_conv",
@@ -79,7 +90,7 @@ def _matched_twist(a: GridFunction2D, theta: float, factor: int) -> int | None:
     return (factor * p) % n or None
 
 
-def _flush_tiny(x: np.ndarray, copy: bool = True) -> np.ndarray:
+def _flush_tiny(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """x with every nonzero real and imaginary part below 2^-500 of the
     largest set to zero; x is C-contiguous complex.
 
@@ -92,23 +103,95 @@ def _flush_tiny(x: np.ndarray, copy: bool = True) -> np.ndarray:
     while its rounding error is of order 2^-53 times the same scale, so
     the cut is invisible for any N below 2^400.
 
-    With copy, x itself comes back when no part is below the cut, and a
-    flushed copy otherwise; without, x is flushed in place.
+    With work, a complex scratch of at least 9/8 x.size entries, x is
+    flushed in place; without, x itself comes back when no part is below
+    the cut, and a flushed copy otherwise.
     """
-    size = np.abs(x.view(np.float64))
-    tiny = (size < size.max(initial=0.0) * 2.0 ** -500) & (size > 0.0)
+    parts = x.reshape(-1).view(np.float64)
+    if work is None:
+        size, tiny = np.abs(parts), np.empty(parts.size, dtype=bool)
+    else:
+        size = np.abs(parts, out=work[: x.size].view(np.float64))
+        tiny = work[x.size: x.size + x.size // 8].view(np.bool_)
+    np.less(size, size.max(initial=0.0) * 2.0 ** -500, out=tiny)
+    np.logical_and(tiny, size, out=tiny)  # a zero part is no tail
     if not tiny.any():
         return x
-    if copy:
+    if work is None:
         x = x.copy()
-    x.view(np.float64)[tiny] = 0.0
+        parts = x.reshape(-1).view(np.float64)
+    parts[tiny] = 0.0
     return x
 
 
-def _spectrum(v: np.ndarray) -> np.ndarray:
-    """FFT along the second axis of grid-ordered values (label 0 at index
-    n/2), by label (label 0 at index 0), flushed by _flush_tiny."""
-    return _flush_tiny(np.fft.fft(np.fft.ifftshift(v), axis=1), copy=False)
+# The most a thread keeps of the plane products' slab: every 256 x 256
+# route (the matched kernel carves 7 n^2 complex entries, the group route
+# 5.125 n^2 plus n^2 per worker thread) and no 512 x 512 one (28 MiB and
+# up).  Kept, the slab took the benchmark's plane round from 8,265 minor
+# faults to 9 and its matched 128^2 and 256^2 products down by a quarter
+# (one BLAS thread, 2-core host).  A warm matched 512^2 product took
+# 41.9 ms with a fresh slab (201 faults) and 41.6 ms with a kept one.
+_SLAB_BYTES = 16 << 20
+# Complex entries between two carved arrays, one cache line, so that arrays
+# of a power-of-two size do not all start at the same offset within a page.
+_SKEW = 4
+
+
+def _carve(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """C-contiguous complex arrays of the given shapes, cut one after the
+    other from this thread's slab; they are dead after the next carve."""
+    sizes = [math.prod(shape) for shape in shapes]
+    slab = _workspace(sum(sizes) + _SKEW * len(sizes), _SLAB_BYTES)
+    arrays, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(slab[at: at + size].reshape(shape))
+        at += size + _SKEW
+    return arrays
+
+
+def _finish(a: GridFunction2D, c: np.ndarray, out: np.ndarray,
+            variant: str) -> GridFunction2D:
+    """a's grid with the values c dt ds, written through out (which c
+    may be) in c's shape; a FormatError if any of them is not finite."""
+    parts = np.multiply(c, a.dt * a.ds, out=out.reshape(c.shape)).reshape(-1).view(np.float64)
+    if not (math.isfinite(parts.max()) and math.isfinite(parts.min())):
+        raise FormatError(f"the {variant} product is not finite at its final "
+                          "scaling: the operands are too large")
+    return a.with_values(out.reshape(a.n_t, a.n_s))
+
+
+def _quadrants(x: np.ndarray) -> np.ndarray:
+    """The n x n array x as 2 x n/2 x 2 x n/2 with both halves swapped: the
+    view that fftshift and ifftshift copy."""
+    h = x.shape[0] // 2
+    return x.reshape(2, h, 2, h)[::-1, :, ::-1]
+
+
+def _spectrum(dst: np.ndarray, v: np.ndarray, gauge: np.ndarray | None,
+              work: np.ndarray) -> None:
+    """dst = the FFT along the second axis of the grid-ordered values v
+    (label 0 at index n/2), times gauge first if given (by label), by
+    label (label 0 at index 0), flushed by _flush_tiny in work."""
+    h = dst.shape[0] // 2
+    if gauge is None:
+        np.copyto(dst.reshape(2, h, 2, h), _quadrants(v))
+    else:
+        np.multiply(_quadrants(v), gauge.reshape(2, h, 2, h), out=dst.reshape(2, h, 2, h))
+    np.fft.fft(dst, axis=1, out=dst)
+    _flush_tiny(dst, work)
+
+
+def _gauge(out: np.ndarray, root: int, sign: int, work: np.ndarray) -> None:
+    """out = h^sign, h = e^{(i hbar/2) x1 x2}, by label, on a grid where
+    (hbar/2) dt ds = 2 pi root / n: w^{root j' k' mod n}, w = e^{2 pi i/n},
+    with j', k' the signed labels.  Each entry is within _MATCH_TOL of the
+    exponential, the approximation the kernel makes for its twist."""
+    n = out.shape[0]
+    label = (np.arange(n) + n // 2) % n - n // 2
+    power = work[: n * n // 2].view(np.int64).reshape(n, n)
+    np.multiply.outer(root * label % n, label, out=power)
+    np.bitwise_and(power, n - 1, out=power)  # n is a power of two
+    np.take(np.exp(sign * 2j * math.pi * (label / n)), power, out=out, mode="clip")
 
 
 # Fewest output points a worker thread must own, which for the ordered and
@@ -181,56 +264,86 @@ def _source_rows(lo: int, hi: int, d: int, n: int) -> list[tuple[slice, slice]]:
     return pairs
 
 
-def _heisenberg_gemm(fa: np.ndarray, fb: np.ndarray, p: int) -> np.ndarray:
+def _skew(twice: np.ndarray, n: int) -> np.ndarray:
+    """The view v[w, u] = block[(u - w) mod n, u] of an n-row block stored
+    twice over, one copy under the other, in twice."""
+    rows, item = twice.strides
+    return as_strided(twice[n:], (n, twice.shape[1]), (-rows, rows + item),
+                      writeable=False)
+
+
+def _heisenberg_gemm(fa: np.ndarray, fb: np.ndarray, p: int, out: np.ndarray,
+                     left: np.ndarray, right: np.ndarray, work: np.ndarray) -> None:
     """c(k,l) = Sum a(k-k', l-l') b(k',l') w^{p (l-l') k'} on Z_n x Z_n, w = e^{2 pi i/n}.
 
-    Takes the spectra fa = a^, fb = b^ of _spectrum and returns c by label.
+    Takes the spectra fa = a^, fb = b^ of _spectrum and writes c^ by label
+    to out, the inverse FFT along the second axis left to the caller.
     In the spectra the twist is an integer shift of the column:
     c^(k,m) = Sum_k' a^(k-k', m-p k') b^(k',m).  With g = gcd(p, n),
     n1 = n/g, p1 = p/g and, for each residue eps < g, the n1 columns
     m_rho = eps + g (p1 rho mod n1), the matrices
     L[w,u] = a^(u-w, m_{u mod n1}) and R[u,rho] = b^(rho-u, m_rho) give
     (L @ R)[w,rho] = c^(rho-w, m_rho): n^3 multiply-adds in g GEMMs,
-    with no array larger than n x n.
+    with no array larger than n x n.  left (n x n) and right (n x n1) hold
+    L and R; each gathered block is stored twice over in work (2 n^2
+    entries), so that its cyclic shifts are the strided views of _skew.
     """
     n = fa.shape[0]
     g = math.gcd(p, n)
     n1, p1 = n // g, p // g
-    idx = np.arange(n)
     rho = np.arange(n1)
-    shift = (idx[None, :] - idx[:, None]) % n  # [w, u] -> u - w
-    back = (rho[None, :] - idx[:, None]) % n   # [u, rho] -> rho - u
-    out = np.empty((n, n), dtype=np.complex128)
+    right = right.reshape(-1)[: n * n1].reshape(n, n1)
     for eps in range(g):
         m = eps + g * ((p1 * rho) % n1)
-        prod = fa[shift, m[idx % n1]] @ fb[back, m]
-        out[:, m] = prod[back, rho]
-    return np.fft.ifft(out, axis=1)
+        for dst, src, cols in ((left, fa, np.tile(m, g)), (right, fb, m)):
+            twice = work[: 2 * n * len(cols)].reshape(2 * n, len(cols))
+            np.take(src, cols, axis=1, out=twice[:n], mode="clip")
+            twice[n:] = twice[:n]
+            np.copyto(dst, _skew(twice, n))
+        twice = work[: 2 * n * n1].reshape(2 * n, n1)
+        np.matmul(left, right, out=twice[:n])
+        twice[n:] = twice[:n]
+        out[:, m] = _skew(twice, n)
 
 
-def _product(a: GridFunction2D, b: GridFunction2D, hbar: float, factor: int,
-             fft_route) -> GridFunction2D:
-    """The product of all three variants: factor 1 is the ordered twist,
-    factor 2 the symplectic and the group twist, and fft_route the
-    variant's route for a grid that is not matched.
+def _product(a: GridFunction2D, b: GridFunction2D, hbar: float,
+             variant: str) -> GridFunction2D:
+    """The product of all three variants: the ordered twist has factor 1,
+    the symplectic and the group twist factor 2, and each variant its
+    route for a grid that is not matched (_ROUTES).
 
     The operands must share a grid, and their decay is checked.  On a
     matched grid (hbar dt ds / factor = 2 pi p / n) the ordered product is
     dt ds kernel(a, b, p).  h = e^{(i hbar/2) x1 x2}, the inverse gauge
     map, carries the symplectic product to the ordered one at the same
     hbar, whose twist angle hbar dt ds is 2 (2 pi p / n); so that product
-    is dt ds kernel(h a, h b, 2p) / h.
+    is dt ds kernel(h a, h b, 2p) * conj(h), with h taken exactly as the
+    root of unity w^{p j' k'} (_gauge).  All temporaries are carved from
+    this thread's slab (7 n^2 complex entries; h sits in L's place before
+    the GEMM and conj(h) in R's after it), and only the result is
+    allocated.
     """
+    factor, fft_route = _ROUTES[variant]
     require_same_grid(a, b)
     check_decay(a)
     check_decay(b)
-    p = _matched_twist(a, hbar * a.dt * a.ds / factor, factor)
-    if p is None:
+    n = a.n_t
+    root = _matched_twist(a, hbar * a.dt * a.ds / factor, 1)
+    p = root and factor * root % n
+    if not p:
         return fft_route(a, b, hbar)
-    h = np.exp(0.5j * hbar * np.outer(a.t_axis(), a.s_axis())) if factor == 2 else None
-    spectra = [_spectrum(x.values if h is None else h * x.values) for x in (a, b)]
-    c = np.fft.fftshift(_heisenberg_gemm(*spectra, p)) * (a.dt * a.ds)
-    return a.with_values(c if h is None else c / h)
+    fa, fb, out, left, right, work = _carve(*[(n, n)] * 5, (2 * n * n,))
+    gauge = None if factor == 1 else left
+    if gauge is not None:
+        _gauge(gauge, root, 1, work)
+    _spectrum(fa, a.values, gauge, work)
+    _spectrum(fb, b.values, gauge, work)
+    _heisenberg_gemm(fa, fb, p, out, left, right, work)
+    np.fft.ifft(out, axis=1, out=out)
+    if gauge is not None:
+        _gauge(right, root, -1, work)
+        out *= right
+    return _finish(a, _quadrants(out), left, variant)
 
 
 def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunction2D:
@@ -239,7 +352,7 @@ def twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float) -> GridFunct
     Matched grids (hbar dt ds = 2 pi p / n) run on the exact kernel;
     other grids on n_s FFT passes.
     """
-    return _product(a, b, hbar, 1, _twisted_conv_fft)
+    return _product(a, b, hbar, "ordered")
 
 
 def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -255,9 +368,12 @@ def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
     """
     n_t, n_s = a.n_t, a.n_s
     u = a.t_axis()
-    fa = np.fft.fft(np.ascontiguousarray(_flush_tiny(a.values).T), axis=1)
-    b_t = np.ascontiguousarray(_flush_tiny(b.values).T)
-    buf, acc = np.empty_like(fa), np.zeros_like(fa)
+    fa, b_t, buf, acc, work = _carve(*[(n_s, n_t)] * 4, (9 * n_t * n_s // 8,))
+    for dst, x in ((fa, a), (b_t, b)):
+        np.copyto(dst, x.values.T)
+        _flush_tiny(dst, work)
+    np.fft.fft(fa, axis=1, out=fa)
+    acc.fill(0.0)
 
     def rows(lo: int, hi: int) -> None:
         part = buf[lo:hi]
@@ -271,8 +387,8 @@ def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
             acc[lo:hi] += part
 
     _run_row_blocks(rows, _row_blocks(n_s, n_t))
-    out = np.roll(np.fft.ifft(acc, axis=1, out=acc).T, -(n_t // 2), axis=0)
-    return a.with_values(out * (a.dt * a.ds))
+    np.fft.ifft(acc, axis=1, out=acc)
+    return _finish(a, acc.T.reshape(2, n_t // 2, n_s)[::-1], fa, "ordered")
 
 
 def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
@@ -282,7 +398,7 @@ def other_twisted_conv(a: GridFunction2D, b: GridFunction2D,
     Matched grids ((hbar/2) dt ds = 2 pi p / n) run on the exact kernel;
     other grids on 2 n_t FFT passes.
     """
-    return _product(a, b, hbar, 2, _other_twisted_conv_fft)
+    return _product(a, b, hbar, "symplectic")
 
 
 def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -299,12 +415,16 @@ def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
     (lo - d .. hi - d) mod n_t of the bank and of b.
     """
     n_t, n_s = a.n_t, a.n_s
-    a_vals, b_vals = _flush_tiny(a.values), _flush_tiny(b.values)
+    a_vals, b_vals, chirp, bank, b_mod, acc, work = _carve(
+        *[(n_t, n_s)] * 6, (9 * n_t * n_s // 8,))
+    for dst, x in ((a_vals, a), (b_vals, b)):
+        np.copyto(dst, x.values)
+        _flush_tiny(dst, work)
     t_vals = a.t_axis()
     s_vals = a.s_axis()
     # kernel bank: row y1 holds a(delta_t, w) e^{(i hbar/2) y1 w}
-    chirp = np.exp(0.5j * hbar * np.outer(t_vals, s_vals))
-    bank, b_mod, acc = np.empty_like(chirp), np.empty_like(chirp), np.zeros_like(chirp)
+    _chirp(chirp, 0.5j * hbar, t_vals, s_vals, work)
+    acc.fill(0.0)
 
     def rows(lo: int, hi: int) -> None:
         bank_part, mod_part = bank[lo:hi], b_mod[lo:hi]
@@ -320,8 +440,16 @@ def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
             acc[lo:hi] += bank_part
 
     _run_row_blocks(rows, _row_blocks(n_t, n_s))
-    out = np.roll(np.fft.ifft(acc, axis=1, out=acc), -(n_s // 2), axis=1)
-    return a.with_values(out * (a.dt * a.ds))
+    np.fft.ifft(acc, axis=1, out=acc)
+    return _finish(a, acc.reshape(n_t, 2, n_s // 2)[:, ::-1], chirp, "symplectic")
+
+
+def _chirp(out: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray,
+           work: np.ndarray) -> None:
+    """out = e^{c x y} on the grid of x by y, as np.exp(c * np.outer(x, y)),
+    with the outer product in work."""
+    outer = np.multiply.outer(x, y, out=work[: out.size // 2].view(np.float64).reshape(out.shape))
+    np.exp(np.multiply(c, outer, out=out), out=out)
 
 
 def gauge_iso(a: GridFunction2D, hbar: float,
@@ -345,7 +473,7 @@ def heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D,
     symplectic product, so matched grids share its exact kernel; other
     grids take _heisenberg_group_conv_fft.
     """
-    return _product(a, b, hbar, 2, _heisenberg_group_conv_fft)
+    return _product(a, b, hbar, "group")
 
 
 def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
@@ -360,16 +488,22 @@ def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
     worker owns a range of k1 and an n_t x n_s buffer of its own.
     """
     n_t, n_s = a.n_t, a.n_s
-    a_vals, b_vals = _flush_tiny(a.values), _flush_tiny(b.values)
+    blocks = _row_blocks(n_t, n_s)
+    a_vals, fbr, chirp, out, work, *bufs = _carve(
+        *[(n_t, n_s)] * 4, (9 * n_t * n_s // 8,), *[(n_t, n_s)] * len(blocks))
+    np.copyto(a_vals, a.values)
+    _flush_tiny(a_vals, work)
+    np.take(b.values, (n_t // 2 - np.arange(n_t)) % n_t, axis=0, out=fbr, mode="clip")
+    _flush_tiny(fbr, work)
+    np.fft.fft(fbr, axis=1, out=fbr)
     t_vals = a.t_axis()
     s_vals = a.s_axis()
-    fbr = np.fft.fft(b_vals[(n_t // 2 - np.arange(n_t)) % n_t], axis=1)
     # e^{-(i hbar/2) y1 x2} at x2 = s_vals[(m - n_s/2) mod n_s] in column m
-    chirp = np.exp(-0.5j * hbar * np.outer(t_vals, np.roll(s_vals, n_s // 2)))
-    out = np.empty_like(fbr)
+    _chirp(chirp, -0.5j * hbar, t_vals, np.roll(s_vals, n_s // 2), work)
+    own = dict(zip(blocks, bufs))
 
     def rows(lo: int, hi: int) -> None:
-        buf = np.empty_like(fbr)
+        buf = own[lo, hi]
         for k1 in range(lo, hi):
             np.multiply(a_vals, np.exp(0.5j * hbar * t_vals[k1] * s_vals), out=buf)
             np.fft.fft(buf, axis=1, out=buf)
@@ -379,8 +513,13 @@ def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
             buf *= chirp
             out[k1] = np.roll(buf.sum(axis=0), -(n_s // 2))
 
-    _run_row_blocks(rows, _row_blocks(n_t, n_s))
-    return a.with_values(out * (a.dt * a.ds))
+    _run_row_blocks(rows, blocks)
+    return _finish(a, out, out, "group")
+
+
+_ROUTES = {"ordered": (1, _twisted_conv_fft),
+           "symplectic": (2, _other_twisted_conv_fft),
+           "group": (2, _heisenberg_group_conv_fft)}
 
 
 def plain_conv(a: GridFunction2D, b: GridFunction2D) -> GridFunction2D:
@@ -388,7 +527,7 @@ def plain_conv(a: GridFunction2D, b: GridFunction2D) -> GridFunction2D:
     require_same_grid(a, b)
     conv = np.fft.ifft2(np.fft.fft2(a.values) * np.fft.fft2(b.values))
     conv = np.roll(conv, (-(a.n_t // 2), -(a.n_s // 2)), axis=(0, 1))
-    return a.with_values(conv * (a.dt * a.ds))
+    return _finish(a, conv, conv, "plain")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from nctorus import twisted
+from nctorus import torus, twisted
 from nctorus.grids import (GridFunction2D, fourier_2d, gaussian_2d,
                            inverse_fourier_2d)
 from nctorus.twisted import (_MATCH_TOL, _heisenberg_group_conv_fft,
@@ -600,3 +601,100 @@ class TestWorkerFailures:
             with pytest.raises(RuntimeWarning, match="overflow"):
                 VARIANTS[kind][0](a, b, self.HBAR)
         assert threading.active_count() == before
+
+
+def workload_pairs():
+    """(kind, a, b, hbar) for every variant at 64, 128 and 256 points a side,
+    on matched and on unmatched grids."""
+    cases = []
+    for n in (64, 128, 256):
+        for kind in sorted(VARIANTS):
+            for half in (matched_half_extent(kind, n, 1, 0.5), 16.0):
+                a = gaussian_2d(half, half, n, n, center=(0.3, -0.2), momentum=(0.4, 0.1))
+                b = gaussian_2d(half, half, n, n, center=(-0.2, 0.4), width=(1.1, 0.9))
+                cases.append((kind, a, b, 0.5))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:boundary decay:RuntimeWarning")
+class TestWorkspace:
+    """Every product carves its temporaries from one slab per thread; its
+    result is a fresh array."""
+
+    def test_kept_results_do_not_change_or_alias_the_slab(self):
+        cases = workload_pairs()
+        kept = [VARIANTS[kind][0](a, b, hbar) for kind, a, b, hbar in cases]
+        copies = [r.values.copy() for r in kept]
+        for kind, a, b, hbar in cases[::-1]:
+            VARIANTS[kind][0](b, a, hbar)
+        slab = torus._scratch.buf
+        for r, want in zip(kept, copies):
+            assert np.array_equal(r.values, want)
+            assert not np.shares_memory(r.values, slab)
+
+    def test_two_threads_reproduce_the_serial_bytes(self):
+        cases = [c for c in workload_pairs() if c[1].n_t < 256]
+        serial = [VARIANTS[kind][0](a, b, hbar).values for kind, a, b, hbar in cases]
+
+        def run(part):
+            return [VARIANTS[kind][0](a, b, hbar).values for kind, a, b, hbar in part]
+
+        with ThreadPoolExecutor(2) as pool:
+            halves = [pool.submit(run, cases[i::2]) for i in (0, 1)]
+            split = [h.result(timeout=300) for h in halves]
+        threaded = [None] * len(cases)
+        threaded[0::2], threaded[1::2] = split
+        for want, got in zip(serial, threaded):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_warm_matched_product_allocates_about_its_result(self, kind):
+        n = 128
+        half = matched_half_extent(kind, n, 1, 0.5)
+        a = gaussian_2d(half, half, n, n, center=(0.3, -0.2))
+        b = gaussian_2d(half, half, n, n, width=(1.1, 0.9))
+        conv = VARIANTS[kind][0]
+        assert kernel_twist(kind, a, 0.5) is not None
+        conv(a, b, 0.5)
+        tracemalloc.start()
+        try:
+            conv(a, b, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * n * n  # fresh temporaries peaked at about 7x
+
+    def test_product_above_the_bound_keeps_nothing(self, monkeypatch):
+        # a fresh thread starts with no slab of its own
+        monkeypatch.setattr(twisted, "_SLAB_BYTES", 1 << 20)
+        half = matched_half_extent("ordered", 128, 1, 0.5)
+        small = [gaussian_2d(half / 2, half / 2, 32, 32, width=(0.5, 0.5))] * 2
+        big = [gaussian_2d(half, half, 128, 128)] * 2
+
+        def run():
+            first = twisted_conv(*small, 0.5).values
+            kept = torus._scratch.buf
+            twisted_conv(*big, 0.5)
+            assert torus._scratch.buf is kept
+            return first, twisted_conv(*small, 0.5).values
+
+        with ThreadPoolExecutor(1) as pool:
+            first, later = pool.submit(run).result(timeout=120)
+        assert np.array_equal(later, first)
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_grid_matched_within_the_tolerance_agrees_with_the_fft_route(self, kind):
+        # the kernel and the exact gauge replace the twist angle by the
+        # root of unity; a grid that is off by just under _MATCH_TOL still
+        # counts as matched and must agree with the FFT route
+        n, hbar = 64, 0.5
+        half = matched_half_extent(kind, n, 1, hbar)
+        factor = VARIANTS[kind][2]
+        theta = factor * hbar * (2 * half / n) ** 2
+        off = 0.9 * _MATCH_TOL / (n * n / 4.0)
+        hbar_off = hbar * (theta + off) / theta
+        a, b = rough(7, half, n, 2)
+        assert kernel_twist(kind, a, hbar_off) is not None
+        fast = VARIANTS[kind][0](a, b, hbar_off).values
+        slow = VARIANTS[kind][1](a, b, hbar_off).values
+        assert rel_l2(fast, slow) < 1e-12
