@@ -213,21 +213,33 @@ def _inv_fourier_axis(values: np.ndarray, axis: int, half_extent: float) -> np.n
     return back * sign / dx
 
 
+def _finite(vals: np.ndarray, stage: str) -> np.ndarray:
+    """vals, a C-contiguous complex array; a FormatError naming stage if
+    any of them is not finite."""
+    parts = vals.reshape(-1).view(np.float64)
+    if not (math.isfinite(parts.max()) and math.isfinite(parts.min())):
+        raise FormatError(f"the {stage} is not finite at its final scaling: "
+                          "the operand is too large")
+    return vals
+
+
 def fourier_2d(f: GridFunction2D) -> GridFunction2D:
-    """F f on the dual grid; half extents become pi*n/(2L) per axis."""
+    """F f on the dual grid; half extents become pi*n/(2L) per axis.  A
+    transform that is not finite is a FormatError."""
     vals = _fourier_axis(f.values, 0, f.half_extent_t)
-    vals = _fourier_axis(vals, 1, f.half_extent_s)
+    vals = _finite(_fourier_axis(vals, 1, f.half_extent_s), "Fourier transform")
     lt = math.pi * f.n_t / (2.0 * f.half_extent_t)
     ls = math.pi * f.n_s / (2.0 * f.half_extent_s)
     return GridFunction2D(lt, ls, f.n_t, f.n_s, vals)
 
 
 def inverse_fourier_2d(g: GridFunction2D) -> GridFunction2D:
-    """Exact inverse of fourier_2d, including the 1/(2pi)^2 normalization."""
+    """Exact inverse of fourier_2d, including the 1/(2pi)^2 normalization.
+    A transform that is not finite is a FormatError."""
     lt = math.pi * g.n_t / (2.0 * g.half_extent_t)
     ls = math.pi * g.n_s / (2.0 * g.half_extent_s)
     vals = _inv_fourier_axis(g.values, 1, ls)
-    vals = _inv_fourier_axis(vals, 0, lt)
+    vals = _finite(_inv_fourier_axis(vals, 0, lt), "inverse Fourier transform")
     return GridFunction2D(lt, ls, g.n_t, g.n_s, vals)
 
 

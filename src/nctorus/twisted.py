@@ -22,17 +22,22 @@ grids loop over difference classes in reused buffers, all FFTs along the
 contiguous axis: one pass of n_t x n_s FFTs per class for the ordered
 product, two for the symplectic and the group product.  Those loops run
 on every core the process may use, each thread owning a block of output
-rows (_run_row_blocks), with the same operations in the same order for
-every output element whatever the number of threads, so the bytes do not
-depend on the machine.  All three products enter through _product, which
-checks the operands and picks the kernel or the variant's FFT route.
+rows (_run_row_blocks) and taking its classes in batches of up to _BATCH:
+one strided view of the shifted source rows, one multiply by the batch's
+phase rows and one FFT call cover the whole batch, and the spectra are
+added one class at a time in ascending order.  So every output element
+sees the same operations in the same order whatever the number of
+threads and the batch size, and the bytes do not depend on the machine.
+All three products enter through _product, which checks the operands and
+picks the kernel or the variant's FFT route.
 
 Every n x n temporary of the kernel and of the FFT routes is carved from
 one slab per calling thread (_carve, on torus._workspace), which a thread
 keeps up to _SLAB_BYTES; worker threads work in slices of their caller's
-slab.  A warm product therefore allocates only its result, which never
-aliases the slab.  Every route ends in _finish, which scales the product
-and refuses one that is not finite.
+slab, their batch buffers within a fixed budget (_BATCH_BYTES).  A warm
+product therefore allocates only its result, which never aliases the
+slab.  Every route ends in _finish, which scales the product and refuses
+one that is not finite.
 """
 
 from __future__ import annotations
@@ -194,13 +199,25 @@ def _gauge(out: np.ndarray, root: int, sign: int, work: np.ndarray) -> None:
     np.take(np.exp(sign * 2j * math.pi * (label / n)), power, out=out, mode="clip")
 
 
-# Fewest output points a worker thread must own, which for the ordered and
-# symplectic routes is the size of each of its FFT calls.  It keeps every
-# 128 x 128 product on one thread.  Medians of alternating calls on a
-# 2-core host, two threads against one: 1.9-2.7x the time at 64 x 64,
-# where GIL hand-offs around small FFT calls cost more than the second
-# core saves; at 128 x 128 0.96-1.07 for the ordered route (64-row calls),
-# 0.80-0.84 symplectic and 0.69-0.70 group; 0.56-0.62 at 256 x 256.
+# The worker threads of the FFT routes take their classes (the group
+# route: its output rows) in batches of at most _BATCH: one multiply by the
+# batch's phase rows, one FFT call and one multiply by its spectra cover
+# the batch, then the spectra are added one class at a time in ascending
+# order, as a loop over single classes adds them.  A worker's batch buffers
+# hold at most half of _BATCH_BYTES (so that they stay in the 2 MiB L2
+# cache of a core of the host measured below) and all workers' together at
+# most _BATCH_BYTES, but a worker always holds one class.  At 256 x 256 on
+# up to two workers every route then carves at most 7 n^2 entries besides
+# its phase rows, within the 7.125 n^2 of the loops over single classes.
+_BATCH = 8
+_BATCH_BYTES = 2 << 20
+# Fewest points in _BATCH classes of a worker's rows, the size of a full
+# batched FFT call of the ordered and symplectic routes.  It puts every
+# 128 x 128 product on two cores and keeps 64 x 64 on one.  Medians of
+# alternating warm products on a 2-core host, two workers against one:
+# 0.68 ordered, 0.62 symplectic and 0.57 group at 128 x 128, while the
+# host's two-process parallel efficiency read 0.49 before and 0.99 after;
+# 0.66-1.19 at 64 x 64 over three runs, with no steady gain.
 _MIN_BLOCK = 1 << 15
 
 
@@ -214,15 +231,36 @@ def _cores() -> int:
 
 def _row_blocks(n_rows: int, row_size: int) -> list[tuple[int, int]]:
     """Split rows 0..n_rows-1 into contiguous (lo, hi) blocks, one per
-    worker: one per core, but no block under _MIN_BLOCK points."""
-    count = max(1, min(_cores(), n_rows, n_rows * row_size // _MIN_BLOCK))
+    worker: one per core, but none whose batch of _BATCH classes of its
+    rows (n_rows/workers x row_size points each) is under _MIN_BLOCK."""
+    count = max(1, min(_cores(), n_rows, _BATCH * n_rows * row_size // _MIN_BLOCK))
     return [(n_rows * k // count, n_rows * (k + 1) // count) for k in range(count)]
 
 
-def _run_row_blocks(work, blocks: list[tuple[int, int]]) -> None:
-    """work(lo, hi) for every block: the first in the calling thread, on
-    the core whose caches hold the operands, each other one in a thread of
-    its own.
+def _batch(workers: int, class_size: int, n_classes: int) -> int:
+    """Classes per batch for workers threads that each need class_size
+    entries of buffer per class: as many as _BATCH_BYTES / max(2, workers)
+    holds, from 1 to _BATCH."""
+    fit = _BATCH_BYTES // (16 * max(2, workers) * class_size)
+    return max(1, min(_BATCH, n_classes, fit))
+
+
+def _class_batches(n_rows: int, row_size: int,
+                   buffers: int) -> tuple[list[tuple[int, int]], int, int]:
+    """The worker blocks of the ordered and symplectic routes, the most
+    rows a worker takes at once (at most half of them, so that a source's
+    cyclic extension stays near half a grid) and the classes per batch,
+    with buffers batch buffers per worker."""
+    blocks = _row_blocks(n_rows, row_size)
+    chunk = min(max(hi - lo for lo, hi in blocks), (n_rows + 1) // 2)
+    return blocks, chunk, _batch(len(blocks), buffers * chunk * row_size, n_rows)
+
+
+def _run_row_blocks(work, blocks: list[tuple[int, int]], scratch: np.ndarray,
+                    size: int) -> None:
+    """work(lo, hi, own) for every block, own the block's slice of size
+    entries of scratch: the first in the calling thread, on the core whose
+    caches hold the operands, each other one in a thread of its own.
 
     Each thread runs in a copy of the caller's context, so the caller's
     np.errstate holds in it; every thread is joined before this returns
@@ -232,20 +270,21 @@ def _run_row_blocks(work, blocks: list[tuple[int, int]]) -> None:
     any number of blocks.
     """
     errors = []
+    jobs = [(lo, hi, scratch[k * size: (k + 1) * size]) for k, (lo, hi) in enumerate(blocks)]
 
-    def run(ctx: contextvars.Context, block: tuple[int, int]) -> None:
+    def run(ctx: contextvars.Context, job) -> None:
         try:
-            ctx.run(work, *block)
+            ctx.run(work, *job)
         except BaseException as exc:  # handed to the caller below
             errors.append(exc)
 
     threads = []
     try:
-        for block in blocks[1:]:
-            thread = threading.Thread(target=run, args=(contextvars.copy_context(), block))
+        for job in jobs[1:]:
+            thread = threading.Thread(target=run, args=(contextvars.copy_context(), job))
             thread.start()
             threads.append(thread)
-        work(*blocks[0])
+        work(*jobs[0])
     finally:
         for thread in threads:
             thread.join()
@@ -253,15 +292,29 @@ def _run_row_blocks(work, blocks: list[tuple[int, int]]) -> None:
         raise errors[0]
 
 
-def _source_rows(lo: int, hi: int, d: int, n: int) -> list[tuple[slice, slice]]:
-    """(dst, src) slice pairs taking, for the rows lo..hi-1 of a block
-    (dst, counted from lo), the source rows (row - d) mod n: at most two."""
-    start = (lo - d) % n
-    cut = min(hi - lo, n - start)
-    pairs = [(slice(0, cut), slice(start, start + cut))]
-    if cut < hi - lo:
-        pairs.append((slice(cut, hi - lo), slice(0, hi - lo - cut)))
-    return pairs
+def _cyclic(ext: np.ndarray, n: int) -> None:
+    """Set every row k >= n of ext to its row k mod n."""
+    for at in range(n, ext.shape[0], n):
+        ext[at: at + n] = ext[: ext.shape[0] - at][:n]
+
+
+def _shifted(ext: np.ndarray, n: int, shift: int, count: int, rows: int) -> np.ndarray:
+    """The count x rows read-only view v[i, r] = row (shift - i + r) mod n
+    of ext, a C-contiguous _cyclic array of at least n + rows + count - 2
+    rows, built on ext's buffer: with as_strided in its place the
+    benchmark's plane round kept about 0.9 MiB more heap in use and read
+    a higher peak RSS."""
+    start = (shift - count + 1) % n + count - 1
+    step, item = ext.strides
+    view = np.ndarray((count, rows, ext.shape[1]), ext.dtype, ext, start * step,
+                      (-step, step, item))
+    view.flags.writeable = False
+    return view
+
+
+def _phases(out: np.ndarray, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i] = e^{coeff[i] x}, as np.exp(coeff[i] * x) for each i."""
+    return np.exp(np.multiply.outer(coeff, x, out=out), out=out)
 
 
 def _skew(twice: np.ndarray, n: int) -> np.ndarray:
@@ -364,29 +417,41 @@ def _twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
     convolution in t per class.  Everything runs transposed, so that t
     is the contiguous axis; class d lands on the output rows shifted by
     d, so a worker owning output rows lo..hi-1 needs only the source rows
-    (lo - d .. hi - d) mod n_s of each class, in its block of the buffer.
+    (lo - d .. hi - d) mod n_s of each class, for a batch of classes one
+    strided view of b's cyclic extension (_shifted).
     """
     n_t, n_s = a.n_t, a.n_s
     u = a.t_axis()
-    fa, b_t, buf, acc, work = _carve(*[(n_s, n_t)] * 4, (9 * n_t * n_s // 8,))
-    for dst, x in ((fa, a), (b_t, b)):
-        np.copyto(dst, x.values.T)
-        _flush_tiny(dst, work)
+    blocks, chunk, batch = _class_batches(n_s, n_t, 1)
+    own = batch * (chunk + 1) * n_t
+    fa, b_ext, acc, scratch = _carve((n_s, n_t), (n_s + chunk + batch - 2, n_t), (n_s, n_t),
+                                     (max(9 * n_t * n_s // 8, len(blocks) * own),))
+    # row d of fa is the spectrum of a's column (d + n_s/2) mod n_s, class d's
+    np.copyto(fa.reshape(2, n_s // 2, n_t), a.values.T.reshape(2, n_s // 2, n_t)[::-1])
+    np.copyto(b_ext[:n_s], b.values.T)
+    for x in (fa, b_ext[:n_s]):
+        _flush_tiny(x, scratch)
+    _cyclic(b_ext, n_s)
     np.fft.fft(fa, axis=1, out=fa)
     acc.fill(0.0)
+    coeff = np.array([1j * hbar * (_signed_class(d, n_s) * a.ds) for d in range(n_s)])
 
-    def rows(lo: int, hi: int) -> None:
-        part = buf[lo:hi]
-        for d in range(n_s):
-            delta_s = _signed_class(d, n_s) * a.ds
-            phase = np.exp(1j * hbar * delta_s * u)
-            for dst, src in _source_rows(lo, hi, d, n_s):
-                np.multiply(b_t[src], phase, out=part[dst])
-            np.fft.fft(part, axis=1, out=part)
-            part *= fa[(d + n_s // 2) % n_s]
-            acc[lo:hi] += part
+    def rows(lo: int, hi: int, mine: np.ndarray) -> None:
+        phases, parts = np.split(mine, [batch * n_t])
+        for c0 in range(lo, hi, chunk):
+            c1 = min(hi, c0 + chunk)
+            for d0 in range(0, n_s, batch):
+                d1 = min(n_s, d0 + batch)
+                shape = (d1 - d0, c1 - c0, n_t)
+                phase = _phases(phases[: shape[0] * n_t].reshape(shape[0], n_t), coeff[d0:d1], u)
+                part = parts[: math.prod(shape)].reshape(shape)
+                np.multiply(_shifted(b_ext, n_s, c0 - d0, *shape[:2]), phase[:, None], out=part)
+                np.fft.fft(part, axis=2, out=part)
+                part *= fa[d0:d1, None]
+                for spectrum in part:
+                    acc[c0:c1] += spectrum
 
-    _run_row_blocks(rows, _row_blocks(n_s, n_t))
+    _run_row_blocks(rows, blocks, scratch, own)
     np.fft.ifft(acc, axis=1, out=acc)
     return _finish(a, acc.T.reshape(2, n_t // 2, n_s)[::-1], fa, "ordered")
 
@@ -412,36 +477,49 @@ def _other_twisted_conv_fft(a: GridFunction2D, b: GridFunction2D,
     The class's row shift commutes with the inverse FFT along s, so the
     products of the two spectra are summed and transformed back once; a
     worker owning output rows lo..hi-1 needs only the rows
-    (lo - d .. hi - d) mod n_t of the bank and of b.
+    (lo - d .. hi - d) mod n_t of the chirp and of b, strided views of
+    their cyclic extensions as in _twisted_conv_fft.
     """
     n_t, n_s = a.n_t, a.n_s
-    a_vals, b_vals, chirp, bank, b_mod, acc, work = _carve(
-        *[(n_t, n_s)] * 6, (9 * n_t * n_s // 8,))
-    for dst, x in ((a_vals, a), (b_vals, b)):
-        np.copyto(dst, x.values)
-        _flush_tiny(dst, work)
-    t_vals = a.t_axis()
     s_vals = a.s_axis()
+    blocks, chunk, batch = _class_batches(n_t, n_s, 2)
+    own = batch * (2 * chunk + 1) * n_s
+    ext = (n_t + chunk + batch - 2, n_s)
+    a_vals, b_ext, chirp, acc, scratch = _carve(
+        (n_t, n_s), ext, ext, (n_t, n_s), (max(9 * n_t * n_s // 8, len(blocks) * own),))
+    # row d of a_vals is a's row (d + n_t/2) mod n_t, class d's
+    np.copyto(a_vals.reshape(2, n_t // 2, n_s), a.values.reshape(2, n_t // 2, n_s)[::-1])
+    np.copyto(b_ext[:n_t], b.values)
+    for x in (a_vals, b_ext[:n_t]):
+        _flush_tiny(x, scratch)
     # kernel bank: row y1 holds a(delta_t, w) e^{(i hbar/2) y1 w}
-    _chirp(chirp, 0.5j * hbar, t_vals, s_vals, work)
+    _chirp(chirp[:n_t], 0.5j * hbar, a.t_axis(), s_vals, scratch)
+    for x in (b_ext, chirp):
+        _cyclic(x, n_t)
     acc.fill(0.0)
+    coeff = np.array([-0.5j * hbar * (_signed_class(d, n_t) * a.dt) for d in range(n_t)])
 
-    def rows(lo: int, hi: int) -> None:
-        bank_part, mod_part = bank[lo:hi], b_mod[lo:hi]
-        for d in range(n_t):
-            delta_t = _signed_class(d, n_t) * a.dt
-            row_a = a_vals[(d + n_t // 2) % n_t]
-            phase = np.exp(-0.5j * hbar * delta_t * s_vals)
-            for dst, src in _source_rows(lo, hi, d, n_t):
-                np.multiply(chirp[src], row_a, out=bank_part[dst])
-                np.multiply(b_vals[src], phase, out=mod_part[dst])
-            np.fft.fft(bank_part, axis=1, out=bank_part)
-            bank_part *= np.fft.fft(mod_part, axis=1, out=mod_part)
-            acc[lo:hi] += bank_part
+    def rows(lo: int, hi: int, mine: np.ndarray) -> None:
+        phases, banks, mods = np.split(mine, [batch * n_s, batch * (chunk + 1) * n_s])
+        for c0 in range(lo, hi, chunk):
+            c1 = min(hi, c0 + chunk)
+            for d0 in range(0, n_t, batch):
+                d1 = min(n_t, d0 + batch)
+                shape = (d1 - d0, c1 - c0, n_s)
+                phase = _phases(phases[: shape[0] * n_s].reshape(shape[0], n_s), coeff[d0:d1],
+                                s_vals)
+                bank, mod = (x[: math.prod(shape)].reshape(shape) for x in (banks, mods))
+                np.multiply(_shifted(chirp, n_t, c0 - d0, *shape[:2]), a_vals[d0:d1, None],
+                            out=bank)
+                np.multiply(_shifted(b_ext, n_t, c0 - d0, *shape[:2]), phase[:, None], out=mod)
+                np.fft.fft(bank, axis=2, out=bank)
+                bank *= np.fft.fft(mod, axis=2, out=mod)
+                for product in bank:
+                    acc[c0:c1] += product
 
-    _run_row_blocks(rows, _row_blocks(n_t, n_s))
+    _run_row_blocks(rows, blocks, scratch, own)
     np.fft.ifft(acc, axis=1, out=acc)
-    return _finish(a, acc.reshape(n_t, 2, n_s // 2)[:, ::-1], chirp, "symplectic")
+    return _finish(a, acc.reshape(n_t, 2, n_s // 2)[:, ::-1], a_vals, "symplectic")
 
 
 def _chirp(out: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray,
@@ -483,38 +561,47 @@ def _heisenberg_group_conv_fft(a: GridFunction2D, b: GridFunction2D,
     Coded row by row against the output's first coordinate, with no
     shared machinery with _other_twisted_conv_fft beyond the FFT itself.
     Row k1 pairs a's row j with b's row k1 - j, which is row j - k1 of
-    b's rows taken in reverse order; the chirp is laid out on the
-    unrolled convolution axis, so only the summed row is rolled.  Each
-    worker owns a range of k1 and an n_t x n_s buffer of its own.
+    b's rows taken in reverse order, so a batch of rows k1 takes one
+    strided view of their spectra stored cyclically (_shifted).  The
+    chirp is laid out on the unrolled convolution axis, so the summed
+    rows are rolled once, at the final scaling.  Each worker owns a range
+    of k1.
     """
     n_t, n_s = a.n_t, a.n_s
-    blocks = _row_blocks(n_t, n_s)
-    a_vals, fbr, chirp, out, work, *bufs = _carve(
-        *[(n_t, n_s)] * 4, (9 * n_t * n_s // 8,), *[(n_t, n_s)] * len(blocks))
-    np.copyto(a_vals, a.values)
-    _flush_tiny(a_vals, work)
-    np.take(b.values, (n_t // 2 - np.arange(n_t)) % n_t, axis=0, out=fbr, mode="clip")
-    _flush_tiny(fbr, work)
-    np.fft.fft(fbr, axis=1, out=fbr)
     t_vals = a.t_axis()
     s_vals = a.s_axis()
+    blocks = _row_blocks(n_t, n_s)
+    batch = _batch(len(blocks), n_t * n_s, n_t)
+    own = batch * (n_t + 1) * n_s
+    a_vals, fbr, chirp, out, scratch = _carve(
+        (n_t, n_s), (2 * n_t + batch - 2, n_s), (n_t, n_s), (n_t, n_s),
+        (max(9 * n_t * n_s // 8, len(blocks) * own),))
+    np.copyto(a_vals, a.values)
+    _flush_tiny(a_vals, scratch)
+    np.take(b.values, (n_t // 2 - np.arange(n_t)) % n_t, axis=0, out=fbr[:n_t], mode="clip")
+    _flush_tiny(fbr[:n_t], scratch)
+    np.fft.fft(fbr[:n_t], axis=1, out=fbr[:n_t])
+    _cyclic(fbr, n_t)
     # e^{-(i hbar/2) y1 x2} at x2 = s_vals[(m - n_s/2) mod n_s] in column m
-    _chirp(chirp, -0.5j * hbar, t_vals, np.roll(s_vals, n_s // 2), work)
-    own = dict(zip(blocks, bufs))
+    _chirp(chirp, -0.5j * hbar, t_vals, np.roll(s_vals, n_s // 2), scratch)
+    coeff = np.array([0.5j * hbar * t for t in t_vals])
 
-    def rows(lo: int, hi: int) -> None:
-        buf = own[lo, hi]
-        for k1 in range(lo, hi):
-            np.multiply(a_vals, np.exp(0.5j * hbar * t_vals[k1] * s_vals), out=buf)
-            np.fft.fft(buf, axis=1, out=buf)
-            buf[k1:] *= fbr[:n_t - k1]
-            buf[:k1] *= fbr[n_t - k1:]
-            np.fft.ifft(buf, axis=1, out=buf)
-            buf *= chirp
-            out[k1] = np.roll(buf.sum(axis=0), -(n_s // 2))
+    def rows(lo: int, hi: int, mine: np.ndarray) -> None:
+        phases, parts = np.split(mine, [batch * n_s])
+        for k0 in range(lo, hi, batch):
+            k1 = min(hi, k0 + batch)
+            phase = _phases(phases[: (k1 - k0) * n_s].reshape(k1 - k0, n_s), coeff[k0:k1], s_vals)
+            part = parts[: phase.size * n_t].reshape(k1 - k0, n_t, n_s)
+            np.multiply(a_vals, phase[:, None], out=part)
+            np.fft.fft(part, axis=2, out=part)
+            part *= _shifted(fbr, n_t, -k0, k1 - k0, n_t)
+            np.fft.ifft(part, axis=2, out=part)
+            part *= chirp
+            for k, conv in enumerate(part, k0):
+                np.sum(conv, axis=0, out=out[k])
 
-    _run_row_blocks(rows, blocks)
-    return _finish(a, out, out, "group")
+    _run_row_blocks(rows, blocks, scratch, own)
+    return _finish(a, out.reshape(n_t, 2, n_s // 2)[:, ::-1], a_vals, "group")
 
 
 _ROUTES = {"ordered": (1, _twisted_conv_fft),

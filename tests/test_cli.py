@@ -1339,19 +1339,22 @@ def test_unknown_attribute_raises():
     assert not hasattr(nctorus, "values_from_list")  # a lattice name not exported
 
 
-@pytest.mark.parametrize("argv", [
-    ["twisted-conv", "--variant", "ordered"],
-    ["twisted-conv", "--variant", "symplectic"],
-    ["twisted-conv", "--variant", "group"],
-    ["fourier-bridge"],
-    ["hbar-probe"],
-])
-def test_overflowing_plane_product_is_one_error_line(run, write, argv):
+@pytest.mark.parametrize("argv, peak, stage", [
+    (["twisted-conv", "--variant", "ordered"], 1e300, "ordered product"),
+    (["twisted-conv", "--variant", "symplectic"], 1e300, "symplectic product"),
+    (["twisted-conv", "--variant", "group"], 1e300, "group product"),
+    (["fourier-bridge"], 1e300, "symplectic product"),
+    (["hbar-probe"], 1e300, "ordered product"),
+    (["fourier-bridge"], 1e307, "the Fourier transform"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_overflowing_plane_product_is_one_error_line(run, write, argv, peak, stage):
     # well-decaying Gaussians of peak 1e300: every product of two of them
-    # overflows, which used to end in a ValueError traceback and exit 1
-    a = grid2d_file(write, "big_a.json", amplitude=1e300)
-    b = grid2d_file(write, "big_b.json", center=(0.5, -0.3), amplitude=1e300)
+    # overflows, which used to end in a ValueError traceback and exit 1; at
+    # peak 1e307 so does the Fourier transform fourier-bridge takes first
+    a = grid2d_file(write, "big_a.json", amplitude=peak)
+    b = grid2d_file(write, "big_b.json", center=(0.5, -0.3), amplitude=peak)
     rc, doc, err = run(*argv[:1], a, b, *argv[1:])
     assert rc == 2 and doc is None
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert a in err and b in err and "not finite at its final scaling" in err
+    assert stage in err

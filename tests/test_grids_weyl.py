@@ -89,6 +89,19 @@ class TestFourier:
         xi = g0.t_axis()[:, None]
         assert np.max(np.abs(g1.values - np.exp(-2j * xi) * g0.values)) < 1e-10
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_transform_that_is_not_finite_is_refused(self):
+        # a well-decaying Gaussian of peak 1e307 sums past the largest double
+        f = gaussian_2d(10.0, 10.0, 64, 64, amplitude=1e307)
+        with pytest.raises(FormatError, match="^the Fourier transform is not finite"):
+            fourier_2d(f)
+        # a flat spectrum of 1e308 comes back as a spike past the largest double
+        g = fourier_2d(gaussian_2d(10.0, 10.0, 64, 64))
+        flat = g.with_values(np.full((64, 64), 1e308))
+        with pytest.raises(FormatError, match="^the inverse Fourier transform is not finite"):
+            inverse_fourier_2d(flat)
+
 
 class TestDecayChecks:
     def test_quiet_for_contained_bump(self):

@@ -545,6 +545,170 @@ class TestFftRoutesAgainstLoops:
                 conv(clipped, good, hbar)
 
 
+# The FFT routes' loops over single classes (the group route: single output
+# rows) before they took their classes in batches, kept as the batched
+# routes' byte oracle: the same operations in the same order, on fresh
+# arrays, with each worker's row block run in turn.
+
+
+def _source_rows(lo: int, hi: int, d: int, n: int) -> list[tuple[slice, slice]]:
+    """(dst, src) slice pairs taking, for the rows lo..hi-1 of a block
+    (dst, counted from lo), the source rows (row - d) mod n: at most two."""
+    start = (lo - d) % n
+    cut = min(hi - lo, n - start)
+    pairs = [(slice(0, cut), slice(start, start + cut))]
+    if cut < hi - lo:
+        pairs.append((slice(cut, hi - lo), slice(0, hi - lo - cut)))
+    return pairs
+
+
+def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
+    return [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
+
+
+def class_loop_twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float,
+                            workers: int = 1) -> np.ndarray:
+    n_t, n_s = a.n_t, a.n_s
+    u = a.t_axis()
+    fa = np.fft.fft(_flush_tiny(np.ascontiguousarray(a.values.T)), axis=1)
+    b_t = _flush_tiny(np.ascontiguousarray(b.values.T))
+    buf = np.empty((n_s, n_t), dtype=np.complex128)
+    acc = np.zeros((n_s, n_t), dtype=np.complex128)
+    for lo, hi in _blocks(n_s, workers):
+        part = buf[lo:hi]
+        for d in range(n_s):
+            delta_s = _signed_class(d, n_s) * a.ds
+            phase = np.exp(1j * hbar * delta_s * u)
+            for dst, src in _source_rows(lo, hi, d, n_s):
+                np.multiply(b_t[src], phase, out=part[dst])
+            np.fft.fft(part, axis=1, out=part)
+            part *= fa[(d + n_s // 2) % n_s]
+            acc[lo:hi] += part
+    np.fft.ifft(acc, axis=1, out=acc)
+    return acc.T.reshape(2, n_t // 2, n_s)[::-1].reshape(n_t, n_s) * (a.dt * a.ds)
+
+
+def class_loop_other_twisted_conv(a: GridFunction2D, b: GridFunction2D, hbar: float,
+                                  workers: int = 1) -> np.ndarray:
+    n_t, n_s = a.n_t, a.n_s
+    a_vals = _flush_tiny(a.values.copy())
+    b_vals = _flush_tiny(b.values.copy())
+    s_vals = a.s_axis()
+    chirp = np.exp(0.5j * hbar * np.multiply.outer(a.t_axis(), s_vals))
+    bank = np.empty((n_t, n_s), dtype=np.complex128)
+    b_mod = np.empty((n_t, n_s), dtype=np.complex128)
+    acc = np.zeros((n_t, n_s), dtype=np.complex128)
+    for lo, hi in _blocks(n_t, workers):
+        bank_part, mod_part = bank[lo:hi], b_mod[lo:hi]
+        for d in range(n_t):
+            delta_t = _signed_class(d, n_t) * a.dt
+            row_a = a_vals[(d + n_t // 2) % n_t]
+            phase = np.exp(-0.5j * hbar * delta_t * s_vals)
+            for dst, src in _source_rows(lo, hi, d, n_t):
+                np.multiply(chirp[src], row_a, out=bank_part[dst])
+                np.multiply(b_vals[src], phase, out=mod_part[dst])
+            np.fft.fft(bank_part, axis=1, out=bank_part)
+            bank_part *= np.fft.fft(mod_part, axis=1, out=mod_part)
+            acc[lo:hi] += bank_part
+    np.fft.ifft(acc, axis=1, out=acc)
+    return acc.reshape(n_t, 2, n_s // 2)[:, ::-1].reshape(n_t, n_s) * (a.dt * a.ds)
+
+
+def class_loop_heisenberg_group_conv(a: GridFunction2D, b: GridFunction2D, hbar: float,
+                                     workers: int = 1) -> np.ndarray:
+    n_t, n_s = a.n_t, a.n_s
+    a_vals = _flush_tiny(a.values.copy())
+    fbr = _flush_tiny(b.values[(n_t // 2 - np.arange(n_t)) % n_t])
+    np.fft.fft(fbr, axis=1, out=fbr)
+    t_vals = a.t_axis()
+    s_vals = a.s_axis()
+    chirp = np.exp(-0.5j * hbar * np.multiply.outer(t_vals, np.roll(s_vals, n_s // 2)))
+    out = np.empty((n_t, n_s), dtype=np.complex128)
+    for lo, hi in _blocks(n_t, workers):
+        buf = np.empty((n_t, n_s), dtype=np.complex128)
+        for k1 in range(lo, hi):
+            np.multiply(a_vals, np.exp(0.5j * hbar * t_vals[k1] * s_vals), out=buf)
+            np.fft.fft(buf, axis=1, out=buf)
+            buf[k1:] *= fbr[:n_t - k1]
+            buf[:k1] *= fbr[n_t - k1:]
+            np.fft.ifft(buf, axis=1, out=buf)
+            buf *= chirp
+            out[k1] = np.roll(buf.sum(axis=0), -(n_s // 2))
+    return out * (a.dt * a.ds)
+
+
+CLASS_LOOPS = {
+    "ordered": class_loop_twisted_conv,
+    "symplectic": class_loop_other_twisted_conv,
+    "group": class_loop_heisenberg_group_conv,
+}
+
+
+class TestBatchedRoutes:
+    """The FFT routes take their classes in batches and still give the
+    bytes of the loops over single classes, for any worker count, batch
+    size and grid shape."""
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (64, 64), (128, 128)])
+    def test_bytes_equal_the_class_loops(self, kind, shape, monkeypatch):
+        n_t, n_s = shape
+        a, b = rough(90 + n_t + n_s, 6.0, n_t, 2, n_s=n_s)
+        monkeypatch.setattr(twisted, "_MIN_BLOCK", 1)
+        want = CLASS_LOOPS[kind](a, b, 0.37)
+        assert np.array_equal(CLASS_LOOPS[kind](a, b, 0.37, workers=3), want)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(twisted, "_cores", lambda: workers)
+            assert len(twisted._row_blocks(n_t, n_s)) == workers
+            assert np.array_equal(VARIANTS[kind][1](a, b, 0.37).values, want)
+
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_hold_for_batches_that_straddle_the_row_wrap(self, kind, workers,
+                                                               monkeypatch):
+        # a budget for three classes a batch: 64 classes are no multiple of
+        # it, and the source rows of most batches wrap around the grid
+        n = 64
+        a, b = rough(33, 6.0, n, 2)
+        monkeypatch.setattr(twisted, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(twisted, "_cores", lambda: workers)
+        if kind == "group":
+            class_size = n * n
+        else:
+            _, chunk, _ = twisted._class_batches(n, n, 1)
+            class_size = (1 if kind == "ordered" else 2) * chunk * n
+        monkeypatch.setattr(twisted, "_BATCH_BYTES", 3 * 16 * max(2, workers) * class_size)
+        assert twisted._batch(workers, class_size, n) == 3
+        want = CLASS_LOOPS[kind](a, b, 1.3, workers=workers)
+        assert np.array_equal(VARIANTS[kind][1](a, b, 1.3).values, want)
+
+    def test_a_128_grid_takes_every_core(self, monkeypatch):
+        for cores, blocks in ((1, 1), (2, 2)):
+            monkeypatch.setattr(twisted, "_cores", lambda: cores)
+            assert len(twisted._row_blocks(128, 128)) == blocks
+        # 64 x 64 stays on one: two threads cost more than they saved
+        assert len(twisted._row_blocks(64, 64)) == 1
+
+    @pytest.mark.filterwarnings("ignore:boundary decay:RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_256_routes_carve_at_most_the_loops_high_water(self, kind, monkeypatch):
+        # the loops over single classes carved up to 7.125 n^2 entries
+        n = 256
+        a = gaussian_2d(16.0, 16.0, n, n, center=(0.3, -0.2))
+        b = gaussian_2d(16.0, 16.0, n, n, width=(1.1, 0.9))
+        carve, sizes = twisted._carve, []
+
+        def counting(*shapes):
+            sizes.append(sum(math.prod(shape) for shape in shapes))
+            return carve(*shapes)
+
+        monkeypatch.setattr(twisted, "_carve", counting)
+        for cores in (1, 2):
+            monkeypatch.setattr(twisted, "_cores", lambda: cores)
+            VARIANTS[kind][1](a, b, 0.5)
+            assert sizes.pop() <= 7.125 * n * n
+
+
 class TestWorkerFailures:
     """Floating-point errors in a worker thread reach the caller as the
     serial loop's would, under the caller's np.errstate and warning
